@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -204,14 +205,12 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_and_encode(cfg: RunConfig, user_vocab, item_vocab, which: str):
+def _load_split(cfg: RunConfig, which: str) -> list[D.ImpressionRecord]:
     records = D.load_jsonl(cfg.dataset)
     if which == "all":
-        subset = records
-    else:
-        train_recs, val_recs = D.split(records, cfg.split_mode, cfg.val_fraction, cfg.seed)
-        subset = train_recs if which == "train" else val_recs
-    return D.encode(subset, user_vocab, item_vocab, cfg.max_seq_len)
+        return records
+    train_recs, val_recs = D.split(records, cfg.split_mode, cfg.val_fraction, cfg.seed)
+    return train_recs if which == "train" else val_recs
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -274,10 +273,7 @@ def _check_model_overrides(cfg: RunConfig, explicit: set, model_config: ModelCon
                 )
 
 
-def _single_eval(cfg: RunConfig, checkpoint_path: str, explicit: set, which: str) -> dict:
-    model, user_vocab, item_vocab, _ = load_checkpoint(checkpoint_path)
-    _check_model_overrides(cfg, explicit, model.config)
-    batch, _ = _load_and_encode(cfg, user_vocab, item_vocab, which)
+def _single_eval(cfg: RunConfig, checkpoint_path: str, which: str, model, user_vocab, batch) -> dict:
     probs = model.predict(batch)
     by_impressions = M.evaluate(probs, batch.labels, batch.group_keys, "impressions")
     by_clicks = M.gauc(probs, batch.labels, batch.group_keys, "clicks")
@@ -326,7 +322,19 @@ def cmd_eval(
     for ck in checkpoints:
         if not os.path.exists(ck):
             raise FileNotFoundError(f"checkpoint not found: {ck}")
-    reports = [_single_eval(cfg, ck, explicit, which) for ck in checkpoints]
+    # The dataset is read and split once. Checkpoints trained on the same
+    # file have equal vocabularies, so a compare encodes it once too.
+    records = vocab = batch = None
+    reports = []
+    for ck in checkpoints:
+        model, user_vocab, item_vocab, _ = load_checkpoint(ck)
+        _check_model_overrides(cfg, explicit, model.config)
+        if records is None:
+            records = _load_split(cfg, which)
+        if (user_vocab.tokens, item_vocab.tokens) != vocab:
+            vocab = (user_vocab.tokens, item_vocab.tokens)
+            batch, _ = D.encode(records, user_vocab, item_vocab, cfg.max_seq_len)
+        reports.append(_single_eval(cfg, ck, which, model, user_vocab, batch))
     if groups_csv:
         _ensure_parent(groups_csv)
         with open(groups_csv, "w", encoding="utf-8") as fh:
@@ -404,7 +412,13 @@ def cmd_rank(cfg: RunConfig, checkpoint_path: str, candidates_path: str, context
                 raise ValueError(f"line {line_no}: candidate missing ad_id")
             if "bid" not in obj or obj["bid"] is None:
                 raise ValueError(f"candidate {obj['ad_id']!r} missing bid (line {line_no})")
-            raw.append((str(obj["ad_id"]), float(obj["bid"])))
+            try:
+                bid = float(obj["bid"])
+            except (TypeError, ValueError):
+                bid = math.nan
+            if not math.isfinite(bid):
+                raise ValueError(f"candidate {obj['ad_id']!r} bid must be a finite number, got {obj['bid']!r} (line {line_no})")
+            raw.append((str(obj["ad_id"]), bid))
     if not raw:
         raise ValueError("no candidates to rank")
     records = [
@@ -472,7 +486,7 @@ def gradcheck_model(use_attention: bool, seed: int, eps: float = 1e-5, l2_lambda
     loss, dprobs = bce_loss(probs, batch.labels)
     grads = model.backward(cache, dprobs)
     l2_penalty(model, l2_lambda, grads)
-    analytic = np.concatenate([grads.dense[k].ravel() for k in model.params])
+    analytic = grads.flat(model.params)
     return grad_check(loss_at, model.flat_params(), analytic, eps=eps), model
 
 

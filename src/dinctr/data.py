@@ -12,7 +12,10 @@ the signal a model has to recover, and gives tests an exact oracle.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -47,12 +50,12 @@ class Vocabulary:
     OOV = "<oov>"
 
     def __init__(self, tokens: Optional[Iterable[str]] = None):
-        self._tokens: list[str] = [self.PAD, self.OOV]
-        self._index: dict[str, int] = {self.PAD: PAD_INDEX, self.OOV: OOV_INDEX}
+        # One pass over a dict keeps first-seen order and drops repeats; the
+        # reserved tokens go first, so they keep indices 0 and 1.
+        self._index: dict[str, int] = dict.fromkeys(chain((self.PAD, self.OOV), () if tokens is None else tokens))
+        self._tokens: list[str] = list(self._index)
+        self._index.update(zip(self._tokens, range(len(self._tokens))))
         self.frozen = False
-        if tokens is not None:
-            for t in tokens:
-                self.add(t)
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -110,13 +113,8 @@ def build_vocab(records: Sequence[ImpressionRecord]) -> tuple[Vocabulary, Vocabu
     """
     if not records:
         raise ValueError("cannot build a vocabulary from zero records")
-    users = Vocabulary()
-    items = Vocabulary()
-    for rec in records:
-        users.add(rec.user_id)
-        items.add(rec.ad_id)
-        for tok in rec.behavior_ids:
-            items.add(tok)
+    users = Vocabulary(map(attrgetter("user_id"), records))
+    items = Vocabulary(chain.from_iterable((rec.ad_id, *rec.behavior_ids) for rec in records))
     items.add(NO_HISTORY_TOKEN)
     return users.freeze(), items.freeze()
 
@@ -174,6 +172,16 @@ class EncodeStats:
         }
 
 
+def _lookup(vocab: Vocabulary, tokens: Iterable[str], count: int) -> np.ndarray:
+    """Index of each of ``count`` tokens; unknown and reserved tokens get OOV_INDEX.
+
+    A token spelled like a reserved one comes from data, not from padding,
+    so it must not encode to PAD_INDEX and empty a mask row.
+    """
+    idx = np.fromiter(map(vocab._index.get, tokens, repeat(OOV_INDEX)), dtype=np.int64, count=count)
+    return np.maximum(idx, OOV_INDEX, out=idx)  # PAD_INDEX is the only index below OOV_INDEX
+
+
 def encode(
     records: Sequence[ImpressionRecord],
     user_vocab: Vocabulary,
@@ -183,48 +191,38 @@ def encode(
     """Encode records against frozen vocabularies.
 
     Histories longer than ``max_seq_len`` keep their most recent tail;
-    shorter ones are right-padded with index 0. OOV tokens and truncations
-    are handled silently and counted in the returned stats.
+    shorter ones are right-padded with index 0. OOV tokens (including
+    tokens spelled like the reserved `<pad>`/`<oov>`) and truncations are
+    handled silently and counted in the returned stats.
     """
     if not (user_vocab.frozen and item_vocab.frozen):
         raise ValueError("encode requires frozen vocabularies")
     if max_seq_len < 1:
         raise ValueError("max_seq_len must be >= 1")
     n = len(records)
-    ad_idx = np.zeros(n, dtype=np.int64)
-    behavior_idx = np.zeros((n, max_seq_len), dtype=np.int64)
-    labels = np.zeros(n, dtype=np.float64)
-    user_idx = np.zeros(n, dtype=np.int64)
-    stats = EncodeStats(n_records=n)
-    no_history = item_vocab.encode(NO_HISTORY_TOKEN)
-    for i, rec in enumerate(records):
-        user_idx[i] = user_vocab.encode(rec.user_id)
-        if user_idx[i] == OOV_INDEX and rec.user_id not in user_vocab:
-            stats.n_oov_tokens += 1
-        ad = item_vocab.encode(rec.ad_id)
-        if ad == OOV_INDEX and rec.ad_id not in item_vocab:
-            stats.n_oov_tokens += 1
-        ad_idx[i] = ad
-        seq = rec.behavior_ids
-        if len(seq) > max_seq_len:
-            seq = seq[-max_seq_len:]
-            stats.n_truncated += 1
-        if not seq:
-            behavior_idx[i, 0] = no_history
-            stats.n_empty_history += 1
-        else:
-            for t, tok in enumerate(seq):
-                idx = item_vocab.encode(tok)
-                if idx == OOV_INDEX and tok not in item_vocab:
-                    stats.n_oov_tokens += 1
-                behavior_idx[i, t] = idx
-        labels[i] = float(rec.label)
-    mask = behavior_idx != PAD_INDEX
+    T = max_seq_len
+    user_idx = _lookup(user_vocab, map(attrgetter("user_id"), records), n)
+    ad_idx = _lookup(item_vocab, map(attrgetter("ad_id"), records), n)
+    lengths = np.fromiter((len(rec.behavior_ids) for rec in records), dtype=np.int64, count=n)
+    kept = np.minimum(lengths, T)
+    mask = np.arange(T) < kept[:, None]
+    behavior_idx = np.zeros((n, T), dtype=np.int64)
+    tail_idx = _lookup(item_vocab, chain.from_iterable(rec.behavior_ids[-T:] for rec in records), int(kept.sum()))
+    behavior_idx[mask] = tail_idx
+    empty = kept == 0
+    behavior_idx[empty, 0] = item_vocab.encode(NO_HISTORY_TOKEN)
+    mask[empty, 0] = True
+    stats = EncodeStats(
+        n_records=n,
+        n_oov_tokens=sum(int(np.count_nonzero(idx == OOV_INDEX)) for idx in (user_idx, ad_idx, tail_idx)),
+        n_truncated=int(np.count_nonzero(lengths > T)),
+        n_empty_history=int(np.count_nonzero(empty)),
+    )
     batch = EncodedBatch(
         ad_idx=ad_idx,
         behavior_idx=behavior_idx,
         mask=mask,
-        labels=labels,
+        labels=np.fromiter(map(attrgetter("label"), records), dtype=np.float64, count=n),
         group_keys=user_idx.copy(),
         user_idx=user_idx,
     )
@@ -292,13 +290,20 @@ def obj_to_record(obj: dict, line_no: int, require_label: bool = True) -> Impres
     if label not in (0, 1):
         raise ValueError(f"line {line_no}: label must be 0 or 1, got {obj['label']!r}")
     bid = obj.get("bid")
+    if bid is not None:
+        try:
+            bid = float(bid)
+        except (TypeError, ValueError):
+            bid = math.nan
+        if not math.isfinite(bid):
+            raise ValueError(f"line {line_no}: field 'bid' must be a finite number, got {obj['bid']!r}")
     return ImpressionRecord(
         user_id=str(obj["user_id"]),
         ad_id=str(obj["ad_id"]),
         behavior_ids=[str(t) for t in obj["behavior_ids"]],
         label=label,
         timestamp=int(obj.get("ts", 0)),
-        bid=None if bid is None else float(bid),
+        bid=bid,
     )
 
 

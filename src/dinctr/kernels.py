@@ -61,10 +61,6 @@ def _np_scores_backward(behav, ad, dscores, inv_temp):
     return dbehav, dad
 
 
-def _np_scatter_add_rows(out, idx, vals):
-    np.add.at(out, idx, vals)
-
-
 # ---------------------------------------------------------------------------
 # Numba variants
 # ---------------------------------------------------------------------------
@@ -174,14 +170,6 @@ if HAS_NUMBA:
                         dad[b, k] += ds * behav[b, t, k]
         return dbehav, dad
 
-    @njit(cache=True)
-    def _nb_scatter_add_rows(out, idx, vals):
-        n, d = vals.shape
-        for i in range(n):
-            row = idx[i]
-            for k in range(d):
-                out[row, k] += vals[i, k]
-
 
 if USE_NUMBA:
     attention_scores = _nb_attention_scores
@@ -191,7 +179,6 @@ if USE_NUMBA:
     pool_backward = _nb_pool_backward
     softmax_backward = _nb_softmax_backward
     scores_backward = _nb_scores_backward
-    scatter_add_rows = _nb_scatter_add_rows
 else:
     attention_scores = _np_attention_scores
     masked_softmax = _np_masked_softmax
@@ -200,7 +187,6 @@ else:
     pool_backward = _np_pool_backward
     softmax_backward = _np_softmax_backward
     scores_backward = _np_scores_backward
-    scatter_add_rows = _np_scatter_add_rows
 
 
 def warmup() -> None:
@@ -218,5 +204,3 @@ def warmup() -> None:
     dw, _ = pool_backward(behav, w, pooled)
     ds = softmax_backward(w, dw)
     scores_backward(behav, ad, ds, 1.0)
-    table = np.zeros((5, 4))
-    scatter_add_rows(table, np.array([1, 2], dtype=np.int64), np.zeros((2, 4)))

@@ -10,6 +10,7 @@ click-count weights, renormalized over the usable groups.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,6 +158,8 @@ class AdCandidate:
     predicted_ctr: float
 
     def __post_init__(self):
+        if not math.isfinite(self.bid):
+            raise ValueError(f"candidate {self.ad_id!r}: bid must be finite, got {self.bid!r}")
         if self.bid < 0.0:
             raise ValueError(f"candidate {self.ad_id!r}: bid must be >= 0")
 

@@ -97,15 +97,48 @@ class ForwardCache:
 
 @dataclass
 class Gradients:
-    """Parameter gradients plus the embedding rows the batch touched.
+    """Parameter gradients for one batch.
 
-    ``dense`` mirrors the parameter dict shapes. For embedding tables only
-    the listed ``touched_rows`` carry meaning; everything else is zero and
-    the optimizer must not update it (lazy/sparse semantics).
+    ``dense`` holds the MLP blocks at their parameter shapes. Embedding
+    tables are stored as what the batch touched: ``rows[name]`` is the
+    sorted, PAD-free array of row indices and ``row_grads[name]`` their
+    gradients, shape (len(rows), d). Every other row's gradient is zero and
+    the optimizer leaves it alone (lazy/sparse semantics).
     """
 
     dense: dict[str, np.ndarray]
-    touched_rows: dict[str, np.ndarray] = field(default_factory=dict)
+    rows: dict[str, np.ndarray] = field(default_factory=dict)
+    row_grads: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def flat(self, params: dict[str, np.ndarray]) -> np.ndarray:
+        """All gradients as one vector laid out like ``DinModel.flat_params``,
+        with zeros for the embedding rows the batch did not touch."""
+        parts = []
+        for name, p in params.items():
+            if name in self.rows:
+                g = np.zeros_like(p)
+                g[self.rows[name]] = self.row_grads[name]
+            else:
+                g = self.dense[name]
+            parts.append(g.ravel())
+        return np.concatenate(parts)
+
+
+def _sum_rows(idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the rows of ``vals`` that share an index in ``idx``.
+
+    Returns the sorted distinct indices without PAD_ROW and their sums.
+    ``bincount`` adds each output cell's contributions in input order,
+    starting from 0.0, exactly as ``np.add.at`` into a zeroed table does,
+    so the sums are bit-identical to that dense scatter.
+    """
+    rows, inv = np.unique(idx, return_inverse=True)
+    d = vals.shape[1]
+    cells = (inv[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(cells, weights=vals.ravel(), minlength=rows.size * d).reshape(rows.size, d)
+    if rows.size and rows[0] == PAD_ROW:
+        return rows[1:], sums[1:]
+    return rows, sums
 
 
 class DinModel:
@@ -222,8 +255,10 @@ class DinModel:
         """Analytic gradients for every parameter touched by the batch.
 
         ``dprobs`` is dLoss/dProb per record. The attention path carries the
-        softmax Jacobian into both the behavior and the ad embeddings; the
-        padding row's gradient is forced to zero.
+        softmax Jacobian into both the behavior and the ad embeddings. Each
+        embedding table's gradient covers only the rows the batch looked up,
+        never the padding row, so its size follows the batch, not the
+        vocabulary.
         """
         if cache is None:
             raise ValueError("backward requires the forward cache for this batch")
@@ -235,7 +270,7 @@ class DinModel:
         if dprobs.shape != (B,):
             raise ValueError(f"upstream gradient shape {dprobs.shape} != ({B},)")
 
-        dense: dict[str, np.ndarray] = {k: np.zeros_like(v) for k, v in self.params.items()}
+        dense: dict[str, np.ndarray] = {}
 
         p = cache.probs
         dlogit = dprobs * p * (1.0 - p)
@@ -261,23 +296,14 @@ class DinModel:
             dad = dad + dad_att
 
         live = batch.mask.reshape(-1)
-        flat_idx = batch.behavior_idx.reshape(-1)[live]
-        flat_grad = dbehav.reshape(-1, d)[live]
-        item_grad = dense["item_emb"]
-        kernels.scatter_add_rows(item_grad, flat_idx, np.ascontiguousarray(flat_grad))
-        kernels.scatter_add_rows(item_grad, batch.ad_idx, np.ascontiguousarray(dad))
-        item_grad[PAD_ROW, :] = 0.0
-        touched = {
-            "item_emb": np.unique(np.concatenate([flat_idx, batch.ad_idx])),
-        }
-
+        grads = Gradients(dense=dense)
+        grads.rows["item_emb"], grads.row_grads["item_emb"] = _sum_rows(
+            np.concatenate([batch.behavior_idx.reshape(-1)[live], batch.ad_idx]),
+            np.concatenate([dbehav.reshape(-1, d)[live], dad]),
+        )
         if c.use_user_profile:
-            duser = dx[:, 3 * d :]
-            kernels.scatter_add_rows(dense["user_emb"], batch.user_idx, np.ascontiguousarray(duser))
-            dense["user_emb"][PAD_ROW, :] = 0.0
-            touched["user_emb"] = np.unique(batch.user_idx)
-
-        return Gradients(dense=dense, touched_rows=touched)
+            grads.rows["user_emb"], grads.row_grads["user_emb"] = _sum_rows(batch.user_idx, dx[:, 3 * d :])
+        return grads
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +440,12 @@ def load_checkpoint(path) -> tuple[DinModel, Vocabulary, Vocabulary, Optional[di
         for entry in header["arrays"]:
             shape = tuple(int(s) for s in entry["shape"])
             count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
+            # Read straight into the array: a transient bytes copy of a large
+            # table would stay in the process's heap for the rest of the run.
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != count * 8:
                 raise ValueError(f"{path}: truncated checkpoint payload")
-            params[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            params[entry["name"]] = arr
     model = DinModel(config, params)
     user_vocab = Vocabulary.from_real_tokens(header["user_tokens"])
     item_vocab = Vocabulary.from_real_tokens(header["item_tokens"])

@@ -1,10 +1,13 @@
 """Binary cross-entropy with L2, the Adam optimizer, and the training loop.
 
-Embedding tables get lazy (sparse) Adam semantics: a row's moment
-accumulators move only when that row appears in the batch, so untouched
-rows stay perfectly stationary. The L2 penalty covers all MLP weight
-matrices plus the embedding rows touched by the current batch; biases and
-the padding row are never penalized.
+Embedding tables get lazy (sparse) Adam semantics: the optimizer reads
+their gradients as the compact rows the batch touched (``Gradients.rows``
+and ``Gradients.row_grads``), and a row's moment accumulators move only
+when that row appears in the batch, so untouched rows stay perfectly
+stationary and a step costs what the batch touched, not the vocabulary.
+The L2 penalty covers all MLP weight matrices plus the embedding rows
+touched by the current batch; biases and the padding row are never
+penalized.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .data import EncodedBatch
-from .model import PAD_ROW, DinModel, Gradients
+from .model import DinModel, Gradients
 from .numerics import make_rng
 
 PROB_CLAMP = 1e-7
@@ -47,8 +50,8 @@ def l2_penalty(model: DinModel, lam: float, grads: Optional[Gradients] = None) -
     """lam * sum(w^2) over MLP weights and batch-touched embedding rows.
 
     When ``grads`` is given, the matching contribution 2*lam*w is added in
-    place; touched rows come from ``grads.touched_rows``. With no gradients
-    the penalty alone is computed over all non-pad embedding rows.
+    place; touched rows come from ``grads.rows``. With no gradients the
+    penalty alone is computed over all non-pad embedding rows.
     """
     if lam < 0.0:
         raise ValueError("l2 lambda must be >= 0")
@@ -64,16 +67,17 @@ def l2_penalty(model: DinModel, lam: float, grads: Optional[Gradients] = None) -
         if name not in model.params:
             continue
         table = model.params[name]
-        if grads is not None:
-            rows = grads.touched_rows.get(name, np.empty(0, dtype=np.int64))
-        else:
+        if grads is None:
             rows = np.arange(1, table.shape[0])
-        rows = rows[rows != PAD_ROW]
+        elif name in grads.rows:
+            rows = grads.rows[name]
+        else:
+            continue
         if rows.size:
             sub = table[rows]
             penalty += float(np.sum(sub * sub))
             if grads is not None:
-                grads.dense[name][rows] += 2.0 * lam * sub
+                grads.row_grads[name] += 2.0 * lam * sub
     return lam * penalty
 
 
@@ -101,30 +105,31 @@ class AdamState:
 def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: Gradients) -> None:
     """One in-place Adam update with bias correction.
 
-    Embedding parameters update lazily: only rows listed in
-    ``grads.touched_rows`` move, and the padding row never does.
+    Embedding parameters update lazily: only the rows in ``grads.rows``
+    move, by their ``grads.row_grads``; the padding row is never among
+    them. Every other block updates densely.
     """
-    for name, g in grads.dense.items():
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient in parameter block {name!r}")
+    for block in (grads.dense, grads.row_grads):
+        for name, g in block.items():
+            if not np.isfinite(g).all():
+                raise FloatingPointError(f"non-finite gradient in parameter block {name!r}")
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
     for name, p in params.items():
-        g = grads.dense[name]
         m, v = state.m[name], state.v[name]
-        if name in grads.touched_rows:
-            rows = grads.touched_rows[name]
-            rows = rows[rows != PAD_ROW]
+        if name in grads.rows:
+            rows = grads.rows[name]
             if rows.size == 0:
                 continue
-            gr = g[rows]
-            m[rows] = state.beta1 * m[rows] + (1.0 - state.beta1) * gr
-            v[rows] = state.beta2 * v[rows] + (1.0 - state.beta2) * (gr * gr)
-            m_hat = m[rows] / bc1
-            v_hat = v[rows] / bc2
-            p[rows] -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            gr = grads.row_grads[name]
+            m_rows = state.beta1 * m[rows] + (1.0 - state.beta1) * gr
+            v_rows = state.beta2 * v[rows] + (1.0 - state.beta2) * (gr * gr)
+            m[rows] = m_rows
+            v[rows] = v_rows
+            p[rows] -= state.lr * (m_rows / bc1) / (np.sqrt(v_rows / bc2) + state.eps)
         else:
+            g = grads.dense[name]
             m[...] = state.beta1 * m + (1.0 - state.beta1) * g
             v[...] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
             p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)

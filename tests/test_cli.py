@@ -131,6 +131,23 @@ class TestTrain:
         assert code != 0
         assert "not found" in err
 
+    def test_reserved_pad_token_in_history_trains(self, tmp_path, capsys):
+        dataset = tmp_path / "pad.jsonl"
+        lines = []
+        for i in range(60):
+            history = ["<pad>"] if i % 3 == 0 else ["<pad>", f"i{i % 5}"] if i % 3 == 1 else [f"i{i % 7}"]
+            lines.append(json.dumps({"user_id": f"u{i % 4}", "ad_id": f"i{i % 6}", "behavior_ids": history,
+                                     "label": (i // 4) % 2, "ts": i}))
+        dataset.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(
+            capsys, "train", "--config", write_config(tmp_path, epochs=2, batch_size=16), "--dataset", str(dataset),
+            "--checkpoint", str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv"),
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert np.isfinite(report["final_train_loss"]) and np.isfinite(report["final_val_loss"])
+        assert report["encode_stats"]["n_oov_tokens"] > 0
+
     def test_flag_overrides_file(self, tmp_path, capsys):
         config = write_config(tmp_path, epochs=2)
         dataset = str(tmp_path / "d.jsonl")
@@ -203,6 +220,34 @@ class TestEval:
         for row in rows[1:]:
             assert 0.0 <= float(row[2]) <= 1.0
 
+    def test_compare_encodes_once_and_matches_single_evals(self, pipeline, capsys, monkeypatch):
+        from dinctr import data as D
+
+        din_ck, _ = pipeline["checkpoints"]["din"]
+        base_ck, _ = pipeline["checkpoints"]["base"]
+        common = ("eval", "--config", pipeline["config"], "--dataset", pipeline["dataset"])
+        singles = {}
+        for name, ck in (("din", din_ck), ("base", base_ck)):
+            report = pipeline["tmp_path"] / f"{name}_report.json"
+            assert run_cli(capsys, *common, "--checkpoint", ck, "--report", str(report))[0] == 0
+            singles[name] = json.loads(report.read_text())
+        calls = {"load_jsonl": 0, "encode": 0}
+        for fn in calls:
+            original = getattr(D, fn)
+
+            def counted(*args, _fn=fn, _original=original, **kwargs):
+                calls[_fn] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(D, fn, counted)
+        report = pipeline["tmp_path"] / "compare_report.json"
+        code, _, _ = run_cli(capsys, *common, "--compare", din_ck, base_ck, "--report", str(report))
+        assert code == 0
+        assert calls == {"load_jsonl": 1, "encode": 1}  # same training file, one vocabulary
+        models = json.loads(report.read_text())["models"]
+        for name, single in singles.items():  # "config" echoes each run's own flags
+            assert {**models[name], "config": None} == {**single, "config": None}
+
     def test_compare_table_is_strict_csv(self, pipeline, capsys):
         din_ck, _ = pipeline["checkpoints"]["din"]
         base_ck, _ = pipeline["checkpoints"]["base"]
@@ -250,6 +295,18 @@ class TestPredict:
         assert code == 0
         p = json.loads(out)["p"]
         assert 0.0 < p < 1.0
+
+    def test_reserved_pad_token_in_history_still_scores(self, pipeline, capsys):
+        ck, _ = pipeline["checkpoints"]["din"]
+        inputs = pipeline["tmp_path"] / "pad.jsonl"
+        inputs.write_text(
+            '{"user_id": "u1", "ad_id": "i1", "behavior_ids": ["<pad>"]}\n'
+            '{"user_id": "<pad>", "ad_id": "<pad>", "behavior_ids": ["<pad>", "<oov>", "i2"]}\n'
+        )
+        code, out, _ = run_cli(capsys, "predict", "--checkpoint", ck, "--input", str(inputs))
+        assert code == 0
+        for line in out.splitlines():
+            assert 0.0 < json.loads(line)["p"] < 1.0
 
     def test_malformed_line_reports_number(self, pipeline, capsys):
         ck, _ = pipeline["checkpoints"]["din"]
@@ -305,6 +362,29 @@ class TestRank:
         code, out, _ = run_cli(capsys, "rank", "--checkpoint", ck, "--candidates", cands)
         assert code == 0
         assert len(out.splitlines()) == 1
+
+    def test_non_finite_bid_rejected_with_line(self, pipeline, capsys):
+        ck, _ = pipeline["checkpoints"]["din"]
+        cands = self.candidates(pipeline["tmp_path"], [
+            {"ad_id": "i1", "bid": 1.0},
+            {"ad_id": "i2", "bid": float("nan")},
+            {"ad_id": "i3", "bid": 2.0},
+        ])
+        assert "NaN" in open(cands).read()  # a bare NaN, as Python's json writes and reads it
+        code, out, err = run_cli(capsys, "rank", "--checkpoint", ck, "--candidates", cands)
+        assert code != 0
+        assert out == ""
+        assert "'i2'" in err and "line 2" in err and "finite" in err
+
+    def test_reserved_pad_token_in_context_still_ranks(self, pipeline, capsys):
+        ck, _ = pipeline["checkpoints"]["din"]
+        cands = self.candidates(pipeline["tmp_path"], [{"ad_id": "i1", "bid": 1.0}, {"ad_id": "i2", "bid": 2.0}])
+        context = pipeline["tmp_path"] / "pad_ctx.json"
+        context.write_text(json.dumps({"user_id": "u1", "behavior_ids": ["<pad>"]}))
+        code, out, _ = run_cli(capsys, "rank", "--checkpoint", ck, "--candidates", cands, "--context", str(context))
+        assert code == 0
+        for line in out.splitlines():
+            assert 0.0 < json.loads(line)["p"] < 1.0
 
     def test_missing_bid_names_candidate(self, pipeline, capsys):
         ck, _ = pipeline["checkpoints"]["din"]

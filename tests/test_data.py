@@ -6,6 +6,7 @@ import pytest
 
 from dinctr.data import (
     NO_HISTORY_TOKEN,
+    EncodeStats,
     ImpressionRecord,
     SyntheticConfig,
     Vocabulary,
@@ -108,6 +109,118 @@ class TestEncode:
             encode(self.records, Vocabulary(), Vocabulary(), 4)
 
 
+RESERVED = (Vocabulary.PAD, Vocabulary.OOV)
+
+
+def build_vocab_oracle(records):
+    """One ``Vocabulary.add`` per token: users, then per record the ad before its behaviors."""
+    users, items = Vocabulary(), Vocabulary()
+    for r in records:
+        users.add(r.user_id)
+        items.add(r.ad_id)
+        for tok in r.behavior_ids:
+            items.add(tok)
+    items.add(NO_HISTORY_TOKEN)
+    return users.freeze(), items.freeze()
+
+
+def encode_oracle(records, users, items, max_seq_len):
+    """One lookup per token. Unknown tokens and tokens spelled like a
+    reserved one encode as OOV and are counted."""
+    n = len(records)
+    stats = EncodeStats(n_records=n)
+
+    def look(vocab, tok):
+        if tok in RESERVED or tok not in vocab:
+            stats.n_oov_tokens += 1
+            return 1
+        return vocab.encode(tok)
+
+    ad_idx = np.zeros(n, dtype=np.int64)
+    user_idx = np.zeros(n, dtype=np.int64)
+    behavior_idx = np.zeros((n, max_seq_len), dtype=np.int64)
+    labels = np.zeros(n)
+    for i, r in enumerate(records):
+        user_idx[i] = look(users, r.user_id)
+        ad_idx[i] = look(items, r.ad_id)
+        seq = r.behavior_ids
+        if len(seq) > max_seq_len:
+            seq = seq[-max_seq_len:]
+            stats.n_truncated += 1
+        if not seq:
+            behavior_idx[i, 0] = items.encode(NO_HISTORY_TOKEN)
+            stats.n_empty_history += 1
+        for t, tok in enumerate(seq):
+            behavior_idx[i, t] = look(items, tok)
+        labels[i] = float(r.label)
+    return ad_idx, user_idx, behavior_idx, labels, stats
+
+
+def assert_encode_matches_oracle(records, users, items, max_seq_len):
+    batch, stats = encode(records, users, items, max_seq_len)
+    ad_idx, user_idx, behavior_idx, labels, expect = encode_oracle(records, users, items, max_seq_len)
+    np.testing.assert_array_equal(batch.ad_idx, ad_idx)
+    np.testing.assert_array_equal(batch.user_idx, user_idx)
+    np.testing.assert_array_equal(batch.group_keys, user_idx)
+    np.testing.assert_array_equal(batch.behavior_idx, behavior_idx)
+    np.testing.assert_array_equal(batch.mask, behavior_idx != 0)
+    np.testing.assert_array_equal(batch.labels, labels)
+    for arr in (batch.ad_idx, batch.user_idx, batch.group_keys, batch.behavior_idx):
+        assert arr.dtype == np.int64
+    assert stats == expect
+    assert batch.mask.any(axis=1).all()
+    return stats
+
+
+class TestEncodeOracle:
+    def records(self):
+        records, _ = generate_synthetic(SyntheticConfig(num_users=30, num_items=25, impressions=400, seed=12))
+        extra = [
+            rec(user="u-new", ad="a-new", behaviors=()),
+            rec(user=Vocabulary.PAD, ad=Vocabulary.OOV, behaviors=(Vocabulary.PAD,)),
+            rec(ad=Vocabulary.PAD, behaviors=("i3", Vocabulary.OOV, Vocabulary.PAD, "never-seen")),
+            rec(user="u1", ad="i2", behaviors=(NO_HISTORY_TOKEN, "i4")),
+        ]
+        return records[:200] + extra + records[200:]
+
+    def test_build_vocab_matches_per_token_adds(self):
+        records = self.records()
+        users, items = build_vocab(records)
+        o_users, o_items = build_vocab_oracle(records)
+        assert users.tokens == o_users.tokens
+        assert items.tokens == o_items.tokens
+        assert all(items.encode(t) == o_items.encode(t) for t in o_items.tokens)
+
+    @pytest.mark.parametrize("max_seq_len", [1, 10, 40])
+    def test_generated_data_with_oov_truncation_and_empty(self, max_seq_len):
+        records = self.records()
+        users, items = build_vocab(records[:150])  # the rest meets unseen tokens
+        stats = assert_encode_matches_oracle(records, users, items, max_seq_len)
+        assert stats.n_oov_tokens > 0 and stats.n_empty_history == 1
+        assert (stats.n_truncated > 0) == (max_seq_len < 32)
+
+    def test_reserved_spellings_encode_as_oov(self):
+        records = [
+            rec(user=Vocabulary.PAD, ad=Vocabulary.PAD, behaviors=(Vocabulary.PAD,)),
+            rec(user=Vocabulary.OOV, ad="a", behaviors=(Vocabulary.PAD, "b", Vocabulary.OOV)),
+        ]
+        users, items = build_vocab(records)
+        assert Vocabulary.PAD not in items.tokens[2:] and Vocabulary.OOV not in items.tokens[2:]
+        batch, stats = encode(records, users, items, max_seq_len=4)
+        np.testing.assert_array_equal(batch.behavior_idx[:, 0], [1, 1])
+        np.testing.assert_array_equal(batch.ad_idx, [1, items.encode("a")])
+        np.testing.assert_array_equal(batch.user_idx, [1, 1])
+        np.testing.assert_array_equal(batch.mask.sum(axis=1), [1, 3])
+        assert stats.n_oov_tokens == 2 + 1 + 3  # users, ads, behaviors
+        assert_encode_matches_oracle(records, users, items, 4)
+
+    def test_zero_records(self):
+        users, items = build_vocab([rec()])
+        batch, stats = encode([], users, items, max_seq_len=3)
+        assert batch.behavior_idx.shape == (0, 3) and len(batch) == 0
+        assert stats == EncodeStats()
+
+
 class TestSplit:
     def test_temporal_eight_day_example(self):
         # 8 uniform "days" of 10 records each; fraction 1/8 peels off the last day
@@ -176,6 +289,16 @@ class TestJsonl:
         path.write_text('{"user_id":"u","ad_id":"a","behavior_ids":["b"],"label":1,"ts":3,"debug":42}\n')
         [loaded] = load_jsonl(path)
         assert loaded == rec(user="u", ad="a", behaviors=("b",), label=1, ts=3)
+
+    @pytest.mark.parametrize("bid", ["NaN", "Infinity", "-Infinity", '"abc"'])
+    def test_non_finite_bid_names_line_and_field(self, tmp_path, bid):
+        path = tmp_path / "bids.jsonl"
+        path.write_text(
+            '{"user_id":"u","ad_id":"a","behavior_ids":[],"label":1,"ts":0,"bid":1.0}\n'
+            f'{{"user_id":"u","ad_id":"a","behavior_ids":[],"label":1,"ts":0,"bid":{bid}}}\n'
+        )
+        with pytest.raises(ValueError, match="line 2: field 'bid'"):
+            load_jsonl(path)
 
     def test_bid_optional_and_preserved(self, tmp_path):
         path = tmp_path / "bids.jsonl"

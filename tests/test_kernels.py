@@ -74,18 +74,6 @@ def test_backward_kernels_agree(seed):
     np.testing.assert_allclose(da_nb, da_np, rtol=1e-12, atol=1e-14)
 
 
-@needs_numba
-def test_scatter_add_agrees_with_np_add_at():
-    rng = make_rng(7)
-    idx = rng.integers(0, 10, size=30).astype(np.int64)
-    vals = rng.normal(size=(30, 4))
-    a = np.zeros((10, 4))
-    b = np.zeros((10, 4))
-    kernels._np_scatter_add_rows(a, idx, vals)
-    kernels._nb_scatter_add_rows(b, idx, vals)
-    np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-15)
-
-
 def test_batched_softmax_matches_single_row_reference():
     """The batch kernel must agree with the 1-D masked softmax row by row."""
     behav, ad, mask = random_case(3)

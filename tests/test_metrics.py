@@ -250,6 +250,11 @@ class TestBusinessFormulas:
         with pytest.raises(ValueError, match="bid"):
             AdCandidate("x", bid=-0.5, predicted_ctr=0.1)
 
+    @pytest.mark.parametrize("bid", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_bid_rejected(self, bid):
+        with pytest.raises(ValueError, match="'x'.*finite"):
+            AdCandidate("x", bid=bid, predicted_ctr=0.1)
+
 
 class TestEvalReport:
     def test_counts_and_serialization(self):

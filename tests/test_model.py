@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dinctr import kernels
 from dinctr.data import EncodedBatch
 from dinctr.model import (
     DinModel,
@@ -212,12 +213,87 @@ class TestUserProfile:
         probs, cache = model.forward(batch)
         _, dprobs = bce_loss(probs, batch.labels)
         grads = model.backward(cache, dprobs)
-        analytic = np.concatenate([grads.dense[k].ravel() for k in model.params])
+        analytic = grads.flat(model.params)
         assert grad_check(loss_at, model.flat_params(), analytic, eps=1e-5) < 1e-4
-        assert not grads.dense["user_emb"][0].any()
+        assert grads.rows["user_emb"].size and 0 not in grads.rows["user_emb"]
+
+
+def dense_backward_oracle(model, cache, dprobs):
+    """The embedding gradients as full tables: every lookup's contribution
+    added into a zeroed V x d table with ``np.add.at``, the padding row
+    zeroed afterwards. The per-lookup contributions come from the same
+    kernels as ``DinModel.backward``, so the compact rows must reproduce
+    these tables exactly."""
+    c = model.config
+    batch = cache.batch
+    d = c.dim
+    p = cache.probs
+    g = (dprobs * p * (1.0 - p))[:, None]
+    for i in range(model.n_layers - 1, -1, -1):
+        g = g @ model.params[f"w{i}"].T
+        if i > 0:
+            g = g * (cache.pre_acts[i - 1] > 0.0)
+    dpooled = g[:, :d] + g[:, 2 * d : 3 * d] * cache.ad_emb
+    dad = g[:, d : 2 * d] + g[:, 2 * d : 3 * d] * cache.pooled
+    dweights, dbehav = kernels.pool_backward(cache.behav_emb, cache.weights, dpooled)
+    if c.use_attention:
+        dscores = kernels.softmax_backward(cache.weights, dweights)
+        dbehav_att, dad_att = kernels.scores_backward(cache.behav_emb, cache.ad_emb, dscores, 1.0 / c.temperature)
+        dbehav = dbehav + dbehav_att
+        dad = dad + dad_att
+    live = batch.mask.reshape(-1)
+    tables = {"item_emb": np.zeros_like(model.params["item_emb"])}
+    np.add.at(tables["item_emb"], batch.behavior_idx.reshape(-1)[live], dbehav.reshape(-1, d)[live])
+    np.add.at(tables["item_emb"], batch.ad_idx, dad)
+    if c.use_user_profile:
+        tables["user_emb"] = np.zeros_like(model.params["user_emb"])
+        np.add.at(tables["user_emb"], batch.user_idx, g[:, 3 * d :])
+    for table in tables.values():
+        table[0] = 0.0
+    return tables
+
+
+def assert_matches_dense_oracle(model, cache, dprobs, grads):
+    tables = dense_backward_oracle(model, cache, dprobs)
+    assert set(grads.rows) == set(grads.row_grads) == set(tables)
+    for name, table in tables.items():
+        batch = cache.batch
+        looked_up = {"item_emb": np.concatenate([batch.behavior_idx[batch.mask], batch.ad_idx]),
+                     "user_emb": batch.user_idx}[name]
+        expect_rows = np.unique(looked_up)
+        np.testing.assert_array_equal(grads.rows[name], expect_rows[expect_rows != 0])
+        np.testing.assert_array_equal(grads.row_grads[name], table[grads.rows[name]])
+        assert not np.delete(table, grads.rows[name], axis=0).any()
+    assert set(grads.dense) == set(model.params) - set(tables)
 
 
 class TestBackward:
+    @pytest.mark.parametrize(
+        "use_attention,use_user_profile", [(True, False), (False, False), (True, True), (False, True)]
+    )
+    def test_compact_rows_equal_dense_scatter_oracle(self, use_attention, use_user_profile):
+        config = tiny_config(use_attention=use_attention, dim=4, hidden=(6,), item_vocab=9, max_seq_len=7)
+        config.use_user_profile = use_user_profile
+        model = init_model(config, make_rng(30, stream=1))
+        batch = random_batch(config, make_rng(31), B=16)  # 9 items: many repeated rows
+        probs, cache = model.forward(batch)
+        _, dprobs = bce_loss(probs, batch.labels)
+        assert_matches_dense_oracle(model, cache, dprobs, model.backward(cache, dprobs))
+
+    def test_gradient_size_follows_batch_not_vocabulary(self):
+        config = ModelConfig(item_vocab=1_000_000, user_vocab=1_000, dim=2, hidden=(4,), max_seq_len=6,
+                             use_user_profile=True)
+        model = init_model(config, make_rng(32, stream=1))
+        B = 5
+        batch = random_batch(config, make_rng(33), B=B)
+        probs, cache = model.forward(batch)
+        _, dprobs = bce_loss(probs, batch.labels)
+        grads = model.backward(cache, dprobs)
+        limit = B * (config.max_seq_len + 1)
+        arrays = [*grads.dense.values(), *grads.rows.values(), *grads.row_grads.values()]
+        assert all(a.shape[0] <= limit for a in arrays)
+        assert grads.row_grads["item_emb"].any()
+
     @pytest.mark.parametrize("use_attention", [True, False])
     def test_gradients_match_finite_differences(self, use_attention):
         config = tiny_config(use_attention=use_attention, dim=4, hidden=(6,), item_vocab=14)
@@ -236,7 +312,7 @@ class TestBackward:
         loss, dprobs = bce_loss(probs, batch.labels)
         grads = model.backward(cache, dprobs)
         l2_penalty(model, 1e-3, grads)
-        analytic = np.concatenate([grads.dense[k].ravel() for k in model.params])
+        analytic = grads.flat(model.params)
         assert grad_check(loss_at, model.flat_params(), analytic, eps=1e-5) < 1e-4
 
     def test_zero_upstream_zero_gradients(self):
@@ -245,8 +321,7 @@ class TestBackward:
         batch = random_batch(config, make_rng(23), B=3)
         _, cache = model.forward(batch)
         grads = model.backward(cache, np.zeros(3))
-        for g in grads.dense.values():
-            assert not g.any()
+        assert not grads.flat(model.params).any()
 
     def test_singleton_sequence_reduces_to_dot_product_gradient(self):
         """One behavior: the softmax is constant 1, so only the direct
@@ -274,8 +349,7 @@ class TestBackward:
         _, dprobs_u = bce_loss(probs_u, batch.labels)
         grads_uni = uniform.backward(cache_u, dprobs_u)
 
-        for key in grads_att.dense:
-            np.testing.assert_allclose(grads_att.dense[key], grads_uni.dense[key], atol=1e-12)
+        np.testing.assert_allclose(grads_att.flat(model.params), grads_uni.flat(model.params), atol=1e-12)
 
     def test_pad_row_gradient_forced_zero(self):
         config = tiny_config()
@@ -284,8 +358,22 @@ class TestBackward:
         probs, cache = model.forward(batch)
         _, dprobs = bce_loss(probs, batch.labels)
         grads = model.backward(cache, dprobs)
-        assert not grads.dense["item_emb"][0].any()
-        assert 0 not in grads.touched_rows["item_emb"]
+        assert not grads.flat(model.params)[: model.config.dim].any()  # item row 0 leads the flat layout
+        assert 0 not in grads.rows["item_emb"]
+
+    def test_pad_lookups_leave_no_pad_row(self):
+        """PAD indices in the ad and user columns are dropped from the rows."""
+        config = tiny_config()
+        config.use_user_profile = True
+        model = init_model(config, make_rng(28, stream=1))
+        batch = random_batch(config, make_rng(29), B=3)
+        batch.ad_idx[0] = 0
+        batch.user_idx[1] = 0
+        probs, cache = model.forward(batch)
+        _, dprobs = bce_loss(probs, batch.labels)
+        grads = model.backward(cache, dprobs)
+        assert_matches_dense_oracle(model, cache, dprobs, grads)
+        assert 0 not in grads.rows["item_emb"] and 0 not in grads.rows["user_emb"]
 
     def test_backward_requires_cache(self):
         config = tiny_config()

@@ -64,23 +64,32 @@ def one_weight_model():
     return model
 
 
+def zero_grads(model, touched):
+    """Zero gradients for every block, with ``touched`` as the item rows."""
+    rows = np.asarray(touched, dtype=np.int64)
+    return Gradients(
+        dense={k: np.zeros_like(v) for k, v in model.params.items() if k != "item_emb"},
+        rows={"item_emb": rows},
+        row_grads={"item_emb": np.zeros((rows.size, model.config.dim))},
+    )
+
+
 class TestL2Penalty:
     def test_zero_lambda_is_noop(self):
         model = one_weight_model()
-        grads = Gradients(dense={k: np.zeros_like(v) for k, v in model.params.items()},
-                          touched_rows={"item_emb": np.array([2], dtype=np.int64)})
+        grads = zero_grads(model, [2])
         before = {k: g.copy() for k, g in grads.dense.items()}
         assert l2_penalty(model, 0.0, grads) == 0.0
         for k in before:
             np.testing.assert_array_equal(grads.dense[k], before[k])
+        np.testing.assert_array_equal(grads.row_grads["item_emb"], np.zeros((1, 1)))
 
     def test_single_weight_hand_example(self):
         model = one_weight_model()
         model.params["item_emb"][...] = 0.0
         model.params["w0"][...] = 0.0
         model.params["w0"][0, 0] = 3.0  # one live weight: w = 3
-        grads = Gradients(dense={k: np.zeros_like(v) for k, v in model.params.items()},
-                          touched_rows={"item_emb": np.array([], dtype=np.int64)})
+        grads = zero_grads(model, [])
         penalty = l2_penalty(model, 0.1, grads)
         assert abs(penalty - 0.9) < 1e-15
         assert abs(grads.dense["w0"][0, 0] - 0.6) < 1e-15
@@ -90,19 +99,22 @@ class TestL2Penalty:
         config = ModelConfig(item_vocab=9, user_vocab=2, dim=3, hidden=(4,), max_seq_len=3)
         model = init_model(config, make_rng(1, stream=1))
         touched = np.array([2, 5, 7], dtype=np.int64)
-        grads = Gradients(dense={k: np.zeros_like(v) for k, v in model.params.items()},
-                          touched_rows={"item_emb": touched})
+        grads = zero_grads(model, touched)
         lam = 0.37
         penalty = l2_penalty(model, lam, grads)
         brute = sum(float(np.sum(model.params[f"w{i}"] ** 2)) for i in range(model.n_layers))
         brute += float(np.sum(model.params["item_emb"][touched] ** 2))
         assert abs(penalty - lam * brute) < 1e-12
+        np.testing.assert_array_equal(grads.row_grads["item_emb"], 2.0 * lam * model.params["item_emb"][touched])
+
+    def test_without_gradients_covers_all_non_pad_rows(self):
+        config = ModelConfig(item_vocab=9, user_vocab=2, dim=3, hidden=(4,), max_seq_len=3)
+        model = init_model(config, make_rng(1, stream=1))
+        assert l2_penalty(model, 0.5) == l2_penalty(model, 0.5, zero_grads(model, np.arange(1, 9)))
 
     def test_positive_lambda_strictly_increases_loss(self):
         model = one_weight_model()
-        grads = Gradients(dense={k: np.zeros_like(v) for k, v in model.params.items()},
-                          touched_rows={"item_emb": np.array([2], dtype=np.int64)})
-        assert l2_penalty(model, 1e-4, grads) > 0.0
+        assert l2_penalty(model, 1e-4, zero_grads(model, [2])) > 0.0
 
 
 class TestAdamStep:
@@ -156,19 +168,41 @@ class TestAdamStep:
         table = np.ones((5, 2))
         params = {"emb": table}
         state = AdamState(m={"emb": np.zeros((5, 2))}, v={"emb": np.zeros((5, 2))}, lr=0.1)
-        g = np.zeros((5, 2))
-        g[2] = 1.0
-        g[4] = -1.0
-        adam_step(state, params, Gradients(dense={"emb": g}, touched_rows={"emb": np.array([2, 4])}))
+        grads = Gradients(
+            dense={}, rows={"emb": np.array([2, 4])}, row_grads={"emb": np.array([[1.0, 1.0], [-1.0, -1.0]])}
+        )
+        adam_step(state, params, grads)
         assert (params["emb"][[0, 1, 3]] == 1.0).all()
         assert (params["emb"][2] != 1.0).all() and (params["emb"][4] != 1.0).all()
         assert not state.m["emb"][[0, 1, 3]].any()
         assert (state.v["emb"] >= 0).all()
 
+    def test_lazy_rows_follow_the_dense_recurrence(self):
+        """A touched row moves exactly as a dense block with the same gradient."""
+        lazy = {"emb": np.ones((4, 2))}
+        dense = {"emb": np.ones((1, 2))}
+        s_lazy = AdamState(m={"emb": np.zeros((4, 2))}, v={"emb": np.zeros((4, 2))}, lr=0.1)
+        s_dense = AdamState(m={"emb": np.zeros((1, 2))}, v={"emb": np.zeros((1, 2))}, lr=0.1)
+        for g in ([0.5, -2.0], [3.0, 0.25]):
+            row = np.array([g])
+            adam_step(s_lazy, lazy, Gradients(dense={}, rows={"emb": np.array([3])}, row_grads={"emb": row}))
+            adam_step(s_dense, dense, Gradients(dense={"emb": row}))
+        np.testing.assert_array_equal(lazy["emb"][3], dense["emb"][0])
+        np.testing.assert_array_equal(s_lazy.v["emb"][3], s_dense.v["emb"][0])
+        assert (lazy["emb"][:3] == 1.0).all()
+
     def test_non_finite_gradient_names_block(self):
         params, state = self.scalar_setup()
         with pytest.raises(FloatingPointError, match="'w'"):
             adam_step(state, params, Gradients(dense={"w": np.array([float("inf")])}))
+
+    def test_non_finite_row_gradient_names_block(self):
+        params = {"emb": np.ones((3, 1))}
+        state = AdamState(m={"emb": np.zeros((3, 1))}, v={"emb": np.zeros((3, 1))}, lr=0.1)
+        grads = Gradients(dense={}, rows={"emb": np.array([1])}, row_grads={"emb": np.array([[np.nan]])})
+        with pytest.raises(FloatingPointError, match="'emb'"):
+            adam_step(state, params, grads)
+        assert (params["emb"] == 1.0).all() and state.t == 0
 
 
 def small_dataset(seed=1, impressions=1500, alpha=4.0):
