@@ -6,7 +6,6 @@ metrics, a synthetic ad-log generator with known ground truth, and a CLI
 covering the full generate -> train -> evaluate -> rank pipeline.
 """
 
-from .backend import HAS_NUMBA, USE_NUMBA, active_backend
 from .data import (
     EncodedBatch,
     GroundTruth,
@@ -35,22 +34,16 @@ from .metrics import (
 from .model import (
     DinModel,
     ModelConfig,
-    attention_weights,
     init_model,
-    interaction,
     load_checkpoint,
-    pool_user_embedding,
     save_checkpoint,
 )
-from .numerics import grad_check, make_rng, matmul, sigmoid, softmax
+from .numerics import grad_check, make_rng, sigmoid
 from .optim import AdamState, TrainConfig, TrainHistory, adam_step, bce_loss, l2_penalty, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAS_NUMBA",
-    "USE_NUMBA",
-    "active_backend",
     "EncodedBatch",
     "GroundTruth",
     "ImpressionRecord",
@@ -74,17 +67,12 @@ __all__ = [
     "rank_ads",
     "DinModel",
     "ModelConfig",
-    "attention_weights",
     "init_model",
-    "interaction",
     "load_checkpoint",
-    "pool_user_embedding",
     "save_checkpoint",
     "grad_check",
     "make_rng",
-    "matmul",
     "sigmoid",
-    "softmax",
     "AdamState",
     "TrainConfig",
     "TrainHistory",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -20,7 +19,6 @@ import numpy as np
 
 from . import data as D
 from . import metrics as M
-from .backend import active_backend
 from .model import ModelConfig, init_model, load_checkpoint, save_checkpoint
 from .numerics import grad_check, make_rng
 from .optim import TrainConfig, bce_loss, l2_penalty, save_history, train
@@ -65,11 +63,7 @@ class RunConfig:
     report: str = "out/report.json"
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+        return D.fields_dict(self)
 
     def validate(self) -> None:
         if self.model not in ("din", "base"):
@@ -79,43 +73,23 @@ class RunConfig:
         self.synthetic_config().validate()
         self.train_config().validate()
 
+    def _sub_config(self, cls, **given):
+        """``cls`` built from this config's fields of the same names, plus ``given``."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}, **given)
+
     def synthetic_config(self) -> D.SyntheticConfig:
-        return D.SyntheticConfig(
-            num_users=self.num_users,
-            num_items=self.num_items,
-            num_clusters=self.num_clusters,
-            behaviors_min=self.behaviors_min,
-            behaviors_max=self.behaviors_max,
-            impressions=self.impressions,
-            signal_strength=self.signal_strength,
-            base_logit=self.base_logit,
-            cluster_concentration=self.cluster_concentration,
-            seed=self.seed,
-        )
+        return self._sub_config(D.SyntheticConfig)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            l2_lambda=self.l2_lambda,
-            seed=self.seed,
-            patience=self.patience,
-            split_mode=self.split_mode,
-            val_fraction=self.val_fraction,
-            timing=self.timing,
-        )
+        return self._sub_config(TrainConfig)
 
     def model_config(self, item_vocab: int, user_vocab: int) -> ModelConfig:
-        return ModelConfig(
+        return self._sub_config(
+            ModelConfig,
             item_vocab=item_vocab,
             user_vocab=user_vocab,
-            dim=self.dim,
             hidden=tuple(self.hidden),
-            max_seq_len=self.max_seq_len,
-            temperature=self.temperature,
             use_attention=self.model == "din",
-            use_user_profile=self.use_user_profile,
         )
 
 
@@ -222,10 +196,7 @@ def cmd_train(cfg: RunConfig) -> int:
     train_batch, enc_stats = D.encode(train_recs, user_vocab, item_vocab, cfg.max_seq_len)
     val_batch, _ = D.encode(val_recs, user_vocab, item_vocab, cfg.max_seq_len)
     model = init_model(cfg.model_config(item_vocab.size, user_vocab.size), make_rng(cfg.seed, stream=1))
-    _note(
-        f"training {cfg.model} model on {len(train_batch)} records "
-        f"({len(val_batch)} validation), backend={active_backend()}"
-    )
+    _note(f"training {cfg.model} model on {len(train_batch)} records ({len(val_batch)} validation)")
     model, history = train(model, train_batch, val_batch, cfg.train_config())
     _ensure_parent(cfg.checkpoint)
     _ensure_parent(cfg.history)
@@ -396,29 +367,17 @@ def cmd_rank(cfg: RunConfig, checkpoint_path: str, candidates_path: str, context
     if context_path:
         with open(context_path, "r", encoding="utf-8") as fh:
             ctx = json.load(fh)
+        if not isinstance(ctx, dict):
+            raise ValueError(f"{context_path}: expected a JSON object")
         user_id = str(ctx.get("user_id", ""))
-        behaviors = [str(t) for t in ctx.get("behavior_ids", [])]
+        behaviors = D.parse_behavior_ids(ctx.get("behavior_ids", []), context_path)
     raw = []
-    with open(candidates_path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: invalid JSON: {exc.msg}") from exc
-            if "ad_id" not in obj:
-                raise ValueError(f"line {line_no}: candidate missing ad_id")
-            if "bid" not in obj or obj["bid"] is None:
-                raise ValueError(f"candidate {obj['ad_id']!r} missing bid (line {line_no})")
-            try:
-                bid = float(obj["bid"])
-            except (TypeError, ValueError):
-                bid = math.nan
-            if not math.isfinite(bid):
-                raise ValueError(f"candidate {obj['ad_id']!r} bid must be a finite number, got {obj['bid']!r} (line {line_no})")
-            raw.append((str(obj["ad_id"]), bid))
+    for line_no, obj in D.iter_jsonl(candidates_path):
+        if "ad_id" not in obj:
+            raise ValueError(f"line {line_no}: candidate missing ad_id")
+        if "bid" not in obj or obj["bid"] is None:
+            raise ValueError(f"candidate {obj['ad_id']!r} missing bid (line {line_no})")
+        raw.append((str(obj["ad_id"]), D.parse_bid(obj["bid"], f"line {line_no} (candidate {obj['ad_id']!r})")))
     if not raw:
         raise ValueError("no candidates to rank")
     records = [
@@ -509,17 +468,7 @@ def cmd_gradcheck(cfg: RunConfig, eps: float) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-_GENERATOR_FLAGS = (
-    "num_users",
-    "num_items",
-    "num_clusters",
-    "behaviors_min",
-    "behaviors_max",
-    "impressions",
-    "signal_strength",
-    "base_logit",
-    "cluster_concentration",
-)
+_GENERATOR_FLAGS = tuple(f.name for f in fields(D.SyntheticConfig) if f.name != "seed")
 _TRAIN_FLAGS = (
     "model",
     "dim",

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,15 @@ from .numerics import make_rng, sigmoid
 PAD_INDEX = 0
 OOV_INDEX = 1
 NO_HISTORY_TOKEN = "<no_history>"
+
+
+def fields_dict(obj) -> dict:
+    """A dataclass's fields by name, tuples as lists (as JSON holds them)."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 @dataclass
@@ -164,12 +173,7 @@ class EncodeStats:
     n_empty_history: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "n_oov_tokens": self.n_oov_tokens,
-            "n_truncated": self.n_truncated,
-            "n_empty_history": self.n_empty_history,
-        }
+        return fields_dict(self)
 
 
 def _lookup(vocab: Vocabulary, tokens: Iterable[str], count: int) -> np.ndarray:
@@ -279,6 +283,24 @@ def record_to_obj(rec: ImpressionRecord) -> dict:
     return obj
 
 
+def parse_bid(value, where: str) -> float:
+    """A bid as a finite float >= 0; ``where`` (a line) leads the error message."""
+    try:
+        bid = float(value)
+    except (TypeError, ValueError):
+        bid = math.nan
+    if not (math.isfinite(bid) and bid >= 0.0):
+        raise ValueError(f"{where}: field 'bid' must be a finite number >= 0, got {value!r}")
+    return bid
+
+
+def parse_behavior_ids(value, where: str) -> list[str]:
+    """A behavior history, which must be a JSON list; a string is not split."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: field 'behavior_ids' must be a list, got {value!r}")
+    return [str(t) for t in value]
+
+
 def obj_to_record(obj: dict, line_no: int, require_label: bool = True) -> ImpressionRecord:
     # require_label=False is the prediction-input mode: label and ts optional.
     for key in _REQUIRED_KEYS:
@@ -286,24 +308,21 @@ def obj_to_record(obj: dict, line_no: int, require_label: bool = True) -> Impres
             if key in ("label", "ts") and not require_label:
                 continue
             raise ValueError(f"line {line_no}: missing required field {key!r}")
-    label = int(obj["label"]) if "label" in obj else 0
-    if label not in (0, 1):
-        raise ValueError(f"line {line_no}: label must be 0 or 1, got {obj['label']!r}")
+    # type() rather than isinstance(): JSON true/false must not pass as 1/0.
+    label = obj.get("label", 0)
+    if type(label) is not int or label not in (0, 1):
+        raise ValueError(f"line {line_no}: field 'label' must be 0 or 1, got {label!r}")
+    ts = obj.get("ts", 0)
+    if type(ts) is not int:
+        raise ValueError(f"line {line_no}: field 'ts' must be an integer, got {ts!r}")
     bid = obj.get("bid")
-    if bid is not None:
-        try:
-            bid = float(bid)
-        except (TypeError, ValueError):
-            bid = math.nan
-        if not math.isfinite(bid):
-            raise ValueError(f"line {line_no}: field 'bid' must be a finite number, got {obj['bid']!r}")
     return ImpressionRecord(
         user_id=str(obj["user_id"]),
         ad_id=str(obj["ad_id"]),
-        behavior_ids=[str(t) for t in obj["behavior_ids"]],
+        behavior_ids=parse_behavior_ids(obj["behavior_ids"], f"line {line_no}"),
         label=label,
-        timestamp=int(obj.get("ts", 0)),
-        bid=bid,
+        timestamp=ts,
+        bid=None if bid is None else parse_bid(bid, f"line {line_no}"),
     )
 
 
@@ -313,13 +332,11 @@ def save_jsonl(records: Sequence[ImpressionRecord], path) -> None:
             fh.write(json.dumps(record_to_obj(rec)) + "\n")
 
 
-def load_jsonl(path, require_label: bool = True) -> list[ImpressionRecord]:
-    """Read one record per line; unknown keys are ignored.
+def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
+    """(1-based line number, object) per non-blank line.
 
-    A malformed line raises ValueError naming its 1-based line number. An
-    empty file is an empty list.
+    A line that is not a JSON object raises ValueError naming its number.
     """
-    out = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -331,8 +348,16 @@ def load_jsonl(path, require_label: bool = True) -> list[ImpressionRecord]:
                 raise ValueError(f"line {line_no}: invalid JSON: {exc.msg}") from exc
             if not isinstance(obj, dict):
                 raise ValueError(f"line {line_no}: expected a JSON object")
-            out.append(obj_to_record(obj, line_no, require_label=require_label))
-    return out
+            yield line_no, obj
+
+
+def load_jsonl(path, require_label: bool = True) -> list[ImpressionRecord]:
+    """Read one record per line; unknown keys are ignored.
+
+    A malformed line raises ValueError naming its 1-based line number. An
+    empty file is an empty list.
+    """
+    return [obj_to_record(obj, line_no, require_label=require_label) for line_no, obj in iter_jsonl(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +402,7 @@ class SyntheticConfig:
             raise ValueError("cluster_concentration must be in (0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "num_users": self.num_users,
-            "num_items": self.num_items,
-            "num_clusters": self.num_clusters,
-            "behaviors_min": self.behaviors_min,
-            "behaviors_max": self.behaviors_max,
-            "impressions": self.impressions,
-            "signal_strength": self.signal_strength,
-            "base_logit": self.base_logit,
-            "cluster_concentration": self.cluster_concentration,
-            "seed": self.seed,
-        }
+        return fields_dict(self)
 
 
 @dataclass
@@ -400,11 +414,7 @@ class GroundTruth:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "item_clusters": self.item_clusters,
-            "true_probs": self.true_probs,
-            "config": self.config,
-        }
+        return fields_dict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "GroundTruth":

@@ -15,14 +15,16 @@ differs, so attention is the lone experimental variable.
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from . import kernels
-from .data import EncodedBatch, Vocabulary
+from .data import EncodedBatch, Vocabulary, fields_dict
 from .numerics import sigmoid
 
 PAD_ROW = 0
@@ -55,29 +57,13 @@ class ModelConfig:
         return base + (self.dim if self.use_user_profile else 0)
 
     def to_dict(self) -> dict:
-        return {
-            "item_vocab": self.item_vocab,
-            "user_vocab": self.user_vocab,
-            "dim": self.dim,
-            "hidden": list(self.hidden),
-            "max_seq_len": self.max_seq_len,
-            "temperature": self.temperature,
-            "use_attention": self.use_attention,
-            "use_user_profile": self.use_user_profile,
-        }
+        return fields_dict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelConfig":
-        return cls(
-            item_vocab=int(obj["item_vocab"]),
-            user_vocab=int(obj["user_vocab"]),
-            dim=int(obj["dim"]),
-            hidden=tuple(int(h) for h in obj["hidden"]),
-            max_seq_len=int(obj["max_seq_len"]),
-            temperature=float(obj["temperature"]),
-            use_attention=bool(obj["use_attention"]),
-            use_user_profile=bool(obj["use_user_profile"]),
-        )
+        # Annotations are strings here (postponed evaluation), one converter each.
+        convert = {"int": int, "float": float, "bool": bool, "tuple[int, ...]": lambda v: tuple(int(h) for h in v)}
+        return cls(**{f.name: convert[f.type](obj[f.name]) for f in fields(cls)})
 
 
 @dataclass
@@ -306,59 +292,6 @@ class DinModel:
         return grads
 
 
-# ---------------------------------------------------------------------------
-# Record-level operations (used directly for single impressions and as the
-# reference semantics the batched kernels must reproduce)
-# ---------------------------------------------------------------------------
-
-
-def attention_weights(behavior_embs, ad_emb, mask=None, temperature: float = 1.0) -> np.ndarray:
-    """Affinity-softmax weights for one behavior sequence.
-
-    w = softmax over unmasked i of (V_i . V_a) / temperature. Padded slots
-    come back as exact zeros.
-    """
-    behav = np.asarray(behavior_embs, dtype=np.float64)
-    ad = np.asarray(ad_emb, dtype=np.float64)
-    if behav.ndim != 2 or ad.ndim != 1 or behav.shape[1] != ad.shape[0]:
-        raise ValueError(f"shape mismatch: behaviors {behav.shape} vs ad {ad.shape}")
-    if mask is None:
-        mask = np.ones(behav.shape[0], dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("no behaviors: attention needs at least one unmasked slot")
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    scores = behav @ ad / temperature
-    out = np.zeros_like(scores)
-    live = scores[mask]
-    z = np.exp(live - live.max())
-    out[mask] = z / z.sum()
-    return out
-
-
-def pool_user_embedding(behavior_embs, weights) -> np.ndarray:
-    """Weighted sum of behavior embeddings, V_u = sum_i w_i V_i."""
-    behav = np.asarray(behavior_embs, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if behav.ndim != 2 or w.shape != (behav.shape[0],):
-        raise ValueError(f"shape mismatch: behaviors {behav.shape} vs weights {w.shape}")
-    return w @ behav
-
-
-def interaction(v_u, v_a) -> float:
-    """User-ad affinity, the dot product V_u . V_a.
-
-    Equals the sum of the elementwise-product block fed to the MLP; exposed
-    as a standalone diagnostic.
-    """
-    u = np.asarray(v_u, dtype=np.float64)
-    a = np.asarray(v_a, dtype=np.float64)
-    if u.shape != a.shape or u.ndim != 1:
-        raise ValueError(f"shape mismatch: {u.shape} vs {a.shape}")
-    return float(u @ a)
-
-
 def init_model(config: ModelConfig, rng: np.random.Generator) -> DinModel:
     """Fresh parameters: embeddings ~ U(-0.05, 0.05), MLP weights Glorot
     uniform, biases zero, padding rows pinned to zero.
@@ -415,12 +348,21 @@ def save_checkpoint(
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in model.params.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(blob)
-        fh.write(b"\n")
-        for key in model.params:
-            fh.write(model.params[key].astype("<f8", copy=False).tobytes(order="C"))
+    # Write beside the target and rename over it, so a failed write leaves
+    # the previous checkpoint intact.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            fh.write(blob)
+            fh.write(b"\n")
+            for key in model.params:
+                fh.write(model.params[key].astype("<f8", copy=False).tobytes(order="C"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[DinModel, Vocabulary, Vocabulary, Optional[dict]]:
@@ -446,6 +388,8 @@ def load_checkpoint(path) -> tuple[DinModel, Vocabulary, Vocabulary, Optional[di
             if fh.readinto(arr.reshape(-1).view(np.uint8)) != count * 8:
                 raise ValueError(f"{path}: truncated checkpoint payload")
             params[entry["name"]] = arr
+        if fh.read(1):
+            raise ValueError(f"{path}: unexpected bytes after the checkpoint payload")
     model = DinModel(config, params)
     user_vocab = Vocabulary.from_real_tokens(header["user_tokens"])
     item_vocab = Vocabulary.from_real_tokens(header["item_tokens"])

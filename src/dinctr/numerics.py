@@ -1,11 +1,6 @@
 """Deterministic float64 numerics shared by every other module.
 
-Conventions
------------
-Matrices are plain 2-D C-contiguous ``numpy.ndarray`` values of dtype
-float64 (row-major, ``data length == rows * cols``); vectors are 1-D
-float64. Public operations validate shapes and guarantee finite outputs.
-Everything here runs in 64-bit: gradient checking is unreliable in 32-bit.
+Everything runs in float64: gradient checking is unreliable in 32-bit.
 
 Randomness comes from :func:`make_rng`, which pins the PCG64 bit generator.
 PCG64 is a fixed, documented algorithm whose output stream for a given seed
@@ -30,32 +25,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D C-contiguous float64 array, validating the shape."""
-    m = np.ascontiguousarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"{name} must have positive dimensions, got {m.shape}")
-    return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape checking.
-
-    result[i][j] = sum_k a[i][k] * b[k][j]. Raises on inner-dimension
-    mismatch, naming both shapes, and on non-finite output.
-    """
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply {a.shape} by {b.shape}: inner dimensions differ")
-    out = a @ b
-    if not np.isfinite(out).all():
-        raise FloatingPointError("matmul produced non-finite entries")
-    return out
-
-
 def sigmoid(x):
     """Numerically stable logistic function, 1 / (1 + exp(-x)).
 
@@ -67,34 +36,6 @@ def sigmoid(x):
     out = np.where(arr >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
-    return out
-
-
-def softmax(scores, mask=None) -> np.ndarray:
-    """Masked softmax over a 1-D score vector.
-
-    Masked-out positions are excluded before exponentiation and come back
-    as exact zeros; the surviving weights are positive and sum to 1. Uses
-    max-subtraction for stability.
-
-    Raises ``ValueError("empty behavior sequence")`` when every position is
-    masked out.
-    """
-    s = np.ascontiguousarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValueError(f"scores must be 1-D, got shape {s.shape}")
-    if mask is None:
-        m = np.ones(s.shape, dtype=bool)
-    else:
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != s.shape:
-            raise ValueError(f"mask shape {m.shape} != scores shape {s.shape}")
-    if not m.any():
-        raise ValueError("empty behavior sequence")
-    out = np.zeros_like(s)
-    live = s[m]
-    z = np.exp(live - live.max())
-    out[m] = z / z.sum()
     return out
 
 

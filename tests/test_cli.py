@@ -8,12 +8,15 @@ import csv
 import io
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dinctr.cli import main
-from dinctr.model import load_checkpoint
+from dinctr.cli import RunConfig, main
+from dinctr.data import SyntheticConfig
+from dinctr.model import ModelConfig, load_checkpoint
+from dinctr.optim import TrainConfig
 
 TINY = {
     "num_users": 40,
@@ -386,6 +389,25 @@ class TestRank:
         for line in out.splitlines():
             assert 0.0 < json.loads(line)["p"] < 1.0
 
+    def test_negative_bid_rejected_with_line(self, pipeline, capsys):
+        ck, _ = pipeline["checkpoints"]["din"]
+        cands = self.candidates(pipeline["tmp_path"], [{"ad_id": "i1", "bid": 1.0}, {"ad_id": "i2", "bid": -0.5}])
+        code, out, err = run_cli(capsys, "rank", "--checkpoint", ck, "--candidates", cands)
+        assert code != 0
+        assert out == ""
+        assert "'i2'" in err and "line 2" in err and "field 'bid'" in err
+
+    def test_string_context_history_rejected(self, pipeline, capsys):
+        """A history given as one string is an error, not split into characters."""
+        ck, _ = pipeline["checkpoints"]["din"]
+        cands = self.candidates(pipeline["tmp_path"], [{"ad_id": "i1", "bid": 1.0}])
+        context = pipeline["tmp_path"] / "str_ctx.json"
+        context.write_text(json.dumps({"user_id": "u1", "behavior_ids": "i31"}))
+        code, out, err = run_cli(capsys, "rank", "--checkpoint", ck, "--candidates", cands, "--context", str(context))
+        assert code != 0
+        assert out == ""
+        assert "str_ctx.json" in err and "field 'behavior_ids'" in err
+
     def test_missing_bid_names_candidate(self, pipeline, capsys):
         ck, _ = pipeline["checkpoints"]["din"]
         cands = self.candidates(pipeline["tmp_path"], [{"ad_id": "i1", "bid": 1.0}, {"ad_id": "naked"}])
@@ -407,3 +429,28 @@ class TestGradcheck:
         _, out1, _ = run_cli(capsys, "gradcheck", "--model", "din", "--seed", "5")
         _, out2, _ = run_cli(capsys, "gradcheck", "--model", "din", "--seed", "5")
         assert out1 == out2
+
+
+class TestConfigSchema:
+    """RunConfig is the flat union of the sub-configs; these catch drift."""
+
+    def test_defaults_agree_with_sub_configs(self):
+        assert RunConfig().synthetic_config() == SyntheticConfig()
+        assert RunConfig().train_config() == TrainConfig()
+        assert RunConfig().model_config(40, 6) == ModelConfig(40, 6)
+
+    def test_model_config_follows_model_flag(self):
+        cfg = RunConfig(model="base", dim=4, hidden=(8,), use_user_profile=True)
+        assert cfg.model_config(40, 6) == ModelConfig(40, 6, dim=4, hidden=(8,), use_attention=False,
+                                                       use_user_profile=True)
+
+    def test_every_run_field_has_one_home(self):
+        sub = {f.name for cls in (SyntheticConfig, TrainConfig, ModelConfig) for f in fields(cls)}
+        paths = {"dataset", "metadata", "checkpoint", "history", "report"}
+        assert {f.name for f in fields(RunConfig)} - sub == {"model"} | paths
+
+    def test_model_config_dict_round_trip(self):
+        c = ModelConfig(40, 6, dim=4, hidden=(8, 3), max_seq_len=7, temperature=0.5, use_attention=False,
+                        use_user_profile=True)
+        assert c.to_dict()["hidden"] == [8, 3]
+        assert ModelConfig.from_dict(c.to_dict()) == c

@@ -300,6 +300,29 @@ class TestJsonl:
         with pytest.raises(ValueError, match="line 2: field 'bid'"):
             load_jsonl(path)
 
+    def test_negative_bid_names_line_and_field(self, tmp_path):
+        path = tmp_path / "bids.jsonl"
+        path.write_text(
+            '{"user_id":"u","ad_id":"a","behavior_ids":[],"label":1,"ts":0,"bid":0.0}\n'
+            '{"user_id":"u","ad_id":"a","behavior_ids":[],"label":1,"ts":0,"bid":-3.0}\n'
+        )
+        with pytest.raises(ValueError, match="line 2: field 'bid' must be a finite number >= 0"):
+            load_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("behavior_ids", '"i31"'), ("behavior_ids", "null"), ("label", "true"), ("label", "1.0"),
+         ("ts", "1.9"), ("ts", '"7"')],
+    )
+    def test_coercible_field_rejected_with_line_and_field(self, tmp_path, field, value):
+        """A value of the wrong JSON type is an error, never split, cast or truncated."""
+        good = {"user_id": "u", "ad_id": "a", "behavior_ids": ["i3", "i1"], "label": 1, "ts": 5}
+        bad = json.dumps({**good, field: "VALUE"}).replace('"VALUE"', value)
+        path = tmp_path / "typed.jsonl"
+        path.write_text(json.dumps(good) + "\n" + bad + "\n")
+        with pytest.raises(ValueError, match=f"line 2: field '{field}'"):
+            load_jsonl(path)
+
     def test_bid_optional_and_preserved(self, tmp_path):
         path = tmp_path / "bids.jsonl"
         save_jsonl([rec(bid=1.25), rec(ad="a2")], path)

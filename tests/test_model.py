@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,11 +9,8 @@ from dinctr.data import EncodedBatch
 from dinctr.model import (
     DinModel,
     ModelConfig,
-    attention_weights,
     init_model,
-    interaction,
     load_checkpoint,
-    pool_user_embedding,
     save_checkpoint,
 )
 from dinctr.data import Vocabulary
@@ -47,45 +45,72 @@ def random_batch(config, rng, B=2):
     )
 
 
+def one_record(behavior_idx, ad_idx, max_seq_len):
+    """A one-impression batch with the given item indices."""
+    row = np.zeros((1, max_seq_len), dtype=np.int64)
+    row[0, : len(behavior_idx)] = behavior_idx
+    return EncodedBatch(
+        ad_idx=np.array([ad_idx], dtype=np.int64),
+        behavior_idx=row,
+        mask=row != 0,
+        labels=np.array([1.0]),
+        group_keys=np.zeros(1, dtype=np.int64),
+        user_idx=np.array([2], dtype=np.int64),
+    )
+
+
+def attend(behav, ad, mask=None):
+    """Attention weights for one record through the model's batch kernels."""
+    behav = np.asarray(behav, dtype=np.float64)[None]
+    mask = np.ones(behav.shape[:2], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)[None]
+    scores = kernels.attention_scores(behav, np.asarray(ad, dtype=np.float64)[None], mask, 1.0)
+    return kernels.masked_softmax(scores, mask)[0]
+
+
+def pool(behav, weights):
+    """``kernels.weighted_pool`` for one record."""
+    return kernels.weighted_pool(np.asarray(behav, dtype=np.float64)[None], np.asarray(weights, dtype=np.float64)[None])[0]
+
+
 class TestRecordLevelOps:
     def test_attention_uniform_for_equal_behaviors(self):
         behav = np.tile([1.0, 2.0], (4, 1))
-        w = attention_weights(behav, np.array([0.5, -0.25]))
+        w = attend(behav, np.array([0.5, -0.25]))
         np.testing.assert_array_equal(w, np.full(4, 0.25))
 
     def test_attention_singleton(self):
-        w = attention_weights(np.array([[1.0, 0.0]]), np.array([3.0, 1.0]))
+        w = attend(np.array([[1.0, 0.0]]), np.array([3.0, 1.0]))
         np.testing.assert_array_equal(w, [1.0])
 
     def test_attention_closed_form(self):
         behav = np.array([[1.0, 0.0], [0.0, 1.0]])
-        w = attention_weights(behav, np.array([1.0, 0.0]))
+        w = attend(behav, np.array([1.0, 0.0]))
         e = math.e
         np.testing.assert_allclose(w, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
         np.testing.assert_allclose(w, [0.7311, 0.2689], atol=5e-5)
 
-    def test_attention_empty_raises(self):
-        with pytest.raises(ValueError, match="no behaviors"):
-            attention_weights(np.ones((2, 2)), np.ones(2), mask=np.array([False, False]))
-
     def test_pool_uniform_is_mean(self):
         behav = np.array([[2.0, 0.0], [0.0, 4.0], [1.0, 1.0]])
-        np.testing.assert_allclose(pool_user_embedding(behav, np.full(3, 1 / 3)), behav.mean(axis=0), atol=1e-15)
+        w = kernels.uniform_weights(np.ones((1, 3), dtype=bool))[0]
+        np.testing.assert_allclose(pool(behav, w), behav.mean(axis=0), atol=1e-15)
 
     def test_pool_one_hot_selects_row(self):
         behav = np.array([[2.0, 0.0], [0.0, 4.0]])
-        np.testing.assert_array_equal(pool_user_embedding(behav, [0.0, 1.0]), [0.0, 4.0])
+        np.testing.assert_array_equal(pool(behav, [0.0, 1.0]), [0.0, 4.0])
 
     def test_pool_hand_example(self):
-        out = pool_user_embedding(np.array([[2.0, 0.0], [0.0, 4.0]]), [0.75, 0.25])
+        out = pool(np.array([[2.0, 0.0], [0.0, 4.0]]), [0.75, 0.25])
         np.testing.assert_array_equal(out, [1.5, 1.0])
 
     def test_interaction(self):
-        assert interaction([1.0, 0.0], [0.0, 1.0]) == 0.0
-        assert interaction([1.0, 0.0], [1.0, 0.0]) == 1.0
-        assert interaction([1.0, 2.0], [3.0, 4.0]) == 11.0
-        with pytest.raises(ValueError):
-            interaction([1.0], [1.0, 2.0])
+        """The MLP input's product block sums to the affinity V_u . V_a."""
+        config = tiny_config(dim=2, max_seq_len=3)
+        model = init_model(config, make_rng(12, stream=1))
+        for v_u, v_a, dot in (([1.0, 0.0], [0.0, 1.0], 0.0), ([1.0, 0.0], [1.0, 0.0], 1.0), ([1.0, 2.0], [3.0, 4.0], 11.0)):
+            model.params["item_emb"][2] = v_u  # the lone behavior, so V_u = v_u
+            model.params["item_emb"][3] = v_a
+            _, cache = model.forward(one_record([2], 3, config.max_seq_len))
+            assert cache.x[0, 4:6].sum() == dot
 
 
 class TestForward:
@@ -182,8 +207,8 @@ class TestForward:
         behav = rng.normal(size=(6, 4))
         ad = rng.normal(size=4)
         mask = np.array([True] * 5 + [False])
-        w1 = attention_weights(behav, ad, mask)
-        w2 = attention_weights(behav, 3.5 * ad, mask)
+        w1 = attend(behav, ad, mask)
+        w2 = attend(behav, 3.5 * ad, mask)
         assert np.argmax(w1) == np.argmax(w2)
         assert not np.allclose(w1, w2)  # the weights themselves do change
 
@@ -440,6 +465,36 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.params[key], model.params[key])
         batch = random_batch(config, make_rng(52), B=3)
         np.testing.assert_array_equal(loaded.predict(batch), model.predict(batch))
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        config = tiny_config()
+        model = init_model(config, make_rng(53, stream=1))
+        users = Vocabulary(["u1"]).freeze()
+        items = Vocabulary([f"i{k}" for k in range(10)]).freeze()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, users, items, path)
+        before = path.read_bytes()
+
+        class FailingWrite(np.ndarray):
+            def tobytes(self, order="C"):
+                raise OSError("disk full")
+
+        model.params["item_emb"] += 1.0  # a new checkpoint would differ
+        # w0 is written after item_emb, so the failure comes mid-payload.
+        monkeypatch.setitem(model.params, "w0", model.params["w0"].view(FailingWrite))
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(model, users, items, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        model = init_model(tiny_config(), make_rng(54, stream=1))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, Vocabulary(["u1"]).freeze(), Vocabulary([f"i{k}" for k in range(10)]).freeze(), path)
+        load_checkpoint(path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*after the checkpoint payload"):
+            load_checkpoint(path)
 
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -5,54 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dinctr.numerics import grad_check, make_rng, matmul, sigmoid, softmax
-
-
-def naive_matmul(a, b):
-    """Triple-loop reference, the ground truth matmul is checked against."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = make_rng(0)
-        m = rng.normal(size=(2, 2))
-        np.testing.assert_array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_example(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
-        np.testing.assert_array_equal(out, [[3.0], [7.0]])
-
-    def test_matches_naive_reference(self):
-        rng = make_rng(1)
-        a = rng.normal(size=(7, 5))
-        b = rng.normal(size=(5, 3))
-        np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b), atol=1e-12)
-
-    def test_associativity_against_naive(self):
-        rng = make_rng(2)
-        for _ in range(20):
-            p, q, r, s = rng.integers(1, 17, size=4)
-            a = rng.normal(size=(p, q))
-            b = rng.normal(size=(q, r))
-            c = rng.normal(size=(r, s))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            np.testing.assert_allclose(left, right, atol=1e-12)
-            np.testing.assert_allclose(left, naive_matmul(naive_matmul(a, b), c), atol=1e-12)
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
+from dinctr import kernels
+from dinctr.numerics import grad_check, make_rng, sigmoid
 
 
 class TestSigmoid:
@@ -74,37 +28,40 @@ class TestSigmoid:
         assert np.all(np.diff(sigmoid(xs)) > 0)
 
 
+def softmax_row(scores, mask=None):
+    """The model's masked softmax, ``kernels.masked_softmax``, on a one-row batch."""
+    s = np.asarray(scores, dtype=np.float64)[None, :]
+    m = np.ones(s.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)[None, :]
+    return kernels.masked_softmax(s, m)[0]
+
+
 class TestSoftmax:
     def test_equal_scores_uniform(self):
-        out = softmax([3.7, 3.7, 3.7])
+        out = softmax_row([3.7, 3.7, 3.7])
         np.testing.assert_array_equal(out, [1 / 3, 1 / 3, 1 / 3])
 
     def test_closed_form(self):
-        out = softmax([1.0, 0.0])
+        out = softmax_row([1.0, 0.0])
         e = math.e
         np.testing.assert_allclose(out, [e / (e + 1), 1 / (e + 1)], atol=1e-15)
 
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=12))
     @settings(deadline=None, max_examples=200)
     def test_shift_invariance_and_probability_vector(self, scores):
-        base = softmax(scores)
-        shifted = softmax([s + 10.0 for s in scores])
+        base = softmax_row(scores)
+        shifted = softmax_row([s + 10.0 for s in scores])
         np.testing.assert_allclose(base, shifted, atol=1e-12)
         assert np.all(base >= 0)
         assert abs(base.sum() - 1.0) <= 1e-12
 
     def test_masked_positions_exactly_zero(self):
         mask = np.array([True, False, True, False])
-        out = softmax([5.0, 100.0, 5.0, 100.0], mask)
+        out = softmax_row([5.0, 100.0, 5.0, 100.0], mask)
         assert out[1] == 0.0 and out[3] == 0.0
         np.testing.assert_allclose(out[[0, 2]], [0.5, 0.5], atol=1e-15)
 
-    def test_all_masked_raises(self):
-        with pytest.raises(ValueError, match="empty behavior sequence"):
-            softmax([1.0, 2.0], np.array([False, False]))
-
     def test_stability_at_large_scores(self):
-        out = softmax([1000.0, 999.0])
+        out = softmax_row([1000.0, 999.0])
         assert np.isfinite(out).all()
         assert abs(out.sum() - 1.0) <= 1e-12
 
