@@ -10,6 +10,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -143,6 +144,17 @@ def resolve_config(config_path: str | None, overrides: dict) -> tuple[RunConfig,
 def _ensure_parent(path: str) -> None:
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
+
+
+def _open_output(path: str):
+    """``--output``: stdout for '-', else a file that is replaced whole or not at all."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else D.atomic_open(path)
+
+
+def _write_report(path: str, payload: dict) -> None:
+    _ensure_parent(path)
+    with D.atomic_open(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _emit(obj: dict) -> None:
@@ -308,16 +320,14 @@ def cmd_eval(
         reports.append(_single_eval(cfg, ck, which, model, user_vocab, batch))
     if groups_csv:
         _ensure_parent(groups_csv)
-        with open(groups_csv, "w", encoding="utf-8") as fh:
+        with D.atomic_open(groups_csv) as fh:
             fh.write("group,weight,auc\n")
             for row in reports[0]["per_group"]:
                 fh.write(f"{row['group']},{repr(row['weight'])},{repr(row['auc'])}\n")
     if len(reports) == 1:
         payload = reports[0]
         if report_path:
-            _ensure_parent(report_path)
-            with open(report_path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, sort_keys=True) + "\n")
+            _write_report(report_path, payload)
         _emit(payload)
         return 0
     names = []
@@ -331,15 +341,7 @@ def cmd_eval(
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
     if report_path:
-        _ensure_parent(report_path)
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps(
-                    {"models": dict(zip(names, reports)), "metrics": list(_COMPARE_METRICS)},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        _write_report(report_path, {"models": dict(zip(names, reports)), "metrics": list(_COMPARE_METRICS)})
     return 0
 
 
@@ -350,13 +352,9 @@ def cmd_predict(cfg: RunConfig, checkpoint_path: str, input_path: str, output_pa
         return 0
     batch, _ = D.encode(records, user_vocab, item_vocab, model.config.max_seq_len)
     probs = model.predict(batch)
-    out = sys.stdout if output_path == "-" else open(output_path, "w", encoding="utf-8")
-    try:
+    with _open_output(output_path) as out:
         for rec, p in zip(records, probs):
             out.write(json.dumps({"user_id": rec.user_id, "ad_id": rec.ad_id, "p": float(p)}) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -377,7 +375,8 @@ def cmd_rank(cfg: RunConfig, checkpoint_path: str, candidates_path: str, context
             raise ValueError(f"line {line_no}: candidate missing ad_id")
         if "bid" not in obj or obj["bid"] is None:
             raise ValueError(f"candidate {obj['ad_id']!r} missing bid (line {line_no})")
-        raw.append((str(obj["ad_id"]), D.parse_bid(obj["bid"], f"line {line_no} (candidate {obj['ad_id']!r})")))
+        ad_id = D.parse_id(obj["ad_id"], f"line {line_no}", "ad_id")
+        raw.append((ad_id, D.parse_bid(obj["bid"], f"line {line_no} (candidate {ad_id!r})")))
     if not raw:
         raise ValueError("no candidates to rank")
     records = [
@@ -389,8 +388,7 @@ def cmd_rank(cfg: RunConfig, checkpoint_path: str, candidates_path: str, context
     ranked = M.rank_ads(
         [M.AdCandidate(ad_id=r[0], bid=r[1], predicted_ctr=float(p)) for r, p in zip(raw, probs)]
     )
-    out = sys.stdout if output_path == "-" else open(output_path, "w", encoding="utf-8")
-    try:
+    with _open_output(output_path) as out:
         for c in ranked:
             out.write(
                 json.dumps(
@@ -398,9 +396,6 @@ def cmd_rank(cfg: RunConfig, checkpoint_path: str, candidates_path: str, context
                 )
                 + "\n"
             )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -11,8 +11,10 @@ the signal a model has to recover, and gives tests an exact oracle.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from operator import attrgetter
@@ -36,7 +38,7 @@ def fields_dict(obj) -> dict:
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class ImpressionRecord:
     """One ad display/click event."""
 
@@ -123,7 +125,12 @@ def build_vocab(records: Sequence[ImpressionRecord]) -> tuple[Vocabulary, Vocabu
     if not records:
         raise ValueError("cannot build a vocabulary from zero records")
     users = Vocabulary(map(attrgetter("user_id"), records))
-    items = Vocabulary(chain.from_iterable((rec.ad_id, *rec.behavior_ids) for rec in records))
+    item_tokens: list[str] = []
+    add_ad, add_behaviors = item_tokens.append, item_tokens.extend
+    for rec in records:
+        add_ad(rec.ad_id)
+        add_behaviors(rec.behavior_ids)
+    items = Vocabulary(item_tokens)
     items.add(NO_HISTORY_TOKEN)
     return users.freeze(), items.freeze()
 
@@ -152,7 +159,8 @@ class EncodedBatch:
         return int(self.behavior_idx.shape[1])
 
     def take(self, indices: np.ndarray) -> "EncodedBatch":
-        """Row-subset copy, used for minibatching."""
+        """The rows at ``indices``: a copy for an index array (minibatching),
+        views of these arrays for a slice (chunked scoring)."""
         return EncodedBatch(
             ad_idx=self.ad_idx[indices],
             behavior_idx=self.behavior_idx[indices],
@@ -264,8 +272,30 @@ def split(
 
 
 # ---------------------------------------------------------------------------
-# JSONL persistence
+# File persistence
 # ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temporary file beside ``path`` and rename it over ``path`` when
+    the block ends, so readers see the old file or the whole new one.
+
+    If the block raises, the temporary file is removed and ``path`` keeps
+    its previous contents. Text modes default to UTF-8.
+    """
+    if "b" not in mode:
+        kwargs.setdefault("encoding", "utf-8")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
 
 _REQUIRED_KEYS = ("user_id", "ad_id", "behavior_ids", "label", "ts")
 
@@ -284,68 +314,94 @@ def record_to_obj(rec: ImpressionRecord) -> dict:
 
 
 def parse_bid(value, where: str) -> float:
-    """A bid as a finite float >= 0; ``where`` (a line) leads the error message."""
-    try:
-        bid = float(value)
-    except (TypeError, ValueError):
-        bid = math.nan
+    """A bid as a finite float >= 0; ``where`` (a line) leads the error message.
+
+    Only a JSON number is a bid: text and true/false are rejected, not cast.
+    """
+    bid = math.nan
+    if type(value) in (int, float):
+        with contextlib.suppress(OverflowError):  # an integer beyond float range
+            bid = float(value)
     if not (math.isfinite(bid) and bid >= 0.0):
         raise ValueError(f"{where}: field 'bid' must be a finite number >= 0, got {value!r}")
     return bid
 
 
+def parse_id(value, where: str, name: str) -> str:
+    """An ID as text: a JSON string, or a JSON integer read as its digits."""
+    if type(value) is str:
+        return value
+    if type(value) is int:
+        return str(value)
+    raise ValueError(f"{where}: field {name!r} must be a string or an integer, got {value!r}")
+
+
 def parse_behavior_ids(value, where: str) -> list[str]:
-    """A behavior history, which must be a JSON list; a string is not split."""
+    """A behavior history: a JSON list of IDs (see ``parse_id``); a string is
+    not split. A list that holds only strings is returned as it is."""
     if not isinstance(value, list):
         raise ValueError(f"{where}: field 'behavior_ids' must be a list, got {value!r}")
-    return [str(t) for t in value]
+    if all(map(str.__instancecheck__, value)):  # the usual case, one pass in C
+        return value
+    return [parse_id(t, where, "behavior_ids") for t in value]
+
+
+_LABELLED_KEYS = frozenset(_REQUIRED_KEYS)
+_PREDICT_KEYS = _LABELLED_KEYS - {"label", "ts"}
 
 
 def obj_to_record(obj: dict, line_no: int, require_label: bool = True) -> ImpressionRecord:
     # require_label=False is the prediction-input mode: label and ts optional.
-    for key in _REQUIRED_KEYS:
-        if key not in obj:
-            if key in ("label", "ts") and not require_label:
-                continue
-            raise ValueError(f"line {line_no}: missing required field {key!r}")
+    where = f"line {line_no}"
+    if not obj.keys() >= (_LABELLED_KEYS if require_label else _PREDICT_KEYS):
+        missing = next(k for k in _REQUIRED_KEYS if k not in obj)
+        raise ValueError(f"{where}: missing required field {missing!r}")
     # type() rather than isinstance(): JSON true/false must not pass as 1/0.
     label = obj.get("label", 0)
     if type(label) is not int or label not in (0, 1):
-        raise ValueError(f"line {line_no}: field 'label' must be 0 or 1, got {label!r}")
+        raise ValueError(f"{where}: field 'label' must be 0 or 1, got {label!r}")
     ts = obj.get("ts", 0)
     if type(ts) is not int:
-        raise ValueError(f"line {line_no}: field 'ts' must be an integer, got {ts!r}")
+        raise ValueError(f"{where}: field 'ts' must be an integer, got {ts!r}")
     bid = obj.get("bid")
     return ImpressionRecord(
-        user_id=str(obj["user_id"]),
-        ad_id=str(obj["ad_id"]),
-        behavior_ids=parse_behavior_ids(obj["behavior_ids"], f"line {line_no}"),
-        label=label,
-        timestamp=ts,
-        bid=None if bid is None else parse_bid(bid, f"line {line_no}"),
+        parse_id(obj["user_id"], where, "user_id"),
+        parse_id(obj["ad_id"], where, "ad_id"),
+        parse_behavior_ids(obj["behavior_ids"], where),
+        label,
+        ts,
+        None if bid is None else parse_bid(bid, where),
     )
 
 
 def save_jsonl(records: Sequence[ImpressionRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for rec in records:
             fh.write(json.dumps(record_to_obj(rec)) + "\n")
+
+
+_decode_json = json.JSONDecoder().raw_decode
 
 
 def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
     """(1-based line number, object) per non-blank line.
 
-    A line that is not a JSON object raises ValueError naming its number.
+    Lines end at a newline byte. A line that is not UTF-8 text holding one
+    JSON object raises ValueError naming its number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: invalid JSON: {exc.msg}") from exc
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                obj, end = _decode_json(line)  # json.loads without its per-call wrapper
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"line {line_no}: not UTF-8 text: {exc.reason}") from exc
+            except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an integer too long to convert
+                raise ValueError(f"line {line_no}: invalid JSON: {getattr(exc, 'msg', exc)}") from exc
             if not isinstance(obj, dict):
                 raise ValueError(f"line {line_no}: expected a JSON object")
             yield line_no, obj
@@ -494,7 +550,7 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[list[ImpressionRecord],
 
 
 def save_ground_truth(truth: GroundTruth, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(truth.to_dict(), fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -20,18 +21,32 @@ from .optim import bce_loss
 WEIGHT_MODES = ("impressions", "clicks")
 
 
-def _midranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged."""
+def _midranks(scores: np.ndarray, groups: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """1-based ranks with ties averaged, restarting in every group.
+
+    One stable sort by (group, score), then segment reductions over the
+    sorted order: group starts, and tie runs within a group, each of which
+    gets the mean of the ranks it spans. ``groups=None`` is one group.
+    Returns the sort order, each sorted record's group number (0, 1, ...
+    in ascending key order) and its rank. Ranks are half-integers, so sums
+    of them are exact in any order.
+    """
     n = scores.size
-    order = np.argsort(scores, kind="mergesort")
-    s = scores[order]
-    group = np.concatenate(([True], np.diff(s) != 0)).cumsum() - 1
-    counts = np.bincount(group)
-    firsts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    avg = firsts + (counts + 1) / 2.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = avg[group]
-    return ranks
+    order = np.argsort(scores, kind="mergesort") if groups is None else np.lexsort((scores, groups))
+    new_group = np.zeros(n, dtype=bool)
+    if groups is not None:
+        g = groups[order]
+        new_group[1:] = g[1:] != g[:-1]
+    new_group[:1] = True
+    new_run = new_group.copy()
+    new_run[1:] |= np.diff(scores[order]) != 0
+    run = np.cumsum(new_run) - 1
+    group = np.cumsum(new_group) - 1
+    run_start = np.flatnonzero(new_run)
+    group_start = np.flatnonzero(new_group)
+    counts = np.diff(run_start, append=n)
+    avg = run_start - group_start[group[run_start]] + (counts + 1) / 2.0
+    return order, group, avg[run]
 
 
 def auc(scores, labels) -> float:
@@ -49,8 +64,8 @@ def auc(scores, labels) -> float:
     n_neg = s.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("undefined AUC: need at least one positive and one negative label")
-    ranks = _midranks(s)
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    order, _, ranks = _midranks(s)
+    u = ranks[pos[order]].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
@@ -85,20 +100,27 @@ def gauc(scores, labels, group_keys, weight_mode: str = "impressions") -> GaucRe
     k = np.asarray(group_keys)
     if not (s.shape == y.shape == k.shape) or s.ndim != 1:
         raise ValueError("scores, labels and group_keys must be equal-length vectors")
-    groups: list[GroupAuc] = []
-    skipped = 0
-    for key in np.unique(k):
-        sel = k == key
-        y_g = y[sel]
-        n_pos = int((y_g == 1).sum())
-        if n_pos == 0 or n_pos == y_g.size:
-            skipped += 1
-            continue
-        weight = float(n_pos if weight_mode == "clicks" else y_g.size)
-        if weight == 0.0:
-            skipped += 1
-            continue
-        groups.append(GroupAuc(group_key=int(key), weight=weight, auc=auc(s[sel], y_g), n_records=int(y_g.size)))
+    order, group, ranks = _midranks(s, k)
+    pos = (y == 1)[order]
+    n_records = np.bincount(group)
+    n_pos = np.bincount(group, weights=pos)
+    n_neg = n_records - n_pos
+    pos_rank_sum = np.bincount(group, weights=np.where(pos, ranks, 0.0))
+    with np.errstate(invalid="ignore", divide="ignore"):  # single-class groups, dropped below
+        group_auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    weight = n_pos if weight_mode == "clicks" else n_records.astype(np.float64)
+    usable = (n_pos > 0) & (n_neg > 0)
+    first = np.flatnonzero(np.diff(group, prepend=-1))
+    groups = [
+        GroupAuc(group_key=int(key), weight=w, auc=a, n_records=m)
+        for key, w, a, m in zip(
+            k[order[first[usable]]].tolist(),
+            weight[usable].tolist(),
+            group_auc[usable].tolist(),
+            n_records[usable].tolist(),
+        )
+    ]
+    skipped = int(n_records.size - len(groups))
     if not groups:
         raise ValueError("no usable groups: every group has a single class")
     total = sum(g.weight for g in groups)

@@ -15,19 +15,21 @@ differs, so attention is the lone experimental variable.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from . import kernels
-from .data import EncodedBatch, Vocabulary, fields_dict
+from .data import EncodedBatch, Vocabulary, atomic_open, fields_dict
 from .numerics import sigmoid
 
 PAD_ROW = 0
+
+# predict() scores at most this many rows per forward pass, so the memory
+# of its intermediates stays bounded whatever the input size.
+PREDICT_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -177,7 +179,7 @@ class DinModel:
 
     # -- forward ----------------------------------------------------------
 
-    def _validate_indices(self, batch: EncodedBatch) -> None:
+    def _validate_batch(self, batch: EncodedBatch) -> None:
         c = self.config
         for name, idx, bound in (
             ("ad", batch.ad_idx, c.item_vocab),
@@ -187,10 +189,13 @@ class DinModel:
             if idx.size and (idx.min() < 0 or idx.max() >= bound):
                 bad = int(idx.min()) if idx.min() < 0 else int(idx.max())
                 raise IndexError(f"{name} index {bad} out of range for vocab of {bound}")
+        live = batch.mask.any(axis=1)
+        if not live.all():
+            raise ValueError(f"batch row {int(np.argmin(live))} has no live behavior slot in its mask")
 
     def forward(self, batch: EncodedBatch) -> tuple[np.ndarray, ForwardCache]:
         """Per-record click probabilities plus cached intermediates."""
-        self._validate_indices(batch)
+        self._validate_batch(batch)
         c = self.config
         item = self.params["item_emb"]
         behav = item[batch.behavior_idx]  # (B, T, d) gather
@@ -233,7 +238,18 @@ class DinModel:
         return probs, cache
 
     def predict(self, batch: EncodedBatch) -> np.ndarray:
-        return self.forward(batch)[0]
+        """Click probabilities, scored in views of PREDICT_CHUNK_ROWS rows.
+
+        Each record's probability depends on its own row only, so the result
+        equals ``forward(batch)[0]`` while the intermediates stay bounded.
+        """
+        self._validate_batch(batch)  # errors name rows of the whole batch
+        return np.concatenate(
+            [
+                self.forward(batch.take(slice(start, start + PREDICT_CHUNK_ROWS)))[0]
+                for start in range(0, max(len(batch), 1), PREDICT_CHUNK_ROWS)
+            ]
+        )
 
     # -- backward ---------------------------------------------------------
 
@@ -348,21 +364,12 @@ def save_checkpoint(
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in model.params.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    # Write beside the target and rename over it, so a failed write leaves
-    # the previous checkpoint intact.
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_CKPT_MAGIC)
-            fh.write(blob)
-            fh.write(b"\n")
-            for key in model.params:
-                fh.write(model.params[key].astype("<f8", copy=False).tobytes(order="C"))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(_CKPT_MAGIC)
+        fh.write(blob)
+        fh.write(b"\n")
+        for key in model.params:
+            fh.write(model.params[key].astype("<f8", copy=False).tobytes(order="C"))
 
 
 def load_checkpoint(path) -> tuple[DinModel, Vocabulary, Vocabulary, Optional[dict]]:
@@ -391,6 +398,21 @@ def load_checkpoint(path) -> tuple[DinModel, Vocabulary, Vocabulary, Optional[di
         if fh.read(1):
             raise ValueError(f"{path}: unexpected bytes after the checkpoint payload")
     model = DinModel(config, params)
-    user_vocab = Vocabulary.from_real_tokens(header["user_tokens"])
-    item_vocab = Vocabulary.from_real_tokens(header["item_tokens"])
+    user_vocab = _checkpoint_vocab(path, header, "user", config.user_vocab)
+    item_vocab = _checkpoint_vocab(path, header, "item", config.item_vocab)
     return model, user_vocab, item_vocab, header.get("run_config")
+
+
+def _checkpoint_vocab(path, header: dict, name: str, rows: int) -> Vocabulary:
+    """The vocabulary behind a ``rows``-row index space: exactly ``rows - 2``
+    distinct, non-reserved string tokens, so every token has its own row."""
+    tokens = header[f"{name}_tokens"]
+    if not (isinstance(tokens, list) and all(map(str.__instancecheck__, tokens))):
+        raise ValueError(f"{path}: {name}_tokens must be a list of strings")
+    vocab = Vocabulary.from_real_tokens(tokens)
+    if len(tokens) != rows - 2 or vocab.size != rows:
+        raise ValueError(
+            f"{path}: {len(tokens)} {name} tokens ({vocab.size - 2} distinct and not reserved) "
+            f"for {name}_vocab={rows} in its config, which needs {rows - 2}"
+        )
+    return vocab

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import EncodedBatch
+from .data import EncodedBatch, atomic_open
 from .model import DinModel, Gradients
 from .numerics import make_rng
 
@@ -185,7 +185,7 @@ HISTORY_HEADER = ["epoch", "train_loss", "val_loss", "val_gauc", "seconds"]
 
 
 def save_history(history: TrainHistory, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_HEADER)
         writer.writerows(history.rows())

@@ -4,6 +4,7 @@ Commands run in-process through main(argv) so exit codes and stdout are
 checked directly. Small synthetic configs keep each case fast.
 """
 
+import builtins
 import csv
 import io
 import json
@@ -414,6 +415,82 @@ class TestRank:
         code, _, err = run_cli(capsys, "rank", "--checkpoint", ck, "--candidates", cands)
         assert code != 0
         assert "naked" in err and "bid" in err
+
+
+class HalfWrite:
+    """A file whose first write keeps half its data and then fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError("disk full")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def _output_case(name, pipeline):
+    """(argv, the file it writes) for each command output."""
+    p, tmp = pipeline, pipeline["tmp_path"]
+    out = tmp / "out"
+    out.mkdir(exist_ok=True)
+    din, _ = p["checkpoints"]["din"]
+    base, _ = p["checkpoints"]["base"]
+    evaluate = ["eval", "--config", p["config"], "--dataset", p["dataset"], "--checkpoint", din]
+    cands = tmp / "cands.jsonl"
+    cands.write_text('{"ad_id": "i1", "bid": 1.0}\n{"ad_id": "i2", "bid": 2.0}\n')
+    target = str(out / name)
+    return {
+        "report.json": evaluate + ["--report", target],
+        "groups.csv": evaluate + ["--groups-csv", target],
+        "compare.json": ["eval", "--config", p["config"], "--dataset", p["dataset"], "--compare", din, base,
+                         "--report", target],
+        "history.csv": ["train", "--config", p["config"], "--dataset", p["dataset"], "--epochs", "1",
+                        "--checkpoint", str(out / "m.ckpt"), "--history", target],
+        "predict.jsonl": ["predict", "--checkpoint", din, "--input", p["dataset"], "--output", target],
+        "rank.jsonl": ["rank", "--checkpoint", din, "--candidates", str(cands), "--output", target],
+        "data.jsonl": ["generate", "--config", p["config"], "--dataset", target, "--metadata", str(out / "m.json")],
+        "meta.json": ["generate", "--config", p["config"], "--dataset", str(out / "d.jsonl"), "--metadata", target],
+    }[name], target
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize(
+        "name",
+        ["report.json", "groups.csv", "compare.json", "history.csv", "predict.jsonl", "rank.jsonl", "data.jsonl",
+         "meta.json"],
+    )
+    def test_failed_write_keeps_previous_output(self, pipeline, capsys, monkeypatch, name):
+        """Every file a command writes is replaced whole or not at all: a write
+        that fails half-way leaves the previous file byte-identical and no
+        temporary file behind."""
+        argv, target = _output_case(name, pipeline)
+        assert run_cli(capsys, *argv)[0] == 0
+        before = open(target, "rb").read()
+        listing = sorted(os.listdir(os.path.dirname(target)))
+        real_open = builtins.open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and isinstance(file, (str, os.PathLike)) and os.fspath(file).startswith(target):
+                return HalfWrite(fh)
+            return fh
+
+        monkeypatch.setattr(builtins, "open", failing_open)
+        code, _, err = run_cli(capsys, *argv)
+        monkeypatch.undo()
+        assert code == 1 and "disk full" in err
+        assert open(target, "rb").read() == before
+        assert sorted(os.listdir(os.path.dirname(target))) == listing
 
 
 class TestGradcheck:

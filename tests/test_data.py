@@ -1,8 +1,11 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dinctr.data import (
     NO_HISTORY_TOKEN,
@@ -10,6 +13,7 @@ from dinctr.data import (
     ImpressionRecord,
     SyntheticConfig,
     Vocabulary,
+    atomic_open,
     build_vocab,
     encode,
     generate_synthetic,
@@ -329,6 +333,151 @@ class TestJsonl:
         loaded = load_jsonl(path)
         assert loaded[0].bid == 1.25
         assert loaded[1].bid is None
+
+
+class TestJsonlTypes:
+    GOOD = {"user_id": "u", "ad_id": "a", "behavior_ids": ["i3", "i1"], "label": 1, "ts": 5}
+
+    def load_second_line(self, tmp_path, line: bytes):
+        path = tmp_path / "typed.jsonl"
+        path.write_bytes(json.dumps(self.GOOD).encode() + b"\n" + line + b"\n")
+        return load_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("user_id", None), ("user_id", True), ("ad_id", 1.5), ("ad_id", ["a"]), ("behavior_ids", ["i1", None]),
+         ("behavior_ids", [2.0]), ("bid", "1.5"), ("bid", True), ("bid", 10**400)],
+    )
+    def test_wrong_type_rejected_with_line_and_field(self, tmp_path, field, value):
+        """An ID is text or an integer and a bid is a JSON number: null is not
+        read as "None", "1.5" not cast to 1.5, true not read as 1.0."""
+        line = json.dumps({**self.GOOD, field: value}).encode()
+        with pytest.raises(ValueError, match=f"line 2: field '{field}'"):
+            self.load_second_line(tmp_path, line)
+
+    def test_integer_ids_read_as_their_digits(self, tmp_path):
+        line = json.dumps({**self.GOOD, "user_id": 12, "ad_id": -3, "behavior_ids": [7, "i7"]}).encode()
+        loaded = self.load_second_line(tmp_path, line)[1]
+        assert (loaded.user_id, loaded.ad_id, loaded.behavior_ids) == ("12", "-3", ["7", "i7"])
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [(b'{"user_id": "\xff"}', "line 2: not UTF-8"), (b"{} {}", "line 2: invalid JSON: Extra data"),
+         (b"1" * 5000, "line 2: invalid JSON"), (b"[1, 2]", "line 2: expected a JSON object")],
+        ids=["not-utf8", "two-values", "huge-integer", "array"],
+    )
+    def test_unreadable_line_names_its_number(self, tmp_path, line, message):
+        with pytest.raises(ValueError, match=message):
+            self.load_second_line(tmp_path, line)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+_ID = st.text(max_size=4) | st.integers()
+# Each field: a well-typed value or any JSON value; any field may be absent.
+_FIELDS = {
+    "user_id": _ID,
+    "ad_id": _ID,
+    "behavior_ids": st.lists(_ID, max_size=4),
+    "label": st.sampled_from([0, 1]),
+    "ts": st.integers(),
+    "bid": st.none() | st.floats(min_value=0.0, max_value=5.0) | st.integers(min_value=0, max_value=5),
+}
+_OBJECTS = st.fixed_dictionaries({}, optional={k: v | _JSON for k, v in _FIELDS.items()} | {"extra": _JSON})
+_LINES = st.one_of(
+    _OBJECTS.map(lambda o: json.dumps(o).encode()),
+    _JSON.map(lambda v: json.dumps(v).encode()),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=12).map(str.encode),
+    st.binary(max_size=12).filter(lambda b: b"\n" not in b),
+)
+
+
+def _field_ok(name, value) -> bool:
+    """The record contract, field by field."""
+    if name in ("user_id", "ad_id"):
+        return type(value) in (str, int)
+    if name == "behavior_ids":
+        return type(value) is list and all(type(t) in (str, int) for t in value)
+    if name == "label":
+        return type(value) is int and value in (0, 1)
+    if name == "ts":
+        return type(value) is int
+    try:  # bid: absent/null, or a finite JSON number >= 0
+        return value is None or (type(value) in (int, float) and math.isfinite(float(value)) and value >= 0)
+    except OverflowError:
+        return False
+
+
+class TestJsonlFuzz:
+    @given(_LINES, st.booleans())
+    @settings(deadline=None, max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_each_line_gives_a_faithful_record_or_names_line_and_field(self, tmp_path, line, require_label):
+        """Line 2 is fuzzed. The loader either returns a record holding exactly
+        the line's values, or raises a ValueError that names line 2 and, for a
+        bad field, that field; never another exception, never a cast value."""
+        path = tmp_path / "fuzz.jsonl"
+        path.write_bytes(json.dumps(TestJsonlTypes.GOOD).encode() + b"\n" + line + b"\n")
+        try:
+            records = load_jsonl(path, require_label=require_label)
+        except ValueError as exc:
+            msg = str(exc)
+            assert msg.startswith("line 2: "), msg
+            named = msg.split("field ")[1].split("'")[1] if "field '" in msg else None
+            if named is not None:
+                obj = json.loads(line.decode().strip())
+                assert named not in obj or not _field_ok(named, obj[named]), msg
+            return
+        text = line.decode().strip()  # the loader strips Unicode whitespace too
+        if len(records) == 1:  # a blank line
+            assert not text
+            return
+        obj = json.loads(text)
+        rec = records[1]
+        required = ("user_id", "ad_id", "behavior_ids") + (("label", "ts") if require_label else ())
+        assert all(k in obj and _field_ok(k, obj[k]) for k in required)
+        assert all(_field_ok(k, obj[k]) for k in _FIELDS if k in obj)
+        assert rec == ImpressionRecord(
+            user_id=str(obj["user_id"]),
+            ad_id=str(obj["ad_id"]),
+            behavior_ids=[str(t) for t in obj["behavior_ids"]],
+            label=obj.get("label", 0),
+            timestamp=obj.get("ts", 0),
+            bid=None if obj.get("bid") is None else float(obj["bid"]),
+        )
+        assert type(rec.label) is int and type(rec.timestamp) is int
+        assert rec.bid is None or type(rec.bid) is float
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("previous\n")
+        with pytest.raises(OSError, match="disk full"):
+            with atomic_open(path) as fh:
+                fh.write("half of a new rep")
+                raise OSError("disk full")
+        assert path.read_bytes() == b"previous\n"
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_completed_write_replaces_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("previous\n")
+        with atomic_open(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_failed_dataset_write_keeps_previous_dataset(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        save_jsonl([rec(), rec(ad="a2")], path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_jsonl([rec(ad="a3"), rec(label="not a label")], path)  # fails on the second record
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["data.jsonl"]
 
 
 class TestGenerator:

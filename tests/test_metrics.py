@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from dinctr.metrics import (
     AdCandidate,
+    GaucResult,
+    GroupAuc,
     accuracy,
     auc,
     ctr,
@@ -100,6 +103,45 @@ def brute_force_gauc(scores, labels, keys, mode):
     return total / weight_sum, used
 
 
+def gauc_oracle(scores, labels, group_keys, weight_mode="impressions"):
+    """The per-group loop GAUC used to be: one boolean mask and one AUC per
+    group, O(N * G). The sort-based gauc must give exactly this result."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    k = np.asarray(group_keys)
+    groups = []
+    skipped = 0
+    for key in np.unique(k):
+        sel = k == key
+        y_g = y[sel]
+        n_pos = int((y_g == 1).sum())
+        if n_pos == 0 or n_pos == y_g.size:
+            skipped += 1
+            continue
+        weight = float(n_pos if weight_mode == "clicks" else y_g.size)
+        groups.append(GroupAuc(group_key=int(key), weight=weight, auc=auc(s[sel], y_g), n_records=int(y_g.size)))
+    if not groups:
+        raise ValueError("no usable groups: every group has a single class")
+    total = sum(g.weight for g in groups)
+    value = sum(g.weight * g.auc for g in groups) / total
+    return GaucResult(value=float(value), groups=groups, n_groups_used=len(groups), n_groups_skipped=skipped)
+
+
+@st.composite
+def grouped_instances(draw):
+    """Scores with heavy ties, singleton and single-class groups, and group
+    keys that are unsorted, negative or far apart."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    key_pool = draw(st.lists(st.integers(min_value=-(10**9), max_value=10**9), min_size=1, max_size=12, unique=True))
+    keys = draw(st.lists(st.sampled_from(key_pool), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        scores = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=n, max_size=n))
+    else:
+        scores = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n))
+    return np.array(scores), np.array(labels), np.array(keys, dtype=np.int64)
+
+
 class TestGauc:
     def test_single_group_equals_auc(self):
         rng = make_rng(7)
@@ -168,6 +210,34 @@ class TestGauc:
                 continue
             per_group = [g.auc for g in result.groups]
             assert min(per_group) - 1e-12 <= result.value <= max(per_group) + 1e-12
+
+    @given(grouped_instances(), st.sampled_from(["impressions", "clicks"]))
+    @settings(deadline=None, max_examples=300)
+    def test_equals_per_group_oracle_exactly(self, instance, mode):
+        scores, labels, keys = instance
+        try:
+            expect = gauc_oracle(scores, labels, keys, mode)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                gauc(scores, labels, keys, mode)
+            return
+        got = gauc(scores, labels, keys, mode)
+        assert got.value == expect.value
+        assert got.groups == expect.groups  # keys, weights, AUCs and sizes, in key order
+        assert (got.n_groups_used, got.n_groups_skipped) == (expect.n_groups_used, expect.n_groups_skipped)
+
+    def test_cost_is_one_sort_not_one_pass_per_group(self):
+        """60k records in 30k groups: the per-group loop needs 30k masks of
+        60k entries (seconds); one sort takes tens of milliseconds."""
+        rng = make_rng(14)
+        n = 60_000
+        keys = rng.permutation(n) // 2
+        scores = rng.random(n)
+        labels = rng.integers(0, 2, size=n)
+        tic = time.perf_counter()
+        result = gauc(scores, labels, keys)
+        assert time.perf_counter() - tic < 0.5
+        assert result.n_groups_used + result.n_groups_skipped == n // 2
 
     def test_no_usable_groups_raises(self):
         with pytest.raises(ValueError, match="no usable groups"):

@@ -7,6 +7,7 @@ import pytest
 from dinctr import kernels
 from dinctr.data import EncodedBatch
 from dinctr.model import (
+    PREDICT_CHUNK_ROWS,
     DinModel,
     ModelConfig,
     init_model,
@@ -111,6 +112,40 @@ class TestRecordLevelOps:
             model.params["item_emb"][3] = v_a
             _, cache = model.forward(one_record([2], 3, config.max_seq_len))
             assert cache.x[0, 4:6].sum() == dot
+
+
+class TestPredict:
+    @pytest.mark.parametrize("use_attention", [True, False], ids=["din", "base"])
+    @pytest.mark.parametrize("n", [PREDICT_CHUNK_ROWS - 1, PREDICT_CHUNK_ROWS, PREDICT_CHUNK_ROWS + 1])
+    def test_chunks_equal_one_forward_pass(self, n, use_attention, monkeypatch):
+        config = tiny_config(use_attention=use_attention)
+        model = init_model(config, make_rng(60, stream=1))
+        batch = random_batch(config, make_rng(61), B=n)
+        expect = model.forward(batch)[0]
+        sizes = []
+        forward = DinModel.forward
+
+        def spy(self, b):
+            sizes.append(len(b))
+            return forward(self, b)
+
+        monkeypatch.setattr(DinModel, "forward", spy)
+        got = model.predict(batch)
+        assert sizes == [PREDICT_CHUNK_ROWS] * (n // PREDICT_CHUNK_ROWS) + [n % PREDICT_CHUNK_ROWS] * (n % PREDICT_CHUNK_ROWS > 0)
+        np.testing.assert_array_equal(got, expect)
+
+    def test_empty_mask_row_rejected_naming_its_row(self):
+        """A row with no live slot would give nan; the error names the row of
+        the whole batch, not of the chunk it falls in."""
+        config = tiny_config()
+        model = init_model(config, make_rng(62, stream=1))
+        with pytest.raises(ValueError, match="batch row 0 has no live behavior slot"):
+            model.forward(one_record([], 3, config.max_seq_len))
+        batch = random_batch(config, make_rng(63), B=PREDICT_CHUNK_ROWS + 3)
+        batch.behavior_idx[PREDICT_CHUNK_ROWS + 1] = 0
+        batch.mask[PREDICT_CHUNK_ROWS + 1] = False
+        with pytest.raises(ValueError, match=f"batch row {PREDICT_CHUNK_ROWS + 1} has no live"):
+            model.predict(batch)
 
 
 class TestForward:
@@ -453,7 +488,7 @@ class TestCheckpoint:
     def test_round_trip_preserves_everything(self, tmp_path):
         config = tiny_config(use_attention=False)
         model = init_model(config, make_rng(51, stream=1))
-        users = Vocabulary(["ua"]).freeze()
+        users = Vocabulary(["ua", "ub", "uc"]).freeze()
         items = Vocabulary([f"i{k}" for k in range(10)]).freeze()
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, users, items, path)
@@ -469,7 +504,7 @@ class TestCheckpoint:
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         config = tiny_config()
         model = init_model(config, make_rng(53, stream=1))
-        users = Vocabulary(["u1"]).freeze()
+        users = Vocabulary(["u1", "u2", "u3"]).freeze()
         items = Vocabulary([f"i{k}" for k in range(10)]).freeze()
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, users, items, path)
@@ -490,10 +525,37 @@ class TestCheckpoint:
     def test_trailing_bytes_rejected(self, tmp_path):
         model = init_model(tiny_config(), make_rng(54, stream=1))
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, Vocabulary(["u1"]).freeze(), Vocabulary([f"i{k}" for k in range(10)]).freeze(), path)
+        save_checkpoint(model, Vocabulary(["u1", "u2", "u3"]).freeze(), Vocabulary([f"i{k}" for k in range(10)]).freeze(), path)
         load_checkpoint(path)
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*after the checkpoint payload"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "users,items,bad",
+        [
+            (["u1", "u2", "u3"], [f"i{k}" for k in range(20)], "item"),  # more tokens than rows
+            (["u1", "u2", "u3"], [f"i{k}" for k in range(5)], "item"),
+            (["u1", "u2", "u3"], [f"i{k}" for k in range(9)] + ["i0"], "item"),  # a duplicate
+            (["u1", "u2", "u3"], [f"i{k}" for k in range(9)] + [Vocabulary.PAD], "item"),  # a reserved token
+            (["u1"], [f"i{k}" for k in range(10)], "user"),
+        ],
+        ids=["items-too-many", "items-too-few", "items-duplicate", "items-reserved", "users-too-few"],
+    )
+    def test_vocabulary_must_fill_its_table(self, tmp_path, users, items, bad):
+        """Each token needs its own row: 20 item tokens for a 12-row table
+        used to load and then fail in predict with a bare IndexError."""
+        config = tiny_config()  # item_vocab=12, user_vocab=5
+        model = init_model(config, make_rng(55, stream=1))
+        path = tmp_path / "m.ckpt"
+
+        class Tokens:  # a vocabulary that keeps the list as given, repeats included
+            def __init__(self, tokens):
+                self.tokens = ["<pad>", "<oov>", *tokens]
+
+        save_checkpoint(model, Tokens(users), Tokens(items), path)
+        given, rows = (users, 5) if bad == "user" else (items, 12)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {len(given)} {bad} tokens") + f".*{bad}_vocab={rows}"):
             load_checkpoint(path)
 
     def test_bad_magic_raises(self, tmp_path):
