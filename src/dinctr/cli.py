@@ -73,6 +73,7 @@ class RunConfig:
             raise ValueError(f"split_mode must be 'temporal' or 'random', got {self.split_mode!r}")
         self.synthetic_config().validate()
         self.train_config().validate()
+        self.model_config(item_vocab=2, user_vocab=2).validate()  # the smallest vocabularies it accepts
 
     def _sub_config(self, cls, **given):
         """``cls`` built from this config's fields of the same names, plus ``given``."""
@@ -97,13 +98,40 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _coerce(key: str, value):
+def _parse_int(value, where: str) -> int:
+    """An integer: a JSON integer, an integral JSON number or a flag's digits.
+
+    true/false and fractional numbers are rejected, not truncated.
+    """
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is str:
+        with contextlib.suppress(ValueError):
+            return int(value)
+    raise ValueError(f"{where} expects an integer, got {value!r}")
+
+
+def _parse_float(value, where: str) -> float:
+    """A number (a JSON number or a flag's text); true/false is rejected."""
+    if type(value) in (int, float, str):
+        with contextlib.suppress(ValueError, OverflowError):
+            return float(value)
+    raise ValueError(f"{where} expects a number, got {value!r}")
+
+
+def _coerce(key: str, value, where: str):
+    """``value`` as config field ``key``'s type; ``where`` (the key or the
+    flag) leads any error message."""
     if key not in _FIELD_TYPES:
         raise ValueError(f"unknown config key {key!r}")
     if key == "hidden":
         if isinstance(value, str):
             value = [v for v in value.split(",") if v.strip()]
-        return tuple(int(v) for v in value)
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where} expects a list of integers, got {value!r}")
+        return tuple(_parse_int(v, where) for v in value)
     default = getattr(RunConfig(), key)
     if isinstance(default, bool):
         if isinstance(value, bool):
@@ -112,11 +140,11 @@ def _coerce(key: str, value):
             return True
         if str(value).lower() in ("0", "false", "no"):
             return False
-        raise ValueError(f"config key {key!r} expects a boolean, got {value!r}")
+        raise ValueError(f"{where} expects a boolean, got {value!r}")
     if isinstance(default, int):
-        return int(value)
+        return _parse_int(value, where)
     if isinstance(default, float):
-        return float(value)
+        return _parse_float(value, where)
     return str(value)
 
 
@@ -130,12 +158,12 @@ def resolve_config(config_path: str | None, overrides: dict) -> tuple[RunConfig,
         if not isinstance(file_values, dict):
             raise ValueError(f"{config_path}: config file must hold a JSON object")
         for key, value in file_values.items():
-            setattr(cfg, key, _coerce(key, value))
+            setattr(cfg, key, _coerce(key, value, f"{config_path}: config key {key!r}"))
             explicit.add(key)
     for key, value in overrides.items():
         if value is None:
             continue
-        setattr(cfg, key, _coerce(key, value))
+        setattr(cfg, key, _coerce(key, value, "--" + key.replace("_", "-")))
         explicit.add(key)
     cfg.validate()
     return cfg, explicit
@@ -367,7 +395,7 @@ def cmd_rank(cfg: RunConfig, checkpoint_path: str, candidates_path: str, context
             ctx = json.load(fh)
         if not isinstance(ctx, dict):
             raise ValueError(f"{context_path}: expected a JSON object")
-        user_id = str(ctx.get("user_id", ""))
+        user_id = D.parse_id(ctx.get("user_id", ""), context_path, "user_id")
         behaviors = D.parse_behavior_ids(ctx.get("behavior_ids", []), context_path)
     raw = []
     for line_no, obj in D.iter_jsonl(candidates_path):

@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
-from operator import attrgetter
+from operator import attrgetter, length_hint
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -450,6 +450,8 @@ class SyntheticConfig:
             raise ValueError("num_clusters must be >= 1")
         if self.num_clusters > self.num_items:
             raise ValueError("num_clusters cannot exceed num_items")
+        if not (math.isfinite(self.signal_strength) and math.isfinite(self.base_logit)):
+            raise ValueError("signal_strength and base_logit must be finite")
         if self.signal_strength < 0.0:
             raise ValueError("signal_strength must be >= 0")
         if not 1 <= self.behaviors_min <= self.behaviors_max:
@@ -484,6 +486,86 @@ class GroundTruth:
 _BASE_TIMESTAMP = 1_700_000_000
 
 
+class _Pcg64Draws:
+    """A seeded PCG64 ``Generator``'s scalar ``integers(n)`` and ``random()``
+    draws, computed from its raw 64-bit words.
+
+    NumPy draws ``integers(n)`` for n <= 2**32 by Lemire's method on a
+    32-bit half word: the low half of a fresh word, or the high half the bit
+    generator buffered from the previous one (``has_uint32``/``uinteger``).
+    Larger n use Lemire on a full word, and ``random()`` is
+    ``(w >> 11) * 2**-53`` of a full word; neither touches the buffered
+    half. The same arithmetic on words pulled in blocks with ``random_raw``
+    gives the same values at a fraction of a scalar call's cost. ``sync()``,
+    called once at the end, leaves the generator exactly where the scalar
+    calls would have.
+    """
+
+    _BLOCK = 1 << 14
+
+    def __init__(self, rng: np.random.Generator):
+        self._bitgen = rng.bit_generator
+        self._start = self._bitgen.state
+        self._has_half = bool(self._start["has_uint32"])
+        self._half = self._start["uinteger"]
+        self._pulled = 0
+        self._words = iter(())
+        self._next_word = self._words.__next__
+
+    def _refill(self) -> int:
+        self._words = iter(self._bitgen.random_raw(self._BLOCK).tolist())
+        self._next_word = self._words.__next__
+        self._pulled += self._BLOCK
+        return self._next_word()
+
+    def integers(self, n: int) -> int:
+        """``Generator.integers(n)`` for n >= 1; n == 1 draws nothing."""
+        if n == 1:
+            return 0
+        if n > 1 << 32:
+            while True:
+                try:
+                    m = self._next_word() * n
+                except StopIteration:
+                    m = self._refill() * n
+                leftover = m & 0xFFFFFFFFFFFFFFFF
+                if leftover >= n or leftover >= ((1 << 64) - n) % n:
+                    return m >> 64
+        while True:
+            if self._has_half:
+                self._has_half = False
+                m = self._half * n
+            else:
+                try:
+                    word = self._next_word()
+                except StopIteration:
+                    word = self._refill()
+                self._has_half = True
+                self._half = word >> 32
+                m = (word & 0xFFFFFFFF) * n
+            leftover = m & 0xFFFFFFFF
+            # Lemire rejects below (2**32 - n) % n, which is < n: test n first, as NumPy does.
+            if leftover >= n or leftover >= ((1 << 32) - n) % n:
+                return m >> 32
+
+    def random(self) -> float:
+        """``Generator.random()``."""
+        try:
+            word = self._next_word()
+        except StopIteration:
+            word = self._refill()
+        return (word >> 11) * 2.0**-53
+
+    def sync(self) -> None:
+        """Move the generator to where the replayed draws leave it."""
+        used = self._pulled - length_hint(self._words)
+        self._bitgen.state = self._start
+        self._bitgen.advance(used)  # also clears the buffered half
+        state = self._bitgen.state
+        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
+        self._bitgen.state = state
+
+
 def generate_synthetic(config: SyntheticConfig) -> tuple[list[ImpressionRecord], GroundTruth]:
     """Draw an ad log with a known click process.
 
@@ -492,67 +574,71 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[list[ImpressionRecord],
     preference distribution; each impression shows a uniformly random ad to
     a uniformly random user and clicks with the match-fraction sigmoid.
     Timestamps increase by one per impression so temporal splits follow
-    generation order. All randomness flows from ``config.seed``.
+    generation order. All randomness flows from ``config.seed``, as scalar
+    ``Generator`` draws in a fixed order (replayed by ``_Pcg64Draws``).
     """
     config.validate()
-    rng = make_rng(config.seed)
+    draws = _Pcg64Draws(make_rng(config.seed))
+    integers, random = draws.integers, draws.random
     K = config.num_clusters
-
-    cluster_members: list[list[int]] = [[] for _ in range(K)]
-    for item in range(config.num_items):
-        cluster_members[item % K].append(item)
+    cluster_members = [range(k, config.num_items, K) for k in range(K)]
+    n_counts = config.behaviors_max - config.behaviors_min + 1
+    concentration = config.cluster_concentration
 
     user_behaviors: list[list[int]] = []
     for _ in range(config.num_users):
-        dominant = int(rng.integers(K))
-        n_b = int(rng.integers(config.behaviors_min, config.behaviors_max + 1))
+        dominant = integers(K)
+        n_b = config.behaviors_min + integers(n_counts)
         history = []
         for _ in range(n_b):
-            if K == 1 or rng.random() < config.cluster_concentration:
+            if K == 1 or random() < concentration:
                 cluster = dominant
             else:
-                offset = 1 + int(rng.integers(K - 1))
-                cluster = (dominant + offset) % K
+                cluster = (dominant + 1 + integers(K - 1)) % K
             members = cluster_members[cluster]
-            history.append(members[int(rng.integers(len(members)))])
+            history.append(members[integers(len(members))])
         user_behaviors.append(history)
 
-    records = []
-    true_probs = []
-    for i in range(config.impressions):
-        user = int(rng.integers(config.num_users))
-        ad = int(rng.integers(config.num_items))
-        history = user_behaviors[user]
-        ad_cluster = ad % K
-        matches = sum(1 for item in history if item % K == ad_cluster)
-        match_fraction = matches / len(history)
-        p = sigmoid(config.base_logit + config.signal_strength * match_fraction)
-        label = 1 if rng.random() < p else 0
-        bid = float(rng.uniform(0.1, 2.0))
-        records.append(
-            ImpressionRecord(
-                user_id=f"u{user}",
-                ad_id=f"i{ad}",
-                behavior_ids=[f"i{item}" for item in history],
-                label=label,
-                timestamp=_BASE_TIMESTAMP + i,
-                bid=bid,
-            )
-        )
-        true_probs.append(p)
+    # Per impression: user, ad, the click uniform and the bid uniform.
+    users, ads, click_u, bid_u = [], [], [], []
+    num_users, num_items = config.num_users, config.num_items
+    for _ in range(config.impressions):
+        users.append(integers(num_users))
+        ads.append(integers(num_items))
+        click_u.append(random())
+        bid_u.append(random())
+    draws.sync()
 
+    # Behaviors per (user, cluster), as sorted user * K + cluster keys.
+    lengths = np.fromiter(map(len, user_behaviors), dtype=np.int64, count=num_users)
+    behaviors = np.fromiter(chain.from_iterable(user_behaviors), dtype=np.int64, count=int(lengths.sum()))
+    keys, counts = np.unique(np.repeat(np.arange(num_users), lengths) * K + behaviors % K, return_counts=True)
+    user, ad = np.array(users, dtype=np.int64), np.array(ads, dtype=np.int64)
+    wanted = user * K + ad % K
+    pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    matches = np.where(keys[pos] == wanted, counts[pos], 0)
+    p = sigmoid(config.base_logit + config.signal_strength * (matches / lengths[user]))
+    labels = (np.array(click_u) < p).astype(np.int64).tolist()
+    bids = (0.1 + (2.0 - 0.1) * np.array(bid_u)).tolist()  # Generator.uniform(0.1, 2.0)
+
+    tokens = [[f"i{item}" for item in history] for history in user_behaviors]
+    records = [
+        ImpressionRecord(f"u{u}", f"i{a}", tokens[u], label, _BASE_TIMESTAMP + i, bid)
+        for i, (u, a, label, bid) in enumerate(zip(users, ads, labels, bids))
+    ]
     truth = GroundTruth(
-        item_clusters={f"i{item}": item % K for item in range(config.num_items)},
-        true_probs=true_probs,
+        item_clusters={f"i{item}": item % K for item in range(num_items)},
+        true_probs=p.tolist(),
         config=config.to_dict(),
     )
     return records, truth
 
 
 def save_ground_truth(truth: GroundTruth, path) -> None:
+    # json.dumps encodes in C; json.dump would take the pure-Python encoder.
+    text = json.dumps(truth.to_dict(), sort_keys=True, separators=(",", ":"))
     with atomic_open(path) as fh:
-        json.dump(truth.to_dict(), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_ground_truth(path) -> GroundTruth:

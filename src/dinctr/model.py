@@ -16,6 +16,7 @@ differs, so attention is the lone experimental variable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -50,13 +51,24 @@ class ModelConfig:
             raise ValueError("dim and max_seq_len must be positive")
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden widths must be positive")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
+            raise ValueError(f"temperature must be a finite number > 0, got {self.temperature!r}")
 
     @property
     def mlp_input_dim(self) -> int:
         base = 3 * self.dim
         return base + (self.dim if self.use_user_profile else 0)
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Each parameter's shape, in the model's parameter order."""
+        shapes: dict[str, tuple[int, ...]] = {"item_emb": (self.item_vocab, self.dim)}
+        if self.use_user_profile:
+            shapes["user_emb"] = (self.user_vocab, self.dim)
+        dims = [self.mlp_input_dim, *self.hidden, 1]
+        for i in range(len(dims) - 1):
+            shapes[f"w{i}"] = (dims[i], dims[i + 1])
+            shapes[f"b{i}"] = (dims[i + 1],)
+        return shapes
 
     def to_dict(self) -> dict:
         return fields_dict(self)
@@ -143,14 +155,7 @@ class DinModel:
     # -- construction -----------------------------------------------------
 
     def _check_shapes(self) -> None:
-        c = self.config
-        expect: dict[str, tuple[int, ...]] = {"item_emb": (c.item_vocab, c.dim)}
-        if c.use_user_profile:
-            expect["user_emb"] = (c.user_vocab, c.dim)
-        dims = [c.mlp_input_dim, *c.hidden, 1]
-        for i in range(len(dims) - 1):
-            expect[f"w{i}"] = (dims[i], dims[i + 1])
-            expect[f"b{i}"] = (dims[i + 1],)
+        expect = self.config.param_shapes()
         if set(expect) != set(self.params):
             raise ValueError(f"parameter keys {sorted(self.params)} != expected {sorted(expect)}")
         for name, shape in expect.items():
@@ -354,6 +359,7 @@ def save_checkpoint(
     path,
     run_config: Optional[dict] = None,
 ) -> None:
+    names = list(model.config.param_shapes())
     header = {
         "format": "dinctr-checkpoint",
         "version": 1,
@@ -361,15 +367,27 @@ def save_checkpoint(
         "user_tokens": user_vocab.tokens[2:],
         "item_tokens": item_vocab.tokens[2:],
         "run_config": run_config,
-        "arrays": [{"name": k, "shape": list(v.shape)} for k, v in model.params.items()],
+        "arrays": [{"name": k, "shape": list(model.params[k].shape)} for k in names],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(blob)
         fh.write(b"\n")
-        for key in model.params:
+        for key in names:
             fh.write(model.params[key].astype("<f8", copy=False).tobytes(order="C"))
+
+
+def _checkpoint_config(path, header: dict) -> ModelConfig:
+    config = header.get("config")
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: checkpoint header has no config object")
+    missing = [f.name for f in fields(ModelConfig) if f.name not in config]
+    if missing:
+        raise ValueError(f"{path}: checkpoint config lacks {', '.join(map(repr, missing))}")
+    config = ModelConfig.from_dict(config)
+    config.validate()
+    return config
 
 
 def load_checkpoint(path) -> tuple[DinModel, Vocabulary, Vocabulary, Optional[dict]]:
@@ -382,19 +400,26 @@ def load_checkpoint(path) -> tuple[DinModel, Vocabulary, Vocabulary, Optional[di
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"{path}: corrupt checkpoint header") from exc
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: corrupt checkpoint header (not a JSON object)")
         if header.get("version") != 1:
             raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
-        config = ModelConfig.from_dict(header["config"])
+        config = _checkpoint_config(path, header)
+        shapes = config.param_shapes()
+        # The payload is cut by the manifest, so it must name every parameter,
+        # in save_checkpoint's order and shape: a reordered manifest would
+        # otherwise load another parameter's bytes without error.
+        if header.get("arrays") != [{"name": k, "shape": list(v)} for k, v in shapes.items()]:
+            listed = ", ".join(f"{k} {v}" for k, v in shapes.items())
+            raise ValueError(f"{path}: the array manifest must list exactly {listed}, in this order")
         params: dict[str, np.ndarray] = {}
-        for entry in header["arrays"]:
-            shape = tuple(int(s) for s in entry["shape"])
-            count = int(np.prod(shape))
+        for name, shape in shapes.items():
             # Read straight into the array: a transient bytes copy of a large
             # table would stay in the process's heap for the rest of the run.
             arr = np.empty(shape, dtype="<f8")
-            if fh.readinto(arr.reshape(-1).view(np.uint8)) != count * 8:
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
                 raise ValueError(f"{path}: truncated checkpoint payload")
-            params[entry["name"]] = arr
+            params[name] = arr
         if fh.read(1):
             raise ValueError(f"{path}: unexpected bytes after the checkpoint payload")
     model = DinModel(config, params)
@@ -406,7 +431,7 @@ def load_checkpoint(path) -> tuple[DinModel, Vocabulary, Vocabulary, Optional[di
 def _checkpoint_vocab(path, header: dict, name: str, rows: int) -> Vocabulary:
     """The vocabulary behind a ``rows``-row index space: exactly ``rows - 2``
     distinct, non-reserved string tokens, so every token has its own row."""
-    tokens = header[f"{name}_tokens"]
+    tokens = header.get(f"{name}_tokens")
     if not (isinstance(tokens, list) and all(map(str.__instancecheck__, tokens))):
         raise ValueError(f"{path}: {name}_tokens must be a list of strings")
     vocab = Vocabulary.from_real_tokens(tokens)

@@ -13,6 +13,7 @@ penalized.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -152,8 +153,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.l2_lambda < 0.0:
-            raise ValueError("l2_lambda must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0.0):
+            raise ValueError(f"l2_lambda must be a finite number >= 0, got {self.l2_lambda!r}")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
 

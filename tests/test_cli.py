@@ -101,6 +101,84 @@ class TestGenerate:
         assert code != 0
         assert "impresions" in err
 
+    @pytest.mark.parametrize("key,value", [("signal_strength", float("inf")), ("base_logit", float("nan"))])
+    def test_non_finite_generator_float_rejected(self, tmp_path, capsys, key, value):
+        """signal_strength Infinity used to exit 0 and write bare NaN into
+        the metadata's true_probs, which is not JSON."""
+        config = write_config(tmp_path, **{key: value})
+        metadata = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "generate", "--config", config, "--dataset", str(tmp_path / "d.jsonl"),
+                                 "--metadata", str(metadata))
+        assert code != 0 and out == ""
+        assert key in err and "must be finite" in err
+        assert not metadata.exists()
+
+
+class TestStrictConfigValues:
+    """Config values are read as their field's type, never truncated or cast
+    from true/false; errors name the config key or the flag."""
+
+    def generate(self, tmp_path, capsys, **extra):
+        config = write_config(tmp_path, **extra)
+        return run_cli(capsys, "generate", "--config", config, "--dataset", str(tmp_path / "d.jsonl"),
+                       "--metadata", str(tmp_path / "m.json"))
+
+    def test_fractional_int_in_file_rejected(self, tmp_path, capsys):
+        code, out, err = self.generate(tmp_path, capsys, num_users=5.7)  # used to generate with 5 users
+        assert code != 0 and out == ""
+        assert "config key 'num_users'" in err and "5.7" in err
+
+    def test_bool_for_int_in_file_rejected(self, tmp_path, capsys):
+        code, out, err = self.generate(tmp_path, capsys, impressions=True)  # used to generate 1 record
+        assert code != 0 and out == ""
+        assert "config key 'impressions'" in err and "True" in err
+
+    def test_fractional_epochs_in_file_rejected(self, tmp_path, capsys):
+        config = write_config(tmp_path, epochs=1.9)  # used to train 1 epoch
+        code, out, err = run_cli(capsys, "train", "--config", config, "--dataset", str(tmp_path / "absent.jsonl"))
+        assert code != 0 and out == ""
+        assert "config key 'epochs'" in err
+
+    def test_fractional_epochs_flag_names_flag(self, tmp_path, capsys):
+        config = write_config(tmp_path)  # used to fail with a bare "invalid literal for int()"
+        code, out, err = run_cli(capsys, "train", "--config", config, "--epochs", "1.9",
+                                 "--dataset", str(tmp_path / "absent.jsonl"))
+        assert code != 0 and out == ""
+        assert "--epochs expects an integer" in err and "'1.9'" in err
+
+    def test_bool_for_float_rejected(self, tmp_path, capsys):
+        code, _, err = self.generate(tmp_path, capsys, signal_strength=True)
+        assert code != 0
+        assert "config key 'signal_strength'" in err
+
+    def test_non_integer_hidden_width_names_key(self, tmp_path, capsys):
+        code, _, err = self.generate(tmp_path, capsys, hidden="64,x")
+        assert code != 0
+        assert "config key 'hidden'" in err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("lr", -1.0), ("lr", 0.0), ("lr", float("nan")), ("temperature", float("inf")),
+         ("l2_lambda", float("nan"))],
+    )
+    def test_out_of_range_training_value_rejected(self, tmp_path, capsys, key, value):
+        """These used to train, or fail after training started naming no key."""
+        config = write_config(tmp_path, **{key: value})
+        code, out, err = run_cli(capsys, "train", "--config", config, "--dataset", str(tmp_path / "absent.jsonl"))
+        assert code != 0 and out == ""
+        assert f"{key} must be a finite number" in err
+
+    def test_integral_values_keep_their_echo(self, tmp_path, capsys):
+        echoes = []
+        for extra in ({"num_users": 40, "signal_strength": 4}, {"num_users": 40.0, "signal_strength": 4.0}):
+            config = write_config(tmp_path, **extra)
+            code, out, _ = run_cli(capsys, "generate", "--config", config, "--dataset", str(tmp_path / "d.jsonl"),
+                                   "--metadata", str(tmp_path / "m.json"))
+            assert code == 0
+            echoes.append(json.loads(out)["config"])
+        assert echoes[0] == echoes[1]
+        assert json.dumps(echoes[0]["num_users"]) == "40" and json.dumps(echoes[0]["signal_strength"]) == "4.0"
+
 
 class TestTrain:
     def test_history_has_one_row_per_epoch(self, pipeline):
@@ -415,6 +493,29 @@ class TestRank:
         code, _, err = run_cli(capsys, "rank", "--checkpoint", ck, "--candidates", cands)
         assert code != 0
         assert "naked" in err and "bid" in err
+
+    def test_null_context_user_rejected(self, pipeline, capsys):
+        """A null user_id used to rank as the user "None"."""
+        ck, _ = pipeline["checkpoints"]["din"]
+        cands = self.candidates(pipeline["tmp_path"], [{"ad_id": "i1", "bid": 1.0}])
+        context = pipeline["tmp_path"] / "null_ctx.json"
+        context.write_text(json.dumps({"user_id": None, "behavior_ids": ["i4"]}))
+        code, out, err = run_cli(capsys, "rank", "--checkpoint", ck, "--candidates", cands, "--context", str(context))
+        assert code != 0
+        assert out == ""
+        assert "null_ctx.json" in err and "field 'user_id'" in err
+
+    def test_integer_context_user_reads_as_digits(self, pipeline, capsys):
+        ck, _ = pipeline["checkpoints"]["din"]
+        cands = self.candidates(pipeline["tmp_path"], [{"ad_id": "i1", "bid": 1.0}, {"ad_id": "i2", "bid": 2.0}])
+        outs = []
+        for user in (1, "1"):
+            context = pipeline["tmp_path"] / "int_ctx.json"
+            context.write_text(json.dumps({"user_id": user, "behavior_ids": ["i4"]}))
+            code, out, _ = run_cli(capsys, "rank", "--checkpoint", ck, "--candidates", cands, "--context", str(context))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 class HalfWrite:

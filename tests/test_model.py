@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -472,6 +473,10 @@ class TestInit:
             np.testing.assert_array_equal(a.params[key], b.params[key])
 
 
+def without(obj: dict, key: str) -> dict:
+    return {k: v for k, v in obj.items() if k != key}
+
+
 class TestCheckpoint:
     def test_save_load_save_is_byte_identical(self, tmp_path):
         config = tiny_config()
@@ -557,6 +562,64 @@ class TestCheckpoint:
         given, rows = (users, 5) if bad == "user" else (items, 12)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {len(given)} {bad} tokens") + f".*{bad}_vocab={rows}"):
             load_checkpoint(path)
+
+    def rewrite_header(self, path, edit):
+        """Replace a saved checkpoint's header by ``edit(header)``; the payload is kept."""
+        raw = path.read_bytes()
+        magic_end = raw.index(b"\n") + 1
+        header_end = raw.index(b"\n", magic_end) + 1
+        header = edit(json.loads(raw[magic_end:header_end]))
+        path.write_bytes(raw[:magic_end] + json.dumps(header).encode() + b"\n" + raw[header_end:])
+
+    def saved(self, tmp_path):
+        model = init_model(tiny_config(), make_rng(56, stream=1))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, Vocabulary(["u1", "u2", "u3"]).freeze(), Vocabulary([f"i{k}" for k in range(10)]).freeze(), path)
+        return model, path
+
+    def test_swapped_manifest_rejected(self, tmp_path):
+        """b0 and b1 swapped in the manifest, each keeping its own shape: the
+        byte count still matches, and this used to load scrambled weights."""
+        _, path = self.saved(tmp_path)
+
+        def swap(header):
+            names = [e["name"] for e in header["arrays"]]
+            i, j = names.index("b0"), names.index("b1")
+            header["arrays"][i], header["arrays"][j] = header["arrays"][j], header["arrays"][i]
+            return header
+
+        self.rewrite_header(path, swap)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*manifest"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda h: without(h, "arrays"), "manifest"),
+            (lambda h: {**h, "config": without(h["config"], "dim")}, "'dim'"),
+            (lambda h: {**h, "config": []}, "no config object"),
+            (lambda h: without(h, "user_tokens"), "user_tokens"),
+            (lambda h: [h], "not a JSON object"),
+        ],
+        ids=["no-manifest", "no-config-dim", "list-config", "no-user-tokens", "list-header"],
+    )
+    def test_malformed_header_names_path(self, tmp_path, edit, message):
+        """Each of these used to raise a bare KeyError, TypeError or AttributeError."""
+        _, path = self.saved(tmp_path)
+        self.rewrite_header(path, edit)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
+            load_checkpoint(path)
+
+    def test_payload_follows_parameter_order(self, tmp_path):
+        """A model whose parameter dict is in another order saves in the
+        model's order, so it loads back equal."""
+        model, path = self.saved(tmp_path)
+        shuffled = DinModel(model.config, dict(reversed(list(model.params.items()))))
+        save_checkpoint(shuffled, Vocabulary(["u1", "u2", "u3"]).freeze(), Vocabulary([f"i{k}" for k in range(10)]).freeze(), path)
+        loaded, _, _, _ = load_checkpoint(path)
+        assert list(loaded.params) == list(model.params)
+        for name in model.params:
+            np.testing.assert_array_equal(loaded.params[name], model.params[name])
 
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "junk.ckpt"
