@@ -24,7 +24,6 @@ from .metrics import (
     EvalReport,
     accuracy,
     auc,
-    ctr,
     ecpm,
     evaluate,
     gauc,
@@ -59,7 +58,6 @@ __all__ = [
     "EvalReport",
     "accuracy",
     "auc",
-    "ctr",
     "ecpm",
     "evaluate",
     "gauc",

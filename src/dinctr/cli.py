@@ -14,7 +14,7 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields, make_dataclass
 
 import numpy as np
 
@@ -27,42 +27,7 @@ from .optim import TrainConfig, bce_loss, l2_penalty, save_history, train
 GRADCHECK_THRESHOLD = 1e-4
 
 
-@dataclass
-class RunConfig:
-    seed: int = 1
-    # synthetic generator
-    num_users: int = 500
-    num_items: int = 200
-    num_clusters: int = 10
-    behaviors_min: int = 8
-    behaviors_max: int = 32
-    impressions: int = 25_000
-    signal_strength: float = 4.0
-    base_logit: float = -1.0
-    cluster_concentration: float = 0.8
-    # model
-    model: str = "din"
-    dim: int = 8
-    hidden: tuple = (64, 32)
-    max_seq_len: int = 32
-    temperature: float = 1.0
-    use_user_profile: bool = False
-    # training
-    epochs: int = 5
-    batch_size: int = 256
-    lr: float = 1e-3
-    l2_lambda: float = 1e-5
-    patience: int = 0
-    split_mode: str = "temporal"
-    val_fraction: float = 0.2
-    timing: bool = True
-    # paths
-    dataset: str = "data/impressions.jsonl"
-    metadata: str = "data/metadata.json"
-    checkpoint: str = "out/model.ckpt"
-    history: str = "out/history.csv"
-    report: str = "out/report.json"
-
+class _RunConfigMethods:
     def to_dict(self) -> dict:
         return D.fields_dict(self)
 
@@ -95,83 +60,51 @@ class RunConfig:
         )
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# The model fields a run sets, by run key: the vocabulary sizes come from the
+# data, and use_attention from the run key `model`.
+_MODEL_KEYS = {"model": "use_attention"} | {
+    f.name: f.name for f in fields(ModelConfig) if f.name not in ("item_vocab", "user_vocab", "use_attention")
+}
+_PATH_DEFAULTS = {
+    "dataset": "data/impressions.jsonl",
+    "metadata": "data/metadata.json",
+    "checkpoint": "out/model.ckpt",
+    "history": "out/history.csv",
+    "report": "out/report.json",
+}
 
 
-def _parse_int(value, where: str) -> int:
-    """An integer: a JSON integer, an integral JSON number or a flag's digits.
-
-    true/false and fractional numbers are rejected, not truncated.
-    """
-    if type(value) is int:
-        return value
-    if type(value) is float and value.is_integer():
-        return int(value)
-    if type(value) is str:
-        with contextlib.suppress(ValueError):
-            return int(value)
-    raise ValueError(f"{where} expects an integer, got {value!r}")
+def _run_fields() -> list:
+    """(name, type, default) of every run key: ``model``, each sub-config
+    field once (``seed`` is in two of them) and the paths."""
+    model_fields = [f for f in fields(ModelConfig) if f.name in _MODEL_KEYS]
+    specs = {}
+    for f in (*fields(D.SyntheticConfig), *fields(TrainConfig), *model_fields):
+        specs.setdefault(f.name, (f.name, f.type, f.default))
+    return [("model", "str", "din"), *specs.values(), *((k, "str", v) for k, v in _PATH_DEFAULTS.items())]
 
 
-def _parse_float(value, where: str) -> float:
-    """A number (a JSON number or a flag's text); true/false is rejected."""
-    if type(value) in (int, float, str):
-        with contextlib.suppress(ValueError, OverflowError):
-            return float(value)
-    raise ValueError(f"{where} expects a number, got {value!r}")
-
-
-def _coerce(key: str, value, where: str):
-    """``value`` as config field ``key``'s type; ``where`` (the key or the
-    flag) leads any error message."""
-    if key not in _FIELD_TYPES:
-        raise ValueError(f"unknown config key {key!r}")
-    if key == "hidden":
-        if isinstance(value, str):
-            value = [v for v in value.split(",") if v.strip()]
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{where} expects a list of integers, got {value!r}")
-        return tuple(_parse_int(v, where) for v in value)
-    default = getattr(RunConfig(), key)
-    if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        if str(value).lower() in ("1", "true", "yes"):
-            return True
-        if str(value).lower() in ("0", "false", "no"):
-            return False
-        raise ValueError(f"{where} expects a boolean, got {value!r}")
-    if isinstance(default, int):
-        return _parse_int(value, where)
-    if isinstance(default, float):
-        return _parse_float(value, where)
-    return str(value)
+RunConfig = make_dataclass(
+    "RunConfig",
+    _run_fields(),
+    bases=(_RunConfigMethods,),
+    namespace={"__module__": __name__, "__doc__": "Every setting of a run: the sub-configs' fields and the paths."},
+)
 
 
 def resolve_config(config_path: str | None, overrides: dict) -> tuple[RunConfig, set]:
     """defaults < file < flags; returns the config and explicitly-set keys."""
-    cfg = RunConfig()
-    explicit = set()
+    values = {}
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError(f"{config_path}: config file must hold a JSON object")
-        for key, value in file_values.items():
-            setattr(cfg, key, _coerce(key, value, f"{config_path}: config key {key!r}"))
-            explicit.add(key)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        setattr(cfg, key, _coerce(key, value, "--" + key.replace("_", "-")))
-        explicit.add(key)
+        values = D.parse_fields(RunConfig, file_values, config_path)
+    values |= D.parse_fields(RunConfig, {k: v for k, v in overrides.items() if v is not None})
+    cfg = RunConfig(**values)
     cfg.validate()
-    return cfg, explicit
-
-
-def _ensure_parent(path: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
+    return cfg, set(values)
 
 
 def _open_output(path: str):
@@ -180,7 +113,6 @@ def _open_output(path: str):
 
 
 def _write_report(path: str, payload: dict) -> None:
-    _ensure_parent(path)
     with D.atomic_open(path) as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
@@ -200,8 +132,6 @@ def _note(msg: str) -> None:
 
 def cmd_generate(cfg: RunConfig) -> int:
     records, truth = D.generate_synthetic(cfg.synthetic_config())
-    _ensure_parent(cfg.dataset)
-    _ensure_parent(cfg.metadata)
     D.save_jsonl(records, cfg.dataset)
     D.save_ground_truth(truth, cfg.metadata)
     n_pos = sum(r.label for r in records)
@@ -238,8 +168,6 @@ def cmd_train(cfg: RunConfig) -> int:
     model = init_model(cfg.model_config(item_vocab.size, user_vocab.size), make_rng(cfg.seed, stream=1))
     _note(f"training {cfg.model} model on {len(train_batch)} records ({len(val_batch)} validation)")
     model, history = train(model, train_batch, val_batch, cfg.train_config())
-    _ensure_parent(cfg.checkpoint)
-    _ensure_parent(cfg.history)
     save_checkpoint(model, user_vocab, item_vocab, cfg.checkpoint, run_config=cfg.to_dict())
     save_history(history, cfg.history)
     last = history.epochs[-1]
@@ -259,29 +187,15 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-_MODEL_KEYS = ("dim", "hidden", "max_seq_len", "temperature", "model", "use_user_profile")
-
-
-def _check_model_overrides(cfg: RunConfig, explicit: set, model_config: ModelConfig) -> None:
+def _check_model_overrides(cfg: RunConfig, explicit: set, stored: ModelConfig) -> None:
     """Explicit model hyperparameters must agree with the checkpoint."""
-    stored = model_config.to_dict()
-    for key in _MODEL_KEYS:
-        if key not in explicit:
-            continue
-        if key == "model":
-            want = cfg.model == "din"
-            if stored["use_attention"] != want:
-                raise ValueError(
-                    f"checkpoint/model-config mismatch: checkpoint has "
-                    f"use_attention={stored['use_attention']}, flags say model={cfg.model}"
-                )
-        else:
-            given = list(cfg.hidden) if key == "hidden" else getattr(cfg, key)
-            if stored[key] != given:
-                raise ValueError(
-                    f"checkpoint/model-config mismatch on {key!r}: "
-                    f"checkpoint has {stored[key]!r}, config says {given!r}"
-                )
+    given = cfg.model_config(stored.item_vocab, stored.user_vocab)
+    for key, name in _MODEL_KEYS.items():
+        if key in explicit and getattr(given, name) != getattr(stored, name):
+            raise ValueError(
+                f"checkpoint/model-config mismatch on {key!r}: checkpoint has "
+                f"{name}={getattr(stored, name)!r}, config says {name}={getattr(given, name)!r}"
+            )
 
 
 def _single_eval(cfg: RunConfig, checkpoint_path: str, which: str, model, user_vocab, batch) -> dict:
@@ -347,7 +261,6 @@ def cmd_eval(
             batch, _ = D.encode(records, user_vocab, item_vocab, cfg.max_seq_len)
         reports.append(_single_eval(cfg, ck, which, model, user_vocab, batch))
     if groups_csv:
-        _ensure_parent(groups_csv)
         with D.atomic_open(groups_csv) as fh:
             fh.write("group,weight,auc\n")
             for row in reports[0]["per_group"]:
@@ -373,7 +286,7 @@ def cmd_eval(
     return 0
 
 
-def cmd_predict(cfg: RunConfig, checkpoint_path: str, input_path: str, output_path: str) -> int:
+def cmd_predict(checkpoint_path: str, input_path: str, output_path: str) -> int:
     model, user_vocab, item_vocab, _ = load_checkpoint(checkpoint_path)
     records = D.load_jsonl(input_path, require_label=False)
     if not records:
@@ -386,7 +299,7 @@ def cmd_predict(cfg: RunConfig, checkpoint_path: str, input_path: str, output_pa
     return 0
 
 
-def cmd_rank(cfg: RunConfig, checkpoint_path: str, candidates_path: str, context_path: str | None, output_path: str) -> int:
+def cmd_rank(checkpoint_path: str, candidates_path: str, context_path: str | None, output_path: str) -> int:
     model, user_vocab, item_vocab, _ = load_checkpoint(checkpoint_path)
     user_id = ""
     behaviors: list[str] = []
@@ -492,21 +405,8 @@ def cmd_gradcheck(cfg: RunConfig, eps: float) -> int:
 # ---------------------------------------------------------------------------
 
 _GENERATOR_FLAGS = tuple(f.name for f in fields(D.SyntheticConfig) if f.name != "seed")
-_TRAIN_FLAGS = (
-    "model",
-    "dim",
-    "hidden",
-    "max_seq_len",
-    "temperature",
-    "use_user_profile",
-    "epochs",
-    "batch_size",
-    "lr",
-    "l2_lambda",
-    "patience",
-    "split_mode",
-    "val_fraction",
-)
+# seed is a flag of every command, and timing is set by --no-timing.
+_TRAIN_FLAGS = (*_MODEL_KEYS, *(f.name for f in fields(TrainConfig) if f.name not in ("seed", "timing")))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
@@ -578,14 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PATH_FLAGS = ("dataset", "metadata", "checkpoint", "history")
-
-
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    skip = {"command", "config", "compare", "split", "report", "groups_csv", "input", "output",
-            "candidates", "context", "eps", "no_timing"}
-    overrides = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    if getattr(args, "no_timing", False):
+    """The config keys given as flags. eval's --report names the file this run
+    writes; the config key of that name is only echoed."""
+    given = vars(args)
+    overrides = {f.name: given[f.name] for f in fields(RunConfig) if f.name in given and f.name != "report"}
+    if given.get("no_timing"):
         overrides["timing"] = False
     return overrides
 
@@ -599,17 +497,12 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "eval":
-            if args.compare:
-                checkpoints = list(args.compare)
-            elif args.checkpoint or "checkpoint" in explicit:
-                checkpoints = [args.checkpoint or cfg.checkpoint]
-            else:
-                checkpoints = [cfg.checkpoint]
+            checkpoints = list(args.compare) if args.compare else [cfg.checkpoint]
             return cmd_eval(cfg, explicit, checkpoints, args.split, args.report, args.groups_csv)
         if args.command == "predict":
-            return cmd_predict(cfg, args.checkpoint or cfg.checkpoint, args.input, args.output)
+            return cmd_predict(cfg.checkpoint, args.input, args.output)
         if args.command == "rank":
-            return cmd_rank(cfg, args.checkpoint or cfg.checkpoint, args.candidates, args.context, args.output)
+            return cmd_rank(cfg.checkpoint, args.candidates, args.context, args.output)
         if args.command == "gradcheck":
             return cmd_gradcheck(cfg, args.eps)
         raise ValueError(f"unknown command {args.command!r}")

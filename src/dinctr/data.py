@@ -38,6 +38,73 @@ def fields_dict(obj) -> dict:
     return out
 
 
+def _parse_int(value, text: bool) -> int:
+    if text:
+        return int(value)
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise TypeError
+
+
+def _parse_float(value, text: bool) -> float:
+    if text or type(value) in (int, float):
+        return float(value)
+    raise TypeError
+
+
+def _parse_int_tuple(value, text: bool) -> tuple[int, ...]:
+    if text:
+        return tuple(int(v) for v in value.split(",") if v.strip())
+    if not isinstance(value, (list, tuple)):
+        raise TypeError
+    return tuple(_parse_int(v, False) for v in value)
+
+
+def _parse_exact(kind: type):
+    def parse(value, text: bool):
+        if type(value) is not kind:
+            raise TypeError
+        return value
+
+    return parse
+
+
+# Field annotations are strings (postponed evaluation): the parser for each,
+# and the noun its error message uses.
+_FIELD_PARSERS = {
+    "int": (_parse_int, "an integer"),
+    "float": (_parse_float, "a number"),
+    "bool": (_parse_exact(bool), "a boolean"),
+    "str": (_parse_exact(str), "a string"),
+    "tuple[int, ...]": (_parse_int_tuple, "a list of integers"),
+}
+
+
+def parse_fields(cls, values: dict, where: Optional[str] = None) -> dict:
+    """``values`` read strictly as the types dataclass ``cls`` declares.
+
+    ``where`` names the JSON file (or checkpoint) the values come from. A
+    JSON value must already have its field's type: an integral number such
+    as 40.0 is an integer, but true/false is never a number, a fraction is
+    never an integer and nothing is cast to a string or a boolean. With
+    ``where=None`` the values are command-line flags, whose text is parsed
+    as the field's type (``--hidden 64,32``). Errors name the file and the
+    config key, or the flag.
+    """
+    types = {f.name: f.type for f in fields(cls)}
+    parsed = {}
+    for key, value in values.items():
+        if key not in types:
+            raise ValueError(f"{where or 'flags'}: unknown config key {key!r}")
+        parse, noun = _FIELD_PARSERS[types[key]]
+        try:
+            parsed[key] = parse(value, where is None and type(value) is str)
+        except (TypeError, ValueError, OverflowError):
+            name = f"{where}: config key {key!r}" if where else "--" + key.replace("_", "-")
+            raise ValueError(f"{name} expects {noun}, got {value!r}") from None
+    return parsed
+
+
 @dataclass(slots=True)
 class ImpressionRecord:
     """One ad display/click event."""
@@ -53,20 +120,19 @@ class ImpressionRecord:
 class Vocabulary:
     """Token-to-index map with reserved indices 0 (padding) and 1 (OOV).
 
-    Indices >= 2 are assigned in first-seen order. Once frozen, unknown
-    tokens encode to the OOV index and the vocabulary never grows.
+    Indices >= 2 follow the tokens' first-seen order. The map is fixed at
+    construction: unknown tokens encode to the OOV index.
     """
 
     PAD = "<pad>"
     OOV = "<oov>"
 
-    def __init__(self, tokens: Optional[Iterable[str]] = None):
+    def __init__(self, tokens: Iterable[str] = ()):
         # One pass over a dict keeps first-seen order and drops repeats; the
         # reserved tokens go first, so they keep indices 0 and 1.
-        self._index: dict[str, int] = dict.fromkeys(chain((self.PAD, self.OOV), () if tokens is None else tokens))
+        self._index: dict[str, int] = dict.fromkeys(chain((self.PAD, self.OOV), tokens))
         self._tokens: list[str] = list(self._index)
         self._index.update(zip(self._tokens, range(len(self._tokens))))
-        self.frozen = False
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -80,38 +146,14 @@ class Vocabulary:
         """All tokens including the two reserved ones, in index order."""
         return list(self._tokens)
 
-    def add(self, token: str) -> int:
-        if token in self._index:
-            return self._index[token]
-        if self.frozen:
-            raise ValueError(f"vocabulary is frozen; cannot add {token!r}")
-        idx = len(self._tokens)
-        self._tokens.append(token)
-        self._index[token] = idx
-        return idx
-
-    def freeze(self) -> "Vocabulary":
-        self.frozen = True
-        return self
-
     def encode(self, token: str) -> int:
-        idx = self._index.get(token)
-        if idx is None:
-            if not self.frozen:
-                raise ValueError(f"unknown token {token!r} in unfrozen vocabulary; use add()")
-            return OOV_INDEX
-        return idx
+        return self._index.get(token, OOV_INDEX)
 
     def decode(self, index: int) -> str:
         return self._tokens[index]
 
     def __contains__(self, token: str) -> bool:
         return token in self._index
-
-    @classmethod
-    def from_real_tokens(cls, real_tokens: Sequence[str]) -> "Vocabulary":
-        """Rebuild a frozen vocabulary from the tokens at indices >= 2."""
-        return cls(real_tokens).freeze()
 
 
 def build_vocab(records: Sequence[ImpressionRecord]) -> tuple[Vocabulary, Vocabulary]:
@@ -130,9 +172,8 @@ def build_vocab(records: Sequence[ImpressionRecord]) -> tuple[Vocabulary, Vocabu
     for rec in records:
         add_ad(rec.ad_id)
         add_behaviors(rec.behavior_ids)
-    items = Vocabulary(item_tokens)
-    items.add(NO_HISTORY_TOKEN)
-    return users.freeze(), items.freeze()
+    item_tokens.append(NO_HISTORY_TOKEN)
+    return users, Vocabulary(item_tokens)
 
 
 @dataclass
@@ -200,15 +241,13 @@ def encode(
     item_vocab: Vocabulary,
     max_seq_len: int,
 ) -> tuple[EncodedBatch, EncodeStats]:
-    """Encode records against frozen vocabularies.
+    """Encode records against fixed vocabularies.
 
     Histories longer than ``max_seq_len`` keep their most recent tail;
     shorter ones are right-padded with index 0. OOV tokens (including
     tokens spelled like the reserved `<pad>`/`<oov>`) and truncations are
     handled silently and counted in the returned stats.
     """
-    if not (user_vocab.frozen and item_vocab.frozen):
-        raise ValueError("encode requires frozen vocabularies")
     if max_seq_len < 1:
         raise ValueError("max_seq_len must be >= 1")
     n = len(records)
@@ -279,13 +318,15 @@ def split(
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w", **kwargs):
     """Open a temporary file beside ``path`` and rename it over ``path`` when
-    the block ends, so readers see the old file or the whole new one.
+    the block ends, so readers see the old file or the whole new one. A
+    missing parent directory is created.
 
     If the block raises, the temporary file is removed and ``path`` keeps
     its previous contents. Text modes default to UTF-8.
     """
     if "b" not in mode:
         kwargs.setdefault("encoding", "utf-8")
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:

@@ -9,7 +9,6 @@ click-count weights, renormalized over the usable groups.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -147,19 +146,6 @@ def accuracy(scores, labels, threshold: float = 0.5) -> float:
     return float(np.mean((s >= threshold) == (y == 1)))
 
 
-def ctr(clicks: int, impressions: int) -> float:
-    """Click-through rate, clicks / impressions.
-
-    Note: some writeups print this ratio inverted; the universally used
-    definition (clicks over impressions) is implemented here.
-    """
-    if impressions < 1:
-        raise ValueError("impressions must be >= 1")
-    if clicks < 0 or clicks > impressions:
-        raise ValueError(f"clicks ({clicks}) must lie in [0, impressions={impressions}]")
-    return clicks / impressions
-
-
 def ecpm(ctr_rate: float, bid: float) -> float:
     """Expected value of one impression, ctr * bid.
 
@@ -206,27 +192,6 @@ class EvalReport:
     n_groups_skipped: int
     weight_mode: str = "impressions"
     per_group: list[GroupAuc] = field(default_factory=list)
-
-    def to_dict(self, include_groups: bool = True) -> dict:
-        out = {
-            "auc": self.auc,
-            "gauc": self.gauc,
-            "log_loss": self.log_loss,
-            "accuracy": self.accuracy,
-            "n_records": self.n_records,
-            "n_groups_used": self.n_groups_used,
-            "n_groups_skipped": self.n_groups_skipped,
-            "weight_mode": self.weight_mode,
-        }
-        if include_groups:
-            out["per_group"] = [
-                {"group": g.group_key, "weight": g.weight, "auc": g.auc, "n_records": g.n_records}
-                for g in self.per_group
-            ]
-        return out
-
-    def to_json(self, include_groups: bool = True) -> str:
-        return json.dumps(self.to_dict(include_groups=include_groups), sort_keys=True)
 
 
 def evaluate(scores, labels, group_keys, weight_mode: str = "impressions") -> EvalReport:

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .data import EncodedBatch, Vocabulary, atomic_open, fields_dict
+from .data import EncodedBatch, Vocabulary, atomic_open, fields_dict, parse_fields
 from .numerics import sigmoid
 
 PAD_ROW = 0
@@ -74,10 +74,13 @@ class ModelConfig:
         return fields_dict(self)
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "ModelConfig":
-        # Annotations are strings here (postponed evaluation), one converter each.
-        convert = {"int": int, "float": float, "bool": bool, "tuple[int, ...]": lambda v: tuple(int(h) for h in v)}
-        return cls(**{f.name: convert[f.type](obj[f.name]) for f in fields(cls)})
+    def from_dict(cls, obj: dict, where: str = "model config") -> "ModelConfig":
+        """The config ``to_dict`` gave: every field present, each read by its
+        declared type as ``parse_fields`` reads it; errors name ``where``."""
+        missing = [f.name for f in fields(cls) if f.name not in obj]
+        if missing:
+            raise ValueError(f"{where}: config lacks {', '.join(map(repr, missing))}")
+        return cls(**parse_fields(cls, obj, where))
 
 
 @dataclass
@@ -382,11 +385,11 @@ def _checkpoint_config(path, header: dict) -> ModelConfig:
     config = header.get("config")
     if not isinstance(config, dict):
         raise ValueError(f"{path}: checkpoint header has no config object")
-    missing = [f.name for f in fields(ModelConfig) if f.name not in config]
-    if missing:
-        raise ValueError(f"{path}: checkpoint config lacks {', '.join(map(repr, missing))}")
-    config = ModelConfig.from_dict(config)
-    config.validate()
+    config = ModelConfig.from_dict(config, str(path))
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return config
 
 
@@ -434,7 +437,7 @@ def _checkpoint_vocab(path, header: dict, name: str, rows: int) -> Vocabulary:
     tokens = header.get(f"{name}_tokens")
     if not (isinstance(tokens, list) and all(map(str.__instancecheck__, tokens))):
         raise ValueError(f"{path}: {name}_tokens must be a list of strings")
-    vocab = Vocabulary.from_real_tokens(tokens)
+    vocab = Vocabulary(tokens)
     if len(tokens) != rows - 2 or vocab.size != rows:
         raise ValueError(
             f"{path}: {len(tokens)} {name} tokens ({vocab.size - 2} distinct and not reserved) "

@@ -4,6 +4,7 @@ Commands run in-process through main(argv) so exit codes and stdout are
 checked directly. Small synthetic configs keep each case fast.
 """
 
+import argparse
 import builtins
 import csv
 import io
@@ -14,7 +15,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from dinctr.cli import RunConfig, main
+from dinctr.cli import RunConfig, build_parser, main
 from dinctr.data import SyntheticConfig
 from dinctr.model import ModelConfig, load_checkpoint
 from dinctr.optim import TrainConfig
@@ -167,6 +168,25 @@ class TestStrictConfigValues:
         code, out, err = run_cli(capsys, "train", "--config", config, "--dataset", str(tmp_path / "absent.jsonl"))
         assert code != 0 and out == ""
         assert f"{key} must be a finite number" in err
+
+    @pytest.mark.parametrize("value", [None, ["a"], 7])
+    def test_non_string_path_rejected(self, tmp_path, capsys, monkeypatch, value):
+        """{"dataset": null} used to exit 0 and write a file named None, and
+        ["a"] one named ['a']."""
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TINY, "dataset": value}))
+        code, out, err = run_cli(capsys, "generate", "--config", str(path), "--metadata", "m.json")
+        assert code != 0 and out == ""
+        assert "config key 'dataset' expects a string" in err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("key,value", [("use_user_profile", "yes"), ("timing", 0), ("timing", "false")])
+    def test_non_boolean_for_boolean_rejected(self, tmp_path, capsys, key, value):
+        """These used to be read as true or false."""
+        code, out, err = self.generate(tmp_path, capsys, **{key: value})
+        assert code != 0 and out == ""
+        assert f"config key {key!r} expects a boolean" in err
 
     def test_integral_values_keep_their_echo(self, tmp_path, capsys):
         echoes = []
@@ -593,6 +613,20 @@ class TestAtomicOutputs:
         assert open(target, "rb").read() == before
         assert sorted(os.listdir(os.path.dirname(target))) == listing
 
+    @pytest.mark.parametrize(
+        "name",
+        ["report.json", "groups.csv", "compare.json", "history.csv", "predict.jsonl", "rank.jsonl", "data.jsonl",
+         "meta.json"],
+    )
+    def test_missing_output_directory_is_created(self, pipeline, capsys, name):
+        """predict and rank --output new/p.jsonl used to fail naming the
+        internal new/p.jsonl.<pid>.tmp."""
+        argv, target = _output_case(name, pipeline)
+        nested = os.path.join(os.path.dirname(target), "new", name)
+        code, _, err = run_cli(capsys, *[nested if arg == target else arg for arg in argv])
+        assert code == 0, err
+        assert os.listdir(os.path.dirname(nested)) == [name]
+
 
 class TestGradcheck:
     @pytest.mark.parametrize("model", ["din", "base"])
@@ -632,3 +666,36 @@ class TestConfigSchema:
                         use_user_profile=True)
         assert c.to_dict()["hidden"] == [8, 3]
         assert ModelConfig.from_dict(c.to_dict()) == c
+
+    def test_flags_of_every_command(self):
+        """Deriving the flags from the config fields keeps the command line."""
+        parser = build_parser()
+        [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: [s for a in sub._actions for s in a.option_strings] for name, sub in commands.choices.items()}
+        common = ["-h", "--help", "--config", "--seed"]
+        assert flags == {
+            "generate": common + [
+                "--dataset", "--metadata", "--num-users", "--num-items", "--num-clusters", "--behaviors-min",
+                "--behaviors-max", "--impressions", "--signal-strength", "--base-logit", "--cluster-concentration"],
+            "train": common + [
+                "--dataset", "--checkpoint", "--history", "--no-timing", "--model", "--dim", "--hidden",
+                "--max-seq-len", "--temperature", "--use-user-profile", "--epochs", "--batch-size", "--lr",
+                "--l2-lambda", "--patience", "--split-mode", "--val-fraction"],
+            "eval": common + [
+                "--dataset", "--checkpoint", "--compare", "--split", "--report", "--groups-csv", "--split-mode",
+                "--val-fraction", "--dim", "--hidden", "--max-seq-len", "--temperature", "--model"],
+            "predict": common + ["--checkpoint", "--input", "--output"],
+            "rank": common + ["--checkpoint", "--candidates", "--context", "--output"],
+            "gradcheck": common + ["--model", "--eps"],
+        }
+
+    def test_config_echo_keys(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "generate", "--config", write_config(tmp_path),
+                               "--dataset", str(tmp_path / "d.jsonl"), "--metadata", str(tmp_path / "m.json"))
+        assert code == 0
+        assert sorted(json.loads(out)["config"]) == [
+            "base_logit", "batch_size", "behaviors_max", "behaviors_min", "checkpoint", "cluster_concentration",
+            "dataset", "dim", "epochs", "hidden", "history", "impressions", "l2_lambda", "lr", "max_seq_len",
+            "metadata", "model", "num_clusters", "num_items", "num_users", "patience", "report", "seed",
+            "signal_strength", "split_mode", "temperature", "timing", "use_user_profile", "val_fraction",
+        ]

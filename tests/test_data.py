@@ -48,7 +48,6 @@ class TestVocabulary:
 
     def test_frozen_unknown_token_encodes_to_oov(self):
         _, items = build_vocab([rec()])
-        assert items.frozen
         assert items.encode("never-seen") == 1
 
     def test_frozen_vocab_never_grows(self):
@@ -56,8 +55,7 @@ class TestVocabulary:
         size = items.size
         items.encode("never-seen")
         assert items.size == size
-        with pytest.raises(ValueError, match="frozen"):
-            items.add("new-token")
+        assert "never-seen" not in items
 
     def test_index_token_round_trip(self):
         _, items = build_vocab([rec(ad="x", behaviors=("y", "z"))])
@@ -108,24 +106,26 @@ class TestEncode:
         assert batch.behavior_idx[0, 0] == 1
         assert stats.n_oov_tokens >= 2
 
-    def test_unfrozen_vocab_rejected(self):
-        with pytest.raises(ValueError, match="frozen"):
-            encode(self.records, Vocabulary(), Vocabulary(), 4)
-
 
 RESERVED = (Vocabulary.PAD, Vocabulary.OOV)
 
 
 def build_vocab_oracle(records):
-    """One ``Vocabulary.add`` per token: users, then per record the ad before its behaviors."""
-    users, items = Vocabulary(), Vocabulary()
+    """Token lists grown one token at a time, each kept on first sight:
+    users, then per record the ad before its behaviors, `<no_history>` last."""
+    users, items = list(RESERVED), list(RESERVED)
+
+    def add(tokens, tok):
+        if tok not in tokens:
+            tokens.append(tok)
+
     for r in records:
-        users.add(r.user_id)
-        items.add(r.ad_id)
+        add(users, r.user_id)
+        add(items, r.ad_id)
         for tok in r.behavior_ids:
-            items.add(tok)
-    items.add(NO_HISTORY_TOKEN)
-    return users.freeze(), items.freeze()
+            add(items, tok)
+    add(items, NO_HISTORY_TOKEN)
+    return users, items
 
 
 def encode_oracle(records, users, items, max_seq_len):
@@ -191,9 +191,9 @@ class TestEncodeOracle:
         records = self.records()
         users, items = build_vocab(records)
         o_users, o_items = build_vocab_oracle(records)
-        assert users.tokens == o_users.tokens
-        assert items.tokens == o_items.tokens
-        assert all(items.encode(t) == o_items.encode(t) for t in o_items.tokens)
+        assert users.tokens == o_users
+        assert items.tokens == o_items
+        assert all(items.encode(t) == i for i, t in enumerate(o_items))
 
     @pytest.mark.parametrize("max_seq_len", [1, 10, 40])
     def test_generated_data_with_oov_truncation_and_empty(self, max_seq_len):

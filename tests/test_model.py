@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dinctr import kernels
 from dinctr.data import EncodedBatch
@@ -477,12 +479,75 @@ def without(obj: dict, key: str) -> dict:
     return {k: v for k, v in obj.items() if k != key}
 
 
+def _strict_int(value):
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(value)
+
+
+def _strict_float(value):
+    if type(value) not in (int, float):
+        raise ValueError(value)
+    return float(value)
+
+
+def _strict_bool(value):
+    if type(value) is not bool:
+        raise ValueError(value)
+    return value
+
+
+def _strict_ints(value):
+    if type(value) is not list:
+        raise ValueError(value)
+    return tuple(map(_strict_int, value))
+
+
+STRICT_FIELDS = {
+    "item_vocab": _strict_int,
+    "user_vocab": _strict_int,
+    "dim": _strict_int,
+    "hidden": _strict_ints,
+    "max_seq_len": _strict_int,
+    "temperature": _strict_float,
+    "use_attention": _strict_bool,
+    "use_user_profile": _strict_bool,
+}
+
+
+def strict_model_config(obj: dict):
+    """This test's own strict reading of a checkpoint's config: exactly the
+    model's keys, each of its declared type and the whole valid; else None."""
+    if set(obj) != set(STRICT_FIELDS):
+        return None
+    try:
+        config = ModelConfig(**{key: STRICT_FIELDS[key](value) for key, value in obj.items()})
+        config.validate()
+    except (ValueError, OverflowError):
+        return None
+    return config
+
+
+HEADER_VALUES = st.one_of(
+    st.sampled_from([3, 3.0, 5.0, 12, 0.5, [4], [4.0], True, False]),  # valid for some tiny_config keys
+    st.booleans(),
+    st.none(),
+    st.integers(-2, 40),
+    st.integers(-2, 40).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-1, 8), st.floats(0, 8), st.booleans()), max_size=3),
+)
+
+
 class TestCheckpoint:
     def test_save_load_save_is_byte_identical(self, tmp_path):
         config = tiny_config()
         model = init_model(config, make_rng(50, stream=1))
-        users = Vocabulary(["u1", "u2", "u3"]).freeze()
-        items = Vocabulary([f"i{k}" for k in range(10)]).freeze()
+        users = Vocabulary(["u1", "u2", "u3"])
+        items = Vocabulary([f"i{k}" for k in range(10)])
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
         save_checkpoint(model, users, items, p1, run_config={"seed": 1})
@@ -493,8 +558,8 @@ class TestCheckpoint:
     def test_round_trip_preserves_everything(self, tmp_path):
         config = tiny_config(use_attention=False)
         model = init_model(config, make_rng(51, stream=1))
-        users = Vocabulary(["ua", "ub", "uc"]).freeze()
-        items = Vocabulary([f"i{k}" for k in range(10)]).freeze()
+        users = Vocabulary(["ua", "ub", "uc"])
+        items = Vocabulary([f"i{k}" for k in range(10)])
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, users, items, path)
         loaded, users2, items2, _ = load_checkpoint(path)
@@ -509,8 +574,8 @@ class TestCheckpoint:
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         config = tiny_config()
         model = init_model(config, make_rng(53, stream=1))
-        users = Vocabulary(["u1", "u2", "u3"]).freeze()
-        items = Vocabulary([f"i{k}" for k in range(10)]).freeze()
+        users = Vocabulary(["u1", "u2", "u3"])
+        items = Vocabulary([f"i{k}" for k in range(10)])
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, users, items, path)
         before = path.read_bytes()
@@ -530,7 +595,7 @@ class TestCheckpoint:
     def test_trailing_bytes_rejected(self, tmp_path):
         model = init_model(tiny_config(), make_rng(54, stream=1))
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, Vocabulary(["u1", "u2", "u3"]).freeze(), Vocabulary([f"i{k}" for k in range(10)]).freeze(), path)
+        save_checkpoint(model, Vocabulary(["u1", "u2", "u3"]), Vocabulary([f"i{k}" for k in range(10)]), path)
         load_checkpoint(path)
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*after the checkpoint payload"):
@@ -574,7 +639,7 @@ class TestCheckpoint:
     def saved(self, tmp_path):
         model = init_model(tiny_config(), make_rng(56, stream=1))
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, Vocabulary(["u1", "u2", "u3"]).freeze(), Vocabulary([f"i{k}" for k in range(10)]).freeze(), path)
+        save_checkpoint(model, Vocabulary(["u1", "u2", "u3"]), Vocabulary([f"i{k}" for k in range(10)]), path)
         return model, path
 
     def test_swapped_manifest_rejected(self, tmp_path):
@@ -610,12 +675,79 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("max_seq_len", True, "expects an integer"),  # loaded as a 1-slot model
+            ("dim", 3.7, "expects an integer"),  # loaded as dim 3
+            ("use_attention", "no", "expects a boolean"),  # loaded with attention on
+            ("temperature", True, "expects a number"),  # loaded as 1.0
+            ("use_user_profile", 0, "expects a boolean"),
+            ("hidden", [4.5], "expects a list of integers"),
+            ("extra", 1, "unknown config key"),  # was ignored
+        ],
+    )
+    def test_config_values_read_strictly(self, tmp_path, key, value, message):
+        """Header config values are read as their field's type, not cast."""
+        _, path = self.saved(tmp_path)
+        self.rewrite_header(path, lambda h: {**h, "config": {**h["config"], key: value}})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")) as exc:
+            load_checkpoint(path)
+        assert f"'{key}'" in str(exc.value) and message in str(exc.value)
+
+    @settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        value=HEADER_VALUES,
+        mutations=st.lists(
+            st.tuples(st.just("set"), st.sampled_from([*STRICT_FIELDS, "extra"]), HEADER_VALUES)
+            | st.tuples(st.just("drop"), st.sampled_from(list(STRICT_FIELDS)), st.none())
+            | st.tuples(st.just("payload"), st.none(), st.sampled_from([-8, -1, 1, 8])),
+            max_size=2,
+        ),
+    )
+    def test_fuzzed_checkpoint_loads_strictly_or_names_path(self, tmp_path, value, mutations):
+        """A checkpoint with mutated config values or payload length loads as
+        the model its config, read strictly, describes, with the saved
+        weights; else it is a ValueError naming the file. Never another
+        exception type, and never other weights. ``value`` goes to each
+        config key in turn, then ``mutations`` apply."""
+        model, path = self.saved(tmp_path)
+        saved = path.read_bytes()
+        for key in [*STRICT_FIELDS, "extra"]:
+            path.write_bytes(saved)
+            config, payload_delta = {**model.config.to_dict(), key: value}, 0
+            for kind, name, new in mutations:
+                if kind == "set":
+                    config[name] = new
+                elif kind == "drop":
+                    config.pop(name, None)
+                else:
+                    payload_delta += new
+            self.rewrite_header(path, lambda h: {**h, "config": config})
+            raw = path.read_bytes()
+            path.write_bytes(raw[: len(raw) + min(payload_delta, 0)] + b"\0" * max(payload_delta, 0))
+            expect = strict_model_config(config)
+            if (
+                payload_delta == 0
+                and expect is not None
+                and expect.param_shapes() == model.config.param_shapes()
+                and (expect.item_vocab, expect.user_vocab) == (model.config.item_vocab, model.config.user_vocab)
+            ):
+                loaded, _, _, _ = load_checkpoint(path)
+                assert loaded.config == expect
+                assert list(map(type, vars(loaded.config).values())) == list(map(type, vars(expect).values()))
+                for name in model.params:
+                    np.testing.assert_array_equal(loaded.params[name], model.params[name])
+            else:
+                with pytest.raises(ValueError, match=re.escape(str(path))):
+                    load_checkpoint(path)
+
     def test_payload_follows_parameter_order(self, tmp_path):
         """A model whose parameter dict is in another order saves in the
         model's order, so it loads back equal."""
         model, path = self.saved(tmp_path)
         shuffled = DinModel(model.config, dict(reversed(list(model.params.items()))))
-        save_checkpoint(shuffled, Vocabulary(["u1", "u2", "u3"]).freeze(), Vocabulary([f"i{k}" for k in range(10)]).freeze(), path)
+        save_checkpoint(shuffled, Vocabulary(["u1", "u2", "u3"]), Vocabulary([f"i{k}" for k in range(10)]), path)
         loaded, _, _, _ = load_checkpoint(path)
         assert list(loaded.params) == list(model.params)
         for name in model.params:
