@@ -21,11 +21,9 @@ from .data import (
 )
 from .metrics import (
     AdCandidate,
-    EvalReport,
     accuracy,
     auc,
     ecpm,
-    evaluate,
     gauc,
     log_loss,
     rank_ads,
@@ -55,11 +53,9 @@ __all__ = [
     "save_jsonl",
     "split",
     "AdCandidate",
-    "EvalReport",
     "accuracy",
     "auc",
     "ecpm",
-    "evaluate",
     "gauc",
     "log_loss",
     "rank_ads",

@@ -200,18 +200,18 @@ def _check_model_overrides(cfg: RunConfig, explicit: set, stored: ModelConfig) -
 
 def _single_eval(cfg: RunConfig, checkpoint_path: str, which: str, model, user_vocab, batch) -> dict:
     probs = model.predict(batch)
-    by_impressions = M.evaluate(probs, batch.labels, batch.group_keys, "impressions")
-    by_clicks = M.gauc(probs, batch.labels, batch.group_keys, "clicks")
+    by_impressions = M.gauc(probs, batch.labels, batch.user_idx, "impressions")
+    by_clicks = M.gauc(probs, batch.labels, batch.user_idx, "clicks")
     return {
         "checkpoint": checkpoint_path,
         "dataset": cfg.dataset,
         "split": which,
-        "n_records": by_impressions.n_records,
-        "auc": by_impressions.auc,
-        "log_loss": by_impressions.log_loss,
-        "accuracy": by_impressions.accuracy,
+        "n_records": len(batch),
+        "auc": M.auc(probs, batch.labels),
+        "log_loss": M.log_loss(probs, batch.labels),
+        "accuracy": M.accuracy(probs, batch.labels),
         "gauc_impressions": {
-            "value": by_impressions.gauc,
+            "value": by_impressions.value,
             "n_groups_used": by_impressions.n_groups_used,
             "n_groups_skipped": by_impressions.n_groups_skipped,
         },
@@ -222,7 +222,7 @@ def _single_eval(cfg: RunConfig, checkpoint_path: str, which: str, model, user_v
         },
         "per_group": [
             {"group": user_vocab.decode(g.group_key), "weight": g.weight, "auc": g.auc}
-            for g in by_impressions.per_group
+            for g in by_impressions.groups
         ],
         "config": cfg.to_dict(),
     }
@@ -247,18 +247,19 @@ def cmd_eval(
     for ck in checkpoints:
         if not os.path.exists(ck):
             raise FileNotFoundError(f"checkpoint not found: {ck}")
-    # The dataset is read and split once. Checkpoints trained on the same
-    # file have equal vocabularies, so a compare encodes it once too.
-    records = vocab = batch = None
+    # The dataset is read and split once, and encoded with each checkpoint's
+    # vocabularies and max_seq_len. Checkpoints trained on the same file with
+    # the same width share both, so a compare usually encodes it once.
+    records = encoding = batch = None
     reports = []
     for ck in checkpoints:
         model, user_vocab, item_vocab, _ = load_checkpoint(ck)
         _check_model_overrides(cfg, explicit, model.config)
         if records is None:
             records = _load_split(cfg, which)
-        if (user_vocab.tokens, item_vocab.tokens) != vocab:
-            vocab = (user_vocab.tokens, item_vocab.tokens)
-            batch, _ = D.encode(records, user_vocab, item_vocab, cfg.max_seq_len)
+        if (user_vocab.tokens, item_vocab.tokens, model.config.max_seq_len) != encoding:
+            encoding = (user_vocab.tokens, item_vocab.tokens, model.config.max_seq_len)
+            batch, _ = D.encode(records, user_vocab, item_vocab, model.config.max_seq_len)
         reports.append(_single_eval(cfg, ck, which, model, user_vocab, batch))
     if groups_csv:
         with D.atomic_open(groups_csv) as fh:
@@ -342,8 +343,6 @@ def cmd_rank(checkpoint_path: str, candidates_path: str, context_path: str | Non
 
 def gradcheck_model(use_attention: bool, seed: int, eps: float = 1e-5, l2_lambda: float = 1e-5):
     """Max relative error of the analytic gradients on a tiny random model."""
-    from .data import EncodedBatch
-
     rng = make_rng(seed, stream=3)
     config = ModelConfig(
         item_vocab=20,
@@ -360,12 +359,10 @@ def gradcheck_model(use_attention: bool, seed: int, eps: float = 1e-5, l2_lambda
     for b in range(B):
         length = int(rng.integers(1, T + 1))
         behavior_idx[b, :length] = rng.integers(2, config.item_vocab, size=length)
-    batch = EncodedBatch(
+    batch = D.EncodedBatch(
         ad_idx=rng.integers(2, config.item_vocab, size=B).astype(np.int64),
         behavior_idx=behavior_idx,
-        mask=behavior_idx != 0,
         labels=rng.integers(0, 2, size=B).astype(np.float64),
-        group_keys=np.zeros(B, dtype=np.int64),
         user_idx=rng.integers(2, config.user_vocab, size=B).astype(np.int64),
     )
 

@@ -180,24 +180,26 @@ def build_vocab(records: Sequence[ImpressionRecord]) -> tuple[Vocabulary, Vocabu
 class EncodedBatch:
     """Index-encoded impressions in fixed-shape arrays.
 
-    ``mask[i, t]`` is True exactly where ``behavior_idx[i, t] != 0``; every
+    Four arrays are stored: ``ad_idx``, ``behavior_idx``, ``labels`` and
+    ``user_idx``. The width T of ``behavior_idx`` is the ``max_seq_len`` of
+    the model that scores the batch. ``mask`` is derived, not stored: it is
+    True exactly where ``behavior_idx`` is not the PAD index, and every
     record keeps at least one live slot (empty histories get the
     `<no_history>` token in slot 0).
     """
 
     ad_idx: np.ndarray  # (B,) int64
     behavior_idx: np.ndarray  # (B, T) int64, 0-padded
-    mask: np.ndarray  # (B, T) bool
     labels: np.ndarray  # (B,) float64 in {0, 1}
-    group_keys: np.ndarray  # (B,) int64 user index, for grouped metrics
-    user_idx: np.ndarray  # (B,) int64
+    user_idx: np.ndarray  # (B,) int64, also the group key of grouped metrics
 
     def __len__(self) -> int:
         return int(self.ad_idx.shape[0])
 
     @property
-    def max_seq_len(self) -> int:
-        return int(self.behavior_idx.shape[1])
+    def mask(self) -> np.ndarray:
+        """(B, T) bool, True at the live slots; a new array on every read."""
+        return self.behavior_idx != PAD_INDEX
 
     def take(self, indices: np.ndarray) -> "EncodedBatch":
         """The rows at ``indices``: a copy for an index array (minibatching),
@@ -205,9 +207,7 @@ class EncodedBatch:
         return EncodedBatch(
             ad_idx=self.ad_idx[indices],
             behavior_idx=self.behavior_idx[indices],
-            mask=self.mask[indices],
             labels=self.labels[indices],
-            group_keys=self.group_keys[indices],
             user_idx=self.user_idx[indices],
         )
 
@@ -262,7 +262,6 @@ def encode(
     behavior_idx[mask] = tail_idx
     empty = kept == 0
     behavior_idx[empty, 0] = item_vocab.encode(NO_HISTORY_TOKEN)
-    mask[empty, 0] = True
     stats = EncodeStats(
         n_records=n,
         n_oov_tokens=sum(int(np.count_nonzero(idx == OOV_INDEX)) for idx in (user_idx, ad_idx, tail_idx)),
@@ -272,9 +271,7 @@ def encode(
     batch = EncodedBatch(
         ad_idx=ad_idx,
         behavior_idx=behavior_idx,
-        mask=mask,
         labels=np.fromiter(map(attrgetter("label"), records), dtype=np.float64, count=n),
-        group_keys=user_idx.copy(),
         user_idx=user_idx,
     )
     return batch, stats

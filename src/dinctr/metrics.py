@@ -10,7 +10,7 @@ click-count weights, renormalized over the usable groups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -84,21 +84,22 @@ class GaucResult:
     n_groups_skipped: int
 
 
-def gauc(scores, labels, group_keys, weight_mode: str = "impressions") -> GaucResult:
+def gauc(scores, labels, groups, weight_mode: str = "impressions") -> GaucResult:
     """Group-weighted AUC over a partition of the records.
 
-    Groups with only one class (or, in clicks mode, zero clicks) are
-    skipped; the remaining per-group AUCs are combined as
-    sum(w_i * auc_i) / sum(w_i) with w_i the group's impression or click
-    count. Raises when no group is usable.
+    ``groups`` holds each record's group key (a user index). Groups with
+    only one class (or, in clicks mode, zero clicks) are skipped; the
+    remaining per-group AUCs are combined as sum(w_i * auc_i) / sum(w_i)
+    with w_i the group's impression or click count. Raises when no group is
+    usable.
     """
     if weight_mode not in WEIGHT_MODES:
         raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}, got {weight_mode!r}")
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
-    k = np.asarray(group_keys)
+    k = np.asarray(groups)
     if not (s.shape == y.shape == k.shape) or s.ndim != 1:
-        raise ValueError("scores, labels and group_keys must be equal-length vectors")
+        raise ValueError("scores, labels and groups must be equal-length vectors")
     order, group, ranks = _midranks(s, k)
     pos = (y == 1)[order]
     n_records = np.bincount(group)
@@ -178,33 +179,3 @@ def rank_ads(candidates: list[AdCandidate]) -> list[AdCandidate]:
         raise ValueError("no candidates to rank")
     return sorted(candidates, key=lambda c: (-ecpm(c.predicted_ctr, c.bid), c.ad_id))
 
-
-@dataclass
-class EvalReport:
-    """One model's metrics on one dataset, with the per-group breakdown."""
-
-    auc: float
-    gauc: float
-    log_loss: float
-    accuracy: float
-    n_records: int
-    n_groups_used: int
-    n_groups_skipped: int
-    weight_mode: str = "impressions"
-    per_group: list[GroupAuc] = field(default_factory=list)
-
-
-def evaluate(scores, labels, group_keys, weight_mode: str = "impressions") -> EvalReport:
-    """Full metric sweep for one model on one scored dataset."""
-    g = gauc(scores, labels, group_keys, weight_mode)
-    return EvalReport(
-        auc=auc(scores, labels),
-        gauc=g.value,
-        log_loss=log_loss(scores, labels),
-        accuracy=accuracy(scores, labels),
-        n_records=int(np.asarray(scores).size),
-        n_groups_used=g.n_groups_used,
-        n_groups_skipped=g.n_groups_skipped,
-        weight_mode=weight_mode,
-        per_group=g.groups,
-    )

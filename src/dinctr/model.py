@@ -88,6 +88,7 @@ class ForwardCache:
     """Intermediates saved by forward() for the matching backward()."""
 
     batch: EncodedBatch
+    mask: np.ndarray  # (B, T) bool, the batch's live slots
     behav_emb: np.ndarray  # (B, T, d)
     ad_emb: np.ndarray  # (B, d)
     weights: np.ndarray  # (B, T)
@@ -147,8 +148,6 @@ def _sum_rows(idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray
 class DinModel:
     """Embedding tables plus MLP head; attention toggled by config."""
 
-    EMBEDDING_PARAMS = ("item_emb", "user_emb")
-
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         config.validate()
         self.config = config
@@ -187,8 +186,12 @@ class DinModel:
 
     # -- forward ----------------------------------------------------------
 
-    def _validate_batch(self, batch: EncodedBatch) -> None:
+    def _validate_batch(self, batch: EncodedBatch) -> np.ndarray:
+        """Check ``batch`` against this model and return its mask."""
         c = self.config
+        width = batch.behavior_idx.shape[1]
+        if width != c.max_seq_len:
+            raise ValueError(f"batch is {width} behavior slots wide, but the model's max_seq_len is {c.max_seq_len}")
         for name, idx, bound in (
             ("ad", batch.ad_idx, c.item_vocab),
             ("behavior", batch.behavior_idx, c.item_vocab),
@@ -197,18 +200,19 @@ class DinModel:
             if idx.size and (idx.min() < 0 or idx.max() >= bound):
                 bad = int(idx.min()) if idx.min() < 0 else int(idx.max())
                 raise IndexError(f"{name} index {bad} out of range for vocab of {bound}")
-        live = batch.mask.any(axis=1)
+        mask = batch.mask
+        live = mask.any(axis=1)
         if not live.all():
             raise ValueError(f"batch row {int(np.argmin(live))} has no live behavior slot in its mask")
+        return mask
 
     def forward(self, batch: EncodedBatch) -> tuple[np.ndarray, ForwardCache]:
         """Per-record click probabilities plus cached intermediates."""
-        self._validate_batch(batch)
+        mask = self._validate_batch(batch)
         c = self.config
         item = self.params["item_emb"]
         behav = item[batch.behavior_idx]  # (B, T, d) gather
         ad = item[batch.ad_idx]  # (B, d)
-        mask = batch.mask
         if c.use_attention:
             scores = kernels.attention_scores(behav, ad, mask, 1.0 / c.temperature)
             weights = kernels.masked_softmax(scores, mask)
@@ -234,6 +238,7 @@ class DinModel:
         probs = sigmoid(logits)
         cache = ForwardCache(
             batch=batch,
+            mask=mask,
             behav_emb=behav,
             ad_emb=ad,
             weights=weights,
@@ -305,7 +310,7 @@ class DinModel:
             dbehav = dbehav + dbehav_att
             dad = dad + dad_att
 
-        live = batch.mask.reshape(-1)
+        live = cache.mask.reshape(-1)
         grads = Gradients(dense=dense)
         grads.rows["item_emb"], grads.row_grads["item_emb"] = _sum_rows(
             np.concatenate([batch.behavior_idx.reshape(-1)[live], batch.ad_idx]),
@@ -405,8 +410,9 @@ def load_checkpoint(path) -> tuple[DinModel, Vocabulary, Vocabulary, Optional[di
             raise ValueError(f"{path}: corrupt checkpoint header") from exc
         if not isinstance(header, dict):
             raise ValueError(f"{path}: corrupt checkpoint header (not a JSON object)")
-        if header.get("version") != 1:
-            raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
+        version = header.get("version")
+        if type(version) is not int or version != 1:  # true and 1.0 are not the integer 1
+            raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
         config = _checkpoint_config(path, header)
         shapes = config.param_shapes()
         # The payload is cut by the manifest, so it must name every parameter,

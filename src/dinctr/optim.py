@@ -47,12 +47,11 @@ def bce_loss(probs, labels) -> tuple[float, np.ndarray]:
     return loss, dprobs
 
 
-def l2_penalty(model: DinModel, lam: float, grads: Optional[Gradients] = None) -> float:
+def l2_penalty(model: DinModel, lam: float, grads: Gradients) -> float:
     """lam * sum(w^2) over MLP weights and batch-touched embedding rows.
 
-    When ``grads`` is given, the matching contribution 2*lam*w is added in
-    place; touched rows come from ``grads.rows``. With no gradients the
-    penalty alone is computed over all non-pad embedding rows.
+    The matching contribution 2*lam*w is added to ``grads`` in place;
+    touched rows come from ``grads.rows``.
     """
     if lam < 0.0:
         raise ValueError("l2 lambda must be >= 0")
@@ -62,23 +61,12 @@ def l2_penalty(model: DinModel, lam: float, grads: Optional[Gradients] = None) -
     for i in range(model.n_layers):
         w = model.params[f"w{i}"]
         penalty += float(np.sum(w * w))
-        if grads is not None:
-            grads.dense[f"w{i}"] += 2.0 * lam * w
-    for name in DinModel.EMBEDDING_PARAMS:
-        if name not in model.params:
-            continue
-        table = model.params[name]
-        if grads is None:
-            rows = np.arange(1, table.shape[0])
-        elif name in grads.rows:
-            rows = grads.rows[name]
-        else:
-            continue
+        grads.dense[f"w{i}"] += 2.0 * lam * w
+    for name, rows in grads.rows.items():
         if rows.size:
-            sub = table[rows]
+            sub = model.params[name][rows]
             penalty += float(np.sum(sub * sub))
-            if grads is not None:
-                grads.row_grads[name] += 2.0 * lam * sub
+            grads.row_grads[name] += 2.0 * lam * sub
     return lam * penalty
 
 
@@ -238,7 +226,7 @@ def train(
             loss_sum += loss * len(mb)
         val_probs = model.predict(val_batch)
         val_loss = log_loss(val_probs, val_batch.labels)
-        val_gauc = gauc(val_probs, val_batch.labels, val_batch.group_keys, "impressions").value
+        val_gauc = gauc(val_probs, val_batch.labels, val_batch.user_idx, "impressions").value
         seconds = time.perf_counter() - tic if config.timing else 0.0
         history.epochs.append(
             EpochStats(

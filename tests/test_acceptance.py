@@ -221,9 +221,7 @@ def test_criterion_4_attention_invariants(capsys):
     make_batch = lambda bi: D.EncodedBatch(
         ad_idx=np.array([3], dtype=np.int64),
         behavior_idx=bi,
-        mask=bi != 0,
         labels=np.array([1.0]),
-        group_keys=np.zeros(1, dtype=np.int64),
         user_idx=np.array([2], dtype=np.int64),
     )
     delta = abs((model.predict(make_batch(idx)) - model.predict(make_batch(perm))).item())

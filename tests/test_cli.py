@@ -275,6 +275,7 @@ class TestEval:
         for key in ("auc", "log_loss", "accuracy", "gauc_impressions", "gauc_clicks", "n_records", "per_group"):
             assert key in report
         assert report["split"] == "val"
+        assert report["n_records"] == 240  # the validation split: 20% of 1,200 impressions
         used = report["gauc_impressions"]["n_groups_used"]
         assert used == len(report["per_group"]) > 0
 
@@ -364,6 +365,29 @@ class TestEval:
         assert metrics == ["auc", "gauc_impressions", "gauc_clicks", "log_loss", "accuracy"]
         for row in rows[1:]:
             float(row[1]), float(row[2])  # two parseable model columns
+
+    def test_histories_cut_to_the_checkpoint_width(self, tmp_path, capsys):
+        """Without --max-seq-len, eval and compare encode with each
+        checkpoint's max_seq_len, as training's validation did; eval used to
+        encode with the run config's (32) and report another GAUC."""
+        dataset = str(tmp_path / "d.jsonl")
+        generate = ("generate", "--dataset", dataset, "--metadata", str(tmp_path / "m.json"))
+        assert run_cli(capsys, *generate, "--num-users", "60", "--impressions", "3000", "--seed", "1")[0] == 0
+        val_gauc = {}
+        for width in ("4", "32"):
+            code, out, _ = run_cli(capsys, "train", "--dataset", dataset, "--checkpoint", str(tmp_path / f"w{width}.ckpt"),
+                                   "--history", str(tmp_path / f"w{width}.csv"), "--max-seq-len", width, "--epochs", "2")
+            assert code == 0
+            val_gauc[f"w{width}"] = json.loads(out)["final_val_gauc"]
+        checkpoints = [str(tmp_path / f"{name}.ckpt") for name in val_gauc]
+        for name, ck in zip(val_gauc, checkpoints):
+            code, out, _ = run_cli(capsys, "eval", "--dataset", dataset, "--checkpoint", ck)
+            assert code == 0
+            assert json.loads(out)["gauc_impressions"]["value"] == val_gauc[name]
+        report = tmp_path / "compare.json"
+        assert run_cli(capsys, "eval", "--dataset", dataset, "--compare", *checkpoints, "--report", str(report))[0] == 0
+        models = json.loads(report.read_text())["models"]
+        assert {name: m["gauc_impressions"]["value"] for name, m in models.items()} == val_gauc
 
     def test_model_config_mismatch_rejected(self, pipeline, capsys):
         ck, _ = pipeline["checkpoints"]["din"]

@@ -165,11 +165,10 @@ def assert_encode_matches_oracle(records, users, items, max_seq_len):
     ad_idx, user_idx, behavior_idx, labels, expect = encode_oracle(records, users, items, max_seq_len)
     np.testing.assert_array_equal(batch.ad_idx, ad_idx)
     np.testing.assert_array_equal(batch.user_idx, user_idx)
-    np.testing.assert_array_equal(batch.group_keys, user_idx)
     np.testing.assert_array_equal(batch.behavior_idx, behavior_idx)
     np.testing.assert_array_equal(batch.mask, behavior_idx != 0)
     np.testing.assert_array_equal(batch.labels, labels)
-    for arr in (batch.ad_idx, batch.user_idx, batch.group_keys, batch.behavior_idx):
+    for arr in (batch.ad_idx, batch.user_idx, batch.behavior_idx):
         assert arr.dtype == np.int64
     assert stats == expect
     assert batch.mask.any(axis=1).all()

@@ -13,7 +13,6 @@ from dinctr.metrics import (
     accuracy,
     auc,
     ecpm,
-    evaluate,
     gauc,
     log_loss,
     rank_ads,
@@ -101,12 +100,12 @@ def brute_force_gauc(scores, labels, keys, mode):
     return total / weight_sum, used
 
 
-def gauc_oracle(scores, labels, group_keys, weight_mode="impressions"):
+def gauc_oracle(scores, labels, keys, weight_mode="impressions"):
     """The per-group loop GAUC used to be: one boolean mask and one AUC per
     group, O(N * G). The sort-based gauc must give exactly this result."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
-    k = np.asarray(group_keys)
+    k = np.asarray(keys)
     groups = []
     skipped = 0
     for key in np.unique(k):
@@ -313,19 +312,19 @@ class TestBusinessFormulas:
             AdCandidate("x", bid=bid, predicted_ctr=0.1)
 
 
-class TestEvalReport:
-    def test_counts_and_serialization(self):
+class TestEvalMetrics:
+    def test_counts_and_ranges(self):
+        """The metrics `ctr eval` reports, each from the function that computes it."""
         rng = make_rng(12)
         n = 200
         scores = rng.random(n)
         labels = rng.integers(0, 2, size=n)
         keys = rng.integers(0, 12, size=n)
-        report = evaluate(scores, labels, keys)
-        assert report.n_records == n
-        assert 0.0 <= report.auc <= 1.0
-        assert 0.0 <= report.gauc <= 1.0
-        assert report.log_loss >= 0.0
-        assert 0.0 <= report.accuracy <= 1.0
+        grouped = gauc(scores, labels, keys)
+        assert 0.0 <= auc(scores, labels) <= 1.0
+        assert 0.0 <= grouped.value <= 1.0
+        assert log_loss(scores, labels) >= 0.0
+        assert 0.0 <= accuracy(scores, labels) <= 1.0
         total_groups = np.unique(keys).size
-        assert report.n_groups_used + report.n_groups_skipped == total_groups
-        assert len(report.per_group) == report.n_groups_used
+        assert grouped.n_groups_used + grouped.n_groups_skipped == total_groups
+        assert len(grouped.groups) == grouped.n_groups_used

@@ -42,9 +42,7 @@ def random_batch(config, rng, B=2):
     return EncodedBatch(
         ad_idx=rng.integers(2, config.item_vocab, size=B).astype(np.int64),
         behavior_idx=behavior_idx,
-        mask=behavior_idx != 0,
         labels=rng.integers(0, 2, size=B).astype(np.float64),
-        group_keys=np.zeros(B, dtype=np.int64),
         user_idx=rng.integers(2, config.user_vocab, size=B).astype(np.int64),
     )
 
@@ -56,9 +54,7 @@ def one_record(behavior_idx, ad_idx, max_seq_len):
     return EncodedBatch(
         ad_idx=np.array([ad_idx], dtype=np.int64),
         behavior_idx=row,
-        mask=row != 0,
         labels=np.array([1.0]),
-        group_keys=np.zeros(1, dtype=np.int64),
         user_idx=np.array([2], dtype=np.int64),
     )
 
@@ -146,9 +142,17 @@ class TestPredict:
             model.forward(one_record([], 3, config.max_seq_len))
         batch = random_batch(config, make_rng(63), B=PREDICT_CHUNK_ROWS + 3)
         batch.behavior_idx[PREDICT_CHUNK_ROWS + 1] = 0
-        batch.mask[PREDICT_CHUNK_ROWS + 1] = False
         with pytest.raises(ValueError, match=f"batch row {PREDICT_CHUNK_ROWS + 1} has no live"):
             model.predict(batch)
+
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_batch_of_another_width_rejected(self, width):
+        """A batch encoded with another max_seq_len used to be scored."""
+        model = init_model(tiny_config(), make_rng(64, stream=1))  # max_seq_len=5
+        batch = random_batch(tiny_config(max_seq_len=width), make_rng(65), B=3)
+        for score in (model.forward, model.predict):
+            with pytest.raises(ValueError, match=f"batch is {width} behavior slots wide, but the model's max_seq_len is 5"):
+                score(batch)
 
 
 class TestForward:
@@ -172,9 +176,7 @@ class TestForward:
         batch = EncodedBatch(
             ad_idx=np.array([3], dtype=np.int64),
             behavior_idx=behavior_idx,
-            mask=behavior_idx != 0,
             labels=np.array([1.0]),
-            group_keys=np.zeros(1, dtype=np.int64),
             user_idx=np.array([2], dtype=np.int64),
         )
         p_att = model_att.forward(batch)[0]
@@ -221,9 +223,7 @@ class TestForward:
         make = lambda bi: EncodedBatch(
             ad_idx=np.array([5], dtype=np.int64),
             behavior_idx=bi,
-            mask=bi != 0,
             labels=np.array([0.0]),
-            group_keys=np.zeros(1, dtype=np.int64),
             user_idx=np.array([2], dtype=np.int64),
         )
         p1 = model.forward(make(behavior_idx))[0]
@@ -395,9 +395,7 @@ class TestBackward:
         batch = EncodedBatch(
             ad_idx=np.array([6], dtype=np.int64),
             behavior_idx=behavior_idx,
-            mask=behavior_idx != 0,
             labels=np.array([1.0]),
-            group_keys=np.zeros(1, dtype=np.int64),
             user_idx=np.array([2], dtype=np.int64),
         )
         probs, cache = model.forward(batch)
@@ -694,6 +692,14 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"{path}: ")) as exc:
             load_checkpoint(path)
         assert f"'{key}'" in str(exc.value) and message in str(exc.value)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+    def test_version_must_be_the_integer_1(self, tmp_path, version):
+        """``"version": true`` and ``1.0`` used to load as version 1."""
+        _, path = self.saved(tmp_path)
+        self.rewrite_header(path, lambda h: {**h, "version": version})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unsupported checkpoint version {version!r}")):
+            load_checkpoint(path)
 
     @settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
