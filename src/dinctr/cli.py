@@ -34,8 +34,7 @@ class _RunConfigMethods:
     def validate(self) -> None:
         if self.model not in ("din", "base"):
             raise ValueError(f"model must be 'din' or 'base', got {self.model!r}")
-        if self.split_mode not in ("temporal", "random"):
-            raise ValueError(f"split_mode must be 'temporal' or 'random', got {self.split_mode!r}")
+        D.check_split(self.split_mode, self.val_fraction)
         self.synthetic_config().validate()
         self.train_config().validate()
         self.model_config(item_vocab=2, user_vocab=2).validate()  # the smallest vocabularies it accepts
@@ -70,25 +69,25 @@ _PATH_DEFAULTS = {
     "metadata": "data/metadata.json",
     "checkpoint": "out/model.ckpt",
     "history": "out/history.csv",
-    "report": "out/report.json",
 }
 
 
 def _run_fields() -> list:
-    """(name, type, default) of every run key: ``model``, each sub-config
-    field once (``seed`` is in two of them) and the paths."""
+    """(name, type, default) of every run key: ``model`` and the split, each
+    sub-config field once (``seed`` is in two of them) and the paths."""
+    run_only = [("model", "str", "din"), ("split_mode", "str", "temporal"), ("val_fraction", "float", 0.2)]
     model_fields = [f for f in fields(ModelConfig) if f.name in _MODEL_KEYS]
     specs = {}
     for f in (*fields(D.SyntheticConfig), *fields(TrainConfig), *model_fields):
         specs.setdefault(f.name, (f.name, f.type, f.default))
-    return [("model", "str", "din"), *specs.values(), *((k, "str", v) for k, v in _PATH_DEFAULTS.items())]
+    return [*run_only, *specs.values(), *((k, "str", v) for k, v in _PATH_DEFAULTS.items())]
 
 
 RunConfig = make_dataclass(
     "RunConfig",
     _run_fields(),
     bases=(_RunConfigMethods,),
-    namespace={"__module__": __name__, "__doc__": "Every setting of a run: the sub-configs' fields and the paths."},
+    namespace={"__module__": __name__, "__doc__": "Every setting of a run: model, split, sub-config fields, paths."},
 )
 
 
@@ -404,6 +403,7 @@ def cmd_gradcheck(cfg: RunConfig, eps: float) -> int:
 _GENERATOR_FLAGS = tuple(f.name for f in fields(D.SyntheticConfig) if f.name != "seed")
 # seed is a flag of every command, and timing is set by --no-timing.
 _TRAIN_FLAGS = (*_MODEL_KEYS, *(f.name for f in fields(TrainConfig) if f.name not in ("seed", "timing")))
+_TRAIN_FLAGS += ("split_mode", "val_fraction")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
@@ -476,10 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    """The config keys given as flags. eval's --report names the file this run
-    writes; the config key of that name is only echoed."""
+    """The config keys given as flags."""
     given = vars(args)
-    overrides = {f.name: given[f.name] for f in fields(RunConfig) if f.name in given and f.name != "report"}
+    overrides = {f.name: given[f.name] for f in fields(RunConfig) if f.name in given}
     if given.get("no_timing"):
         overrides["timing"] = False
     return overrides

@@ -277,6 +277,14 @@ def encode(
     return batch, stats
 
 
+def check_split(mode: str, fraction: float) -> None:
+    """Raise ValueError unless ``split`` accepts ``mode`` and ``fraction``."""
+    if mode not in ("temporal", "random"):
+        raise ValueError(f"split_mode must be 'temporal' or 'random', got {mode!r}")
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"validation fraction must be in (0, 1), got {fraction}")
+
+
 def split(
     records: Sequence[ImpressionRecord],
     mode: str,
@@ -289,10 +297,7 @@ def split(
     validation. random: seeded shuffle, then the same tail split. Each
     record lands on exactly one side.
     """
-    if mode not in ("temporal", "random"):
-        raise ValueError(f"unknown split mode {mode!r}; use 'temporal' or 'random'")
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"validation fraction must be in (0, 1), got {fraction}")
+    check_split(mode, fraction)
     recs = list(records)
     n = len(recs)
     n_val = int(round(n * fraction))
@@ -513,12 +518,25 @@ class GroundTruth:
         return fields_dict(self)
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "GroundTruth":
-        return cls(
-            item_clusters={str(k): int(v) for k, v in obj["item_clusters"].items()},
-            true_probs=[float(p) for p in obj["true_probs"]],
-            config=dict(obj.get("config", {})),
-        )
+    def from_dict(cls, obj, where: str = "ground truth") -> "GroundTruth":
+        """The truth ``to_dict`` gave, checked, not cast: cluster ids are JSON
+        integers, probabilities finite JSON numbers in [0, 1], and ``config``
+        (optional) an object. Errors name ``where`` and the field."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where}: ground truth must be a JSON object")
+        obj = {"config": {}, **obj}
+        for name, kind in (("item_clusters", dict), ("true_probs", list), ("config", dict)):
+            if not isinstance(obj.get(name), kind):
+                got = f"got {obj[name]!r}" if name in obj else "but it is missing"
+                raise ValueError(f"{where}: field {name!r} must be {'an object' if kind is dict else 'a list'}, {got}")
+        clusters, probs = obj["item_clusters"], obj["true_probs"]
+        for item, cluster in clusters.items():
+            if type(cluster) is not int:  # not true, 2.7 or "3"
+                raise ValueError(f"{where}: field 'item_clusters' maps {item!r} to {cluster!r}, not an integer")
+        for i, p in enumerate(probs):
+            if type(p) not in (int, float) or not 0.0 <= p <= 1.0:  # also rejects NaN
+                raise ValueError(f"{where}: field 'true_probs' entry {i} must be a number in [0, 1], got {p!r}")
+        return cls(item_clusters=dict(clusters), true_probs=[float(p) for p in probs], config=obj["config"])
 
 
 _BASE_TIMESTAMP = 1_700_000_000
@@ -681,4 +699,4 @@ def save_ground_truth(truth: GroundTruth, path) -> None:
 
 def load_ground_truth(path) -> GroundTruth:
     with open(path, "r", encoding="utf-8") as fh:
-        return GroundTruth.from_dict(json.load(fh))
+        return GroundTruth.from_dict(json.load(fh), str(path))

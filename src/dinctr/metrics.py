@@ -138,13 +138,13 @@ def log_loss(scores, labels) -> float:
     return bce_loss(scores, labels)[0]
 
 
-def accuracy(scores, labels, threshold: float = 0.5) -> float:
-    """Fraction of records where (score >= threshold) matches the label."""
+def accuracy(scores, labels) -> float:
+    """Fraction of records where (score >= 0.5) matches the label."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape or s.size == 0:
         raise ValueError("scores and labels must be equal-length non-empty vectors")
-    return float(np.mean((s >= threshold) == (y == 1)))
+    return float(np.mean((s >= 0.5) == (y == 1)))
 
 
 def ecpm(ctr_rate: float, bid: float) -> float:

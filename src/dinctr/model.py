@@ -23,10 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .data import EncodedBatch, Vocabulary, atomic_open, fields_dict, parse_fields
+from .data import PAD_INDEX, EncodedBatch, Vocabulary, atomic_open, fields_dict, parse_fields
 from .numerics import sigmoid
-
-PAD_ROW = 0
 
 # predict() scores at most this many rows per forward pass, so the memory
 # of its intermediates stays bounded whatever the input size.
@@ -54,17 +52,12 @@ class ModelConfig:
         if not (math.isfinite(self.temperature) and self.temperature > 0.0):
             raise ValueError(f"temperature must be a finite number > 0, got {self.temperature!r}")
 
-    @property
-    def mlp_input_dim(self) -> int:
-        base = 3 * self.dim
-        return base + (self.dim if self.use_user_profile else 0)
-
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Each parameter's shape, in the model's parameter order."""
         shapes: dict[str, tuple[int, ...]] = {"item_emb": (self.item_vocab, self.dim)}
         if self.use_user_profile:
             shapes["user_emb"] = (self.user_vocab, self.dim)
-        dims = [self.mlp_input_dim, *self.hidden, 1]
+        dims = [(4 if self.use_user_profile else 3) * self.dim, *self.hidden, 1]
         for i in range(len(dims) - 1):
             shapes[f"w{i}"] = (dims[i], dims[i + 1])
             shapes[f"b{i}"] = (dims[i + 1],)
@@ -93,9 +86,8 @@ class ForwardCache:
     ad_emb: np.ndarray  # (B, d)
     weights: np.ndarray  # (B, T)
     pooled: np.ndarray  # (B, d)
-    x: np.ndarray  # (B, F) MLP input
     pre_acts: list[np.ndarray]  # per layer, pre-activation
-    post_acts: list[np.ndarray]  # per layer input (post previous activation)
+    post_acts: list[np.ndarray]  # per layer input (post previous activation); [0] is the MLP input
     probs: np.ndarray  # (B,)
 
 
@@ -131,7 +123,7 @@ class Gradients:
 def _sum_rows(idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum the rows of ``vals`` that share an index in ``idx``.
 
-    Returns the sorted distinct indices without PAD_ROW and their sums.
+    Returns the sorted distinct indices without PAD_INDEX and their sums.
     ``bincount`` adds each output cell's contributions in input order,
     starting from 0.0, exactly as ``np.add.at`` into a zeroed table does,
     so the sums are bit-identical to that dense scatter.
@@ -140,7 +132,7 @@ def _sum_rows(idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray
     d = vals.shape[1]
     cells = (inv[:, None] * d + np.arange(d)).ravel()
     sums = np.bincount(cells, weights=vals.ravel(), minlength=rows.size * d).reshape(rows.size, d)
-    if rows.size and rows[0] == PAD_ROW:
+    if rows.size and rows[0] == PAD_INDEX:
         return rows[1:], sums[1:]
     return rows, sums
 
@@ -223,11 +215,10 @@ class DinModel:
         blocks = [pooled, ad, pooled * ad]
         if c.use_user_profile:
             blocks.append(self.params["user_emb"][batch.user_idx])
-        x = np.concatenate(blocks, axis=1)
+        h = np.concatenate(blocks, axis=1)  # the MLP input
 
         pre_acts: list[np.ndarray] = []
         post_acts: list[np.ndarray] = []
-        h = x
         for i in range(self.n_layers):
             post_acts.append(h)
             z = h @ self.params[f"w{i}"] + self.params[f"b{i}"]
@@ -243,7 +234,6 @@ class DinModel:
             ad_emb=ad,
             weights=weights,
             pooled=pooled,
-            x=x,
             pre_acts=pre_acts,
             post_acts=post_acts,
             probs=probs,
@@ -325,21 +315,20 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> DinModel:
     """Fresh parameters: embeddings ~ U(-0.05, 0.05), MLP weights Glorot
     uniform, biases zero, padding rows pinned to zero.
 
-    The draw order (item table, user table, then layers front to back) is
-    fixed, so one seed yields bitwise-identical models.
+    The draw order is ``param_shapes`` order (item table, user table, then
+    layers front to back), so one seed yields bitwise-identical models.
     """
     config.validate()
     params: dict[str, np.ndarray] = {}
-    params["item_emb"] = rng.uniform(-0.05, 0.05, size=(config.item_vocab, config.dim))
-    params["item_emb"][PAD_ROW, :] = 0.0
-    if config.use_user_profile:
-        params["user_emb"] = rng.uniform(-0.05, 0.05, size=(config.user_vocab, config.dim))
-        params["user_emb"][PAD_ROW, :] = 0.0
-    dims = [config.mlp_input_dim, *config.hidden, 1]
-    for i in range(len(dims) - 1):
-        limit = np.sqrt(6.0 / (dims[i] + dims[i + 1]))
-        params[f"w{i}"] = rng.uniform(-limit, limit, size=(dims[i], dims[i + 1]))
-        params[f"b{i}"] = np.zeros(dims[i + 1])
+    for name, shape in config.param_shapes().items():
+        if name.endswith("_emb"):
+            params[name] = rng.uniform(-0.05, 0.05, size=shape)
+            params[name][PAD_INDEX, :] = 0.0
+        elif name.startswith("w"):
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            params[name] = rng.uniform(-limit, limit, size=shape)
+        else:
+            params[name] = np.zeros(shape)
     return DinModel(config, params)
 
 

@@ -25,6 +25,9 @@ from .model import DinModel, Gradients
 from .numerics import make_rng
 
 PROB_CLAMP = 1e-7
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def bce_loss(probs, labels) -> tuple[float, np.ndarray]:
@@ -78,17 +81,6 @@ class AdamState:
     v: dict[str, np.ndarray]
     t: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    @classmethod
-    def for_model(cls, model: DinModel, lr: float = 1e-3) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in model.params.items()},
-            v={k: np.zeros_like(p) for k, p in model.params.items()},
-            lr=lr,
-        )
 
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: Gradients) -> None:
@@ -103,8 +95,8 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: Gradients)
             if not np.isfinite(g).all():
                 raise FloatingPointError(f"non-finite gradient in parameter block {name!r}")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         m, v = state.m[name], state.v[name]
         if name in grads.rows:
@@ -112,16 +104,16 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: Gradients)
             if rows.size == 0:
                 continue
             gr = grads.row_grads[name]
-            m_rows = state.beta1 * m[rows] + (1.0 - state.beta1) * gr
-            v_rows = state.beta2 * v[rows] + (1.0 - state.beta2) * (gr * gr)
+            m_rows = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * gr
+            v_rows = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * (gr * gr)
             m[rows] = m_rows
             v[rows] = v_rows
-            p[rows] -= state.lr * (m_rows / bc1) / (np.sqrt(v_rows / bc2) + state.eps)
+            p[rows] -= state.lr * (m_rows / bc1) / (np.sqrt(v_rows / bc2) + ADAM_EPS)
         else:
             g = grads.dense[name]
-            m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-            v[...] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-            p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+            p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -132,8 +124,6 @@ class TrainConfig:
     l2_lambda: float = 1e-5
     seed: int = 1
     patience: int = 0  # 0 disables early stopping
-    split_mode: str = "temporal"
-    val_fraction: float = 0.2
     timing: bool = True
 
     def validate(self) -> None:
@@ -205,7 +195,8 @@ def train(
         raise ValueError("empty training set")
     if len(val_batch) == 0:
         raise ValueError("empty validation set")
-    state = AdamState.for_model(model, lr=config.lr)
+    m, v = ({k: np.zeros_like(p) for k, p in model.params.items()} for _ in range(2))
+    state = AdamState(m=m, v=v, lr=config.lr)
     shuffle_rng = make_rng(config.seed, stream=2)
     history = TrainHistory()
     best_gauc = -np.inf

@@ -188,6 +188,15 @@ class TestStrictConfigValues:
         assert code != 0 and out == ""
         assert f"config key {key!r} expects a boolean" in err
 
+    @pytest.mark.parametrize("value", ["1.5", "0", "nan"])
+    def test_val_fraction_checked_before_data_is_read(self, tmp_path, capsys, value):
+        """--val-fraction 1.5 used to pass until the split, so a missing
+        dataset was reported instead."""
+        code, out, err = run_cli(capsys, "train", "--config", write_config(tmp_path), "--val-fraction", value,
+                                 "--dataset", str(tmp_path / "missing.jsonl"))
+        assert code != 0 and out == ""
+        assert err == f"error: validation fraction must be in (0, 1), got {float(value)}\n"
+
     def test_integral_values_keep_their_echo(self, tmp_path, capsys):
         echoes = []
         for extra in ({"num_users": 40, "signal_strength": 4}, {"num_users": 40.0, "signal_strength": 4.0}):
@@ -388,6 +397,21 @@ class TestEval:
         assert run_cli(capsys, "eval", "--dataset", dataset, "--compare", *checkpoints, "--report", str(report))[0] == 0
         models = json.loads(report.read_text())["models"]
         assert {name: m["gauc_impressions"]["value"] for name, m in models.items()} == val_gauc
+
+    def test_echoes_hold_only_run_keys(self, pipeline, capsys):
+        """Reports and checkpoints echo the run keys; eval's --report flag is
+        not one (the config key `report` used to be echoed, and never read)."""
+        din, _ = pipeline["checkpoints"]["din"]
+        base, _ = pipeline["checkpoints"]["base"]
+        single, compare = pipeline["tmp_path"] / "r.json", pipeline["tmp_path"] / "c.json"
+        common = ("eval", "--config", pipeline["config"], "--dataset", pipeline["dataset"])
+        assert run_cli(capsys, *common, "--checkpoint", din, "--report", str(single))[0] == 0
+        assert run_cli(capsys, *common, "--compare", din, base, "--report", str(compare))[0] == 0
+        echoes = [json.loads(single.read_text())["config"], load_checkpoint(din)[3]]
+        echoes += [m["config"] for m in json.loads(compare.read_text())["models"].values()]
+        for echo in echoes:
+            assert "report" not in echo
+            assert sorted(echo) == sorted(f.name for f in fields(RunConfig))
 
     def test_model_config_mismatch_rejected(self, pipeline, capsys):
         ck, _ = pipeline["checkpoints"]["din"]
@@ -682,8 +706,8 @@ class TestConfigSchema:
 
     def test_every_run_field_has_one_home(self):
         sub = {f.name for cls in (SyntheticConfig, TrainConfig, ModelConfig) for f in fields(cls)}
-        paths = {"dataset", "metadata", "checkpoint", "history", "report"}
-        assert {f.name for f in fields(RunConfig)} - sub == {"model"} | paths
+        paths = {"dataset", "metadata", "checkpoint", "history"}
+        assert {f.name for f in fields(RunConfig)} - sub == {"model", "split_mode", "val_fraction"} | paths
 
     def test_model_config_dict_round_trip(self):
         c = ModelConfig(40, 6, dim=4, hidden=(8, 3), max_seq_len=7, temperature=0.5, use_attention=False,
@@ -713,6 +737,17 @@ class TestConfigSchema:
             "gradcheck": common + ["--model", "--eps"],
         }
 
+    @pytest.mark.parametrize("command", ["generate", "eval"])
+    def test_report_is_not_a_config_key(self, tmp_path, capsys, monkeypatch, command):
+        """A config holding "report" used to be accepted, echoed and never read:
+        eval wrote no report there, and generate exited 0."""
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, report="r.json")
+        code, out, err = run_cli(capsys, command, "--config", config)
+        assert code == 1 and out == ""
+        assert err == f"error: {config}: unknown config key 'report'\n"
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_config_echo_keys(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "generate", "--config", write_config(tmp_path),
                                "--dataset", str(tmp_path / "d.jsonl"), "--metadata", str(tmp_path / "m.json"))
@@ -720,6 +755,6 @@ class TestConfigSchema:
         assert sorted(json.loads(out)["config"]) == [
             "base_logit", "batch_size", "behaviors_max", "behaviors_min", "checkpoint", "cluster_concentration",
             "dataset", "dim", "epochs", "hidden", "history", "impressions", "l2_lambda", "lr", "max_seq_len",
-            "metadata", "model", "num_clusters", "num_items", "num_users", "patience", "report", "seed",
+            "metadata", "model", "num_clusters", "num_items", "num_users", "patience", "seed",
             "signal_strength", "split_mode", "temperature", "timing", "use_user_profile", "val_fraction",
         ]

@@ -559,3 +559,48 @@ class TestGenerator:
         assert loaded.item_clusters == truth.item_clusters
         assert loaded.true_probs == truth.true_probs
         assert loaded.config == truth.config
+
+
+class TestGroundTruthFile:
+    """load_ground_truth checks values instead of casting them; errors name
+    the file and the field."""
+
+    def load(self, tmp_path, obj):
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps(obj))
+        return load_ground_truth(path)
+
+    @pytest.mark.parametrize("cluster", ["3", 2.7, 3.0, True, None])
+    def test_cluster_id_must_be_an_integer(self, tmp_path, cluster):
+        """"3" used to load as 3 and 2.7 as 2."""
+        with pytest.raises(ValueError, match=r"meta\.json: field 'item_clusters' maps 'i1' to .*not an integer"):
+            self.load(tmp_path, {"item_clusters": {"i0": 0, "i1": cluster}, "true_probs": [0.5]})
+
+    @pytest.mark.parametrize("prob", [True, "0.5", None, -0.1, 1.5, float("nan"), float("inf")])
+    def test_probability_must_be_a_number_in_unit_interval(self, tmp_path, prob):
+        """true used to load as 1.0."""
+        with pytest.raises(ValueError, match=r"meta\.json: field 'true_probs' entry 1 must be a number in \[0, 1\]"):
+            self.load(tmp_path, {"item_clusters": {"i0": 0}, "true_probs": [0.5, prob]})
+
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            ({"true_probs": [0.5]}, "field 'item_clusters' must be an object, but it is missing"),
+            ({"item_clusters": {"i0": 0}}, "field 'true_probs' must be a list, but it is missing"),
+            ({"item_clusters": [0], "true_probs": [0.5]}, "field 'item_clusters' must be an object, got [0]"),
+            ({"item_clusters": {}, "true_probs": {"0": 0.5}}, "field 'true_probs' must be a list"),
+            ({"item_clusters": {}, "true_probs": [], "config": [1]}, "field 'config' must be an object, got [1]"),
+            ([{"i0": 0}], "ground truth must be a JSON object"),
+        ],
+    )
+    def test_malformed_file_names_path_and_field(self, tmp_path, obj, message):
+        """A missing item_clusters used to raise a bare KeyError, and a
+        top-level list a TypeError."""
+        with pytest.raises(ValueError) as info:
+            self.load(tmp_path, obj)
+        assert str(info.value).startswith(f"{tmp_path / 'meta.json'}: {message}")
+
+    def test_integral_probabilities_and_missing_config_load(self, tmp_path):
+        truth = self.load(tmp_path, {"item_clusters": {"i0": 0, "i1": 1}, "true_probs": [0, 1, 0.25]})
+        assert truth.true_probs == [0.0, 1.0, 0.25] and all(type(p) is float for p in truth.true_probs)
+        assert truth.item_clusters == {"i0": 0, "i1": 1} and truth.config == {}

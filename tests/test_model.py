@@ -110,7 +110,7 @@ class TestRecordLevelOps:
             model.params["item_emb"][2] = v_u  # the lone behavior, so V_u = v_u
             model.params["item_emb"][3] = v_a
             _, cache = model.forward(one_record([2], 3, config.max_seq_len))
-            assert cache.x[0, 4:6].sum() == dot
+            assert cache.post_acts[0][0, 4:6].sum() == dot
 
 
 class TestPredict:

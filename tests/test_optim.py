@@ -8,6 +8,7 @@ from dinctr.data import SyntheticConfig, build_vocab, encode, generate_synthetic
 from dinctr.model import ModelConfig, init_model
 from dinctr.numerics import make_rng
 from dinctr.optim import (
+    ADAM_EPS,
     AdamState,
     Gradients,
     TrainConfig,
@@ -122,7 +123,7 @@ class TestAdamStep:
         params, state = self.scalar_setup(lr=0.1)
         g = 0.3
         adam_step(state, params, Gradients(dense={"w": np.array([g])}))
-        expect = 1.0 - 0.1 * g / (abs(g) + state.eps)
+        expect = 1.0 - 0.1 * g / (abs(g) + ADAM_EPS)
         assert abs(params["w"][0] - expect) < 1e-15
         assert abs(params["w"][0] - 0.9) < 1e-7  # approximately -lr * sign(g)
 
