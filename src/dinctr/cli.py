@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import os
 import sys
@@ -261,10 +262,9 @@ def cmd_eval(
             batch, _ = D.encode(records, user_vocab, item_vocab, model.config.max_seq_len)
         reports.append(_single_eval(cfg, ck, which, model, user_vocab, batch))
     if groups_csv:
-        with D.atomic_open(groups_csv) as fh:
-            fh.write("group,weight,auc\n")
-            for row in reports[0]["per_group"]:
-                fh.write(f"{row['group']},{repr(row['weight'])},{repr(row['auc'])}\n")
+        with D.atomic_open(groups_csv, newline="") as fh:
+            rows = [[r["group"], repr(r["weight"]), repr(r["auc"])] for r in reports[0]["per_group"]]
+            csv.writer(fh, lineterminator="\n").writerows([["group", "weight", "auc"], *rows])
     if len(reports) == 1:
         payload = reports[0]
         if report_path:
@@ -289,10 +289,7 @@ def cmd_eval(
 def cmd_predict(checkpoint_path: str, input_path: str, output_path: str) -> int:
     model, user_vocab, item_vocab, _ = load_checkpoint(checkpoint_path)
     records = D.load_jsonl(input_path, require_label=False)
-    if not records:
-        return 0
-    batch, _ = D.encode(records, user_vocab, item_vocab, model.config.max_seq_len)
-    probs = model.predict(batch)
+    probs = model.predict(D.encode(records, user_vocab, item_vocab, model.config.max_seq_len)[0]) if records else []
     with _open_output(output_path) as out:
         for rec, p in zip(records, probs):
             out.write(json.dumps({"user_id": rec.user_id, "ad_id": rec.ad_id, "p": float(p)}) + "\n")

@@ -35,10 +35,10 @@ def weighted_pool(behav, weights):
     return np.einsum("bt,btd->bd", weights, behav)
 
 
-def pool_backward(behav, weights, dpooled):
-    dweights = np.einsum("bd,btd->bt", dpooled, behav)
-    dbehav = weights[:, :, None] * dpooled[:, None, :]
-    return dweights, dbehav
+def pool_backward(behav, dpooled):
+    """dLoss/dweights; the behavior gradient, weights * dpooled, is built by
+    the caller on the live slots only."""
+    return np.einsum("bd,btd->bt", dpooled, behav)
 
 
 def softmax_backward(weights, dweights):
@@ -46,8 +46,9 @@ def softmax_backward(weights, dweights):
     return weights * (dweights - inner)
 
 
-def scores_backward(behav, ad, dscores, inv_temp):
+def scores_backward(behav, dscores, inv_temp):
+    """The gradient at the dot products V_i . V_a, ds = dscores / temperature,
+    and dLoss/dad; the caller builds the behavior gradient ds * ad on the
+    live slots only."""
     ds = dscores * inv_temp
-    dbehav = ds[:, :, None] * ad[:, None, :]
-    dad = np.einsum("bt,btd->bd", ds, behav)
-    return dbehav, dad
+    return ds, np.einsum("bt,btd->bd", ds, behav)

@@ -120,18 +120,17 @@ class Gradients:
         return np.concatenate(parts)
 
 
-def _sum_rows(idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the rows of ``vals`` that share an index in ``idx``.
+def _sum_rows(idx: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the rows that share an index in ``idx``; ``cols`` holds the rows
+    column-major, shape (d, len(idx)).
 
-    Returns the sorted distinct indices without PAD_INDEX and their sums.
-    ``bincount`` adds each output cell's contributions in input order,
-    starting from 0.0, exactly as ``np.add.at`` into a zeroed table does,
-    so the sums are bit-identical to that dense scatter.
+    Returns the sorted distinct indices without PAD_INDEX and their sums,
+    shape (rows, d). ``bincount`` adds each cell's contributions in input
+    order, starting from 0.0, exactly as ``np.add.at`` into a zeroed table
+    does, so the sums are bit-identical to that dense scatter.
     """
     rows, inv = np.unique(idx, return_inverse=True)
-    d = vals.shape[1]
-    cells = (inv[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(cells, weights=vals.ravel(), minlength=rows.size * d).reshape(rows.size, d)
+    sums = np.stack([np.bincount(inv, weights=col, minlength=rows.size) for col in cols], axis=1)
     if rows.size and rows[0] == PAD_INDEX:
         return rows[1:], sums[1:]
     return rows, sums
@@ -203,8 +202,8 @@ class DinModel:
         mask = self._validate_batch(batch)
         c = self.config
         item = self.params["item_emb"]
-        behav = item[batch.behavior_idx]  # (B, T, d) gather
-        ad = item[batch.ad_idx]  # (B, d)
+        behav = np.take(item, batch.behavior_idx, axis=0)  # (B, T, d) gather
+        ad = np.take(item, batch.ad_idx, axis=0)  # (B, d)
         if c.use_attention:
             scores = kernels.attention_scores(behav, ad, mask, 1.0 / c.temperature)
             weights = kernels.masked_softmax(scores, mask)
@@ -214,7 +213,7 @@ class DinModel:
 
         blocks = [pooled, ad, pooled * ad]
         if c.use_user_profile:
-            blocks.append(self.params["user_emb"][batch.user_idx])
+            blocks.append(np.take(self.params["user_emb"], batch.user_idx, axis=0))
         h = np.concatenate(blocks, axis=1)  # the MLP input
 
         pre_acts: list[np.ndarray] = []
@@ -291,23 +290,25 @@ class DinModel:
         dpooled = dx[:, :d] + dx[:, 2 * d : 3 * d] * cache.ad_emb
         dad = dx[:, d : 2 * d] + dx[:, 2 * d : 3 * d] * cache.pooled
 
-        dweights, dbehav = kernels.pool_backward(cache.behav_emb, cache.weights, dpooled)
+        # Each live slot's behavior gradient, w * dpooled (+ ds * ad), is
+        # built on the live slots only (padded slots are never looked up),
+        # column-major, so every product runs along the slots.
+        live = np.flatnonzero(cache.mask)
+        row = live // cache.mask.shape[1]
+        dbehav = np.take(dpooled.T, row, axis=1) * np.take(cache.weights, live)
         if c.use_attention:
+            dweights = kernels.pool_backward(cache.behav_emb, dpooled)
             dscores = kernels.softmax_backward(cache.weights, dweights)
-            dbehav_att, dad_att = kernels.scores_backward(
-                cache.behav_emb, cache.ad_emb, dscores, 1.0 / c.temperature
-            )
-            dbehav = dbehav + dbehav_att
+            ds, dad_att = kernels.scores_backward(cache.behav_emb, dscores, 1.0 / c.temperature)
+            dbehav += np.take(cache.ad_emb.T, row, axis=1) * np.take(ds, live)
             dad = dad + dad_att
 
-        live = cache.mask.reshape(-1)
         grads = Gradients(dense=dense)
         grads.rows["item_emb"], grads.row_grads["item_emb"] = _sum_rows(
-            np.concatenate([batch.behavior_idx.reshape(-1)[live], batch.ad_idx]),
-            np.concatenate([dbehav.reshape(-1, d)[live], dad]),
+            np.concatenate([np.take(batch.behavior_idx, live), batch.ad_idx]), np.concatenate([dbehav, dad.T], axis=1)
         )
         if c.use_user_profile:
-            grads.rows["user_emb"], grads.row_grads["user_emb"] = _sum_rows(batch.user_idx, dx[:, 3 * d :])
+            grads.rows["user_emb"], grads.row_grads["user_emb"] = _sum_rows(batch.user_idx, dx[:, 3 * d :].T)
         return grads
 
 

@@ -42,7 +42,7 @@ def bce_loss(probs, labels) -> tuple[float, np.ndarray]:
         raise ValueError(f"shape mismatch: probs {p.shape} vs labels {y.shape}")
     if p.size == 0:
         raise ValueError("empty batch")
-    if not np.isin(y, (0.0, 1.0)).all():
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("labels must be 0 or 1")
     pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
@@ -67,7 +67,7 @@ def l2_penalty(model: DinModel, lam: float, grads: Gradients) -> float:
         grads.dense[f"w{i}"] += 2.0 * lam * w
     for name, rows in grads.rows.items():
         if rows.size:
-            sub = model.params[name][rows]
+            sub = np.take(model.params[name], rows, axis=0)
             penalty += float(np.sum(sub * sub))
             grads.row_grads[name] += 2.0 * lam * sub
     return lam * penalty
@@ -99,21 +99,31 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: Gradients)
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         m, v = state.m[name], state.v[name]
-        if name in grads.rows:
-            rows = grads.rows[name]
-            if rows.size == 0:
-                continue
-            gr = grads.row_grads[name]
-            m_rows = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * gr
-            v_rows = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * (gr * gr)
-            m[rows] = m_rows
-            v[rows] = v_rows
-            p[rows] -= state.lr * (m_rows / bc1) / (np.sqrt(v_rows / bc2) + ADAM_EPS)
-        else:
-            g = grads.dense[name]
-            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-            p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        rows = grads.rows.get(name)
+        if rows is None:
+            _adam_update(p, m, v, grads.dense[name], state.lr, bc1, bc2)
+        elif rows.size:
+            # np.take gathers rows far faster than fancy indexing on a large table.
+            p_rows, m_rows, v_rows = (np.take(a, rows, axis=0) for a in (p, m, v))
+            _adam_update(p_rows, m_rows, v_rows, grads.row_grads[name], state.lr, bc1, bc2)
+            p[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
+
+
+def _adam_update(p, m, v, g, lr, bc1, bc2) -> None:
+    """Adam on one block, in place: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g
+    and p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), with these operations in this
+    order, so the result is bit-identical to the out-of-place formula."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    step = np.divide(m, bc1)
+    step *= lr
+    den = np.divide(v, bc2)
+    np.sqrt(den, out=den)
+    den += ADAM_EPS
+    step /= den
+    p -= step
 
 
 @dataclass

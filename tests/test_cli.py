@@ -332,6 +332,28 @@ class TestEval:
         for row in rows[1:]:
             assert 0.0 <= float(row[2]) <= 1.0
 
+    def test_groups_csv_quotes_user_ids(self, pipeline, capsys):
+        """User ids holding a comma or a quote read back as one field each;
+        the rows used to be joined with bare commas."""
+        tmp_path = pipeline["tmp_path"]
+        records = [json.loads(line) for line in open(pipeline["dataset"])]
+        for rec in records:
+            k = rec["user_id"][1:]
+            rec["user_id"] = f"u,{k}" if int(k) % 2 else f'u"{k}'
+        dataset = tmp_path / "odd_ids.jsonl"
+        dataset.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        common = ("--config", pipeline["config"], "--dataset", str(dataset))
+        ck, groups_path = str(tmp_path / "odd.ckpt"), tmp_path / "odd_groups.csv"
+        assert run_cli(capsys, "train", *common, "--checkpoint", ck, "--history", str(tmp_path / "odd.csv"))[0] == 0
+        code, out, _ = run_cli(capsys, "eval", *common, "--checkpoint", ck, "--groups-csv", str(groups_path))
+        assert code == 0
+        with open(groups_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        per_group = json.loads(out)["per_group"]
+        assert rows == [["group", "weight", "auc"]] + [[g["group"], repr(g["weight"]), repr(g["auc"])] for g in per_group]
+        groups = {row[0] for row in rows[1:]}
+        assert any("," in g for g in groups) and any('"' in g for g in groups)
+
     def test_compare_encodes_once_and_matches_single_evals(self, pipeline, capsys, monkeypatch):
         from dinctr import data as D
 
@@ -465,6 +487,17 @@ class TestPredict:
         code, _, err = run_cli(capsys, "predict", "--checkpoint", ck, "--input", str(inputs))
         assert code != 0
         assert "line 2" in err
+
+    def test_empty_input_empties_the_output(self, pipeline, capsys):
+        """An empty input gives an empty output file; a previous run's
+        predictions used to stay in place."""
+        ck, _ = pipeline["checkpoints"]["din"]
+        inputs, output = pipeline["tmp_path"] / "empty.jsonl", pipeline["tmp_path"] / "p.jsonl"
+        inputs.write_text("")
+        output.write_text('{"old": 1}\n')
+        code, out, _ = run_cli(capsys, "predict", "--checkpoint", ck, "--input", str(inputs), "--output", str(output))
+        assert code == 0 and out == ""
+        assert output.read_text() == ""
 
     def test_matches_library_forward(self, pipeline, capsys):
         from dinctr import data as D

@@ -284,9 +284,10 @@ class TestUserProfile:
 def dense_backward_oracle(model, cache, dprobs):
     """The embedding gradients as full tables: every lookup's contribution
     added into a zeroed V x d table with ``np.add.at``, the padding row
-    zeroed afterwards. The per-lookup contributions come from the same
-    kernels as ``DinModel.backward``, so the compact rows must reproduce
-    these tables exactly."""
+    zeroed afterwards. Each behavior slot's contribution, w * dpooled plus
+    (with attention) ds * ad, is built here on the whole (B, T, d) grid,
+    apart from the live-slot path of ``DinModel.backward``, so the compact
+    rows must reproduce these tables exactly."""
     c = model.config
     batch = cache.batch
     d = c.dim
@@ -298,12 +299,12 @@ def dense_backward_oracle(model, cache, dprobs):
             g = g * (cache.pre_acts[i - 1] > 0.0)
     dpooled = g[:, :d] + g[:, 2 * d : 3 * d] * cache.ad_emb
     dad = g[:, d : 2 * d] + g[:, 2 * d : 3 * d] * cache.pooled
-    dweights, dbehav = kernels.pool_backward(cache.behav_emb, cache.weights, dpooled)
+    dbehav = cache.weights[:, :, None] * dpooled[:, None, :]
     if c.use_attention:
-        dscores = kernels.softmax_backward(cache.weights, dweights)
-        dbehav_att, dad_att = kernels.scores_backward(cache.behav_emb, cache.ad_emb, dscores, 1.0 / c.temperature)
-        dbehav = dbehav + dbehav_att
-        dad = dad + dad_att
+        dscores = kernels.softmax_backward(cache.weights, kernels.pool_backward(cache.behav_emb, dpooled))
+        inv_temp = 1.0 / c.temperature
+        dbehav = dbehav + (dscores * inv_temp)[:, :, None] * cache.ad_emb[:, None, :]
+        dad = dad + kernels.scores_backward(cache.behav_emb, dscores, inv_temp)[1]
     live = batch.mask.reshape(-1)
     tables = {"item_emb": np.zeros_like(model.params["item_emb"])}
     np.add.at(tables["item_emb"], batch.behavior_idx.reshape(-1)[live], dbehav.reshape(-1, d)[live])

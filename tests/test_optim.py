@@ -8,6 +8,8 @@ from dinctr.data import SyntheticConfig, build_vocab, encode, generate_synthetic
 from dinctr.model import ModelConfig, init_model
 from dinctr.numerics import make_rng
 from dinctr.optim import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPS,
     AdamState,
     Gradients,
@@ -113,6 +115,14 @@ class TestL2Penalty:
         assert l2_penalty(model, 1e-4, zero_grads(model, [2])) > 0.0
 
 
+def adam_oracle(p, m, v, g, t, lr):
+    """One Adam step as the out-of-place formula: the new (p, m, v)."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+    p = p - lr * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+    return p, m, v
+
+
 class TestAdamStep:
     def scalar_setup(self, lr=0.1):
         params = {"w": np.array([1.0])}
@@ -186,6 +196,26 @@ class TestAdamStep:
         np.testing.assert_array_equal(lazy["emb"][3], dense["emb"][0])
         np.testing.assert_array_equal(s_lazy.v["emb"][3], s_dense.v["emb"][0])
         assert (lazy["emb"][:3] == 1.0).all()
+
+    def test_in_place_update_equals_the_out_of_place_formula(self):
+        """Dense and row blocks, over several steps, bit for bit."""
+        rng = make_rng(17)
+        shapes = {"emb": (9, 3), "w": (4, 5), "b": (5,)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        state = AdamState(m={k: np.zeros(s) for k, s in shapes.items()}, v={k: np.zeros(s) for k, s in shapes.items()})
+        state.lr = 0.05
+        expect = {k: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
+        for t in range(1, 7):
+            rows = np.unique(rng.integers(1, 9, size=5))
+            dense = {k: rng.normal(scale=10.0**t, size=shapes[k]) for k in ("w", "b")}
+            row_grads = rng.normal(size=(rows.size, 3))
+            adam_step(state, params, Gradients(dense=dense, rows={"emb": rows}, row_grads={"emb": row_grads}))
+            for name, sel, g in (("w", ..., dense["w"]), ("b", ..., dense["b"]), ("emb", rows, row_grads)):
+                p, m, v = expect[name]
+                p[sel], m[sel], v[sel] = adam_oracle(p[sel], m[sel], v[sel], g, t, state.lr)
+            for name, (p, m, v) in expect.items():
+                for got, want in ((params[name], p), (state.m[name], m), (state.v[name], v)):
+                    assert got.tobytes() == want.tobytes(), (name, t)
 
     def test_non_finite_gradient_names_block(self):
         params, state = self.scalar_setup()
