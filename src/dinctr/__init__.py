@@ -9,7 +9,7 @@ covering the full generate -> train -> evaluate -> rank pipeline.
 from .data import (
     EncodedBatch,
     GroundTruth,
-    ImpressionRecord,
+    Records,
     SyntheticConfig,
     Vocabulary,
     build_vocab,
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EncodedBatch",
     "GroundTruth",
-    "ImpressionRecord",
+    "Records",
     "SyntheticConfig",
     "Vocabulary",
     "build_vocab",

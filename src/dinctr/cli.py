@@ -134,7 +134,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     records, truth = D.generate_synthetic(cfg.synthetic_config())
     D.save_jsonl(records, cfg.dataset)
     D.save_ground_truth(truth, cfg.metadata)
-    n_pos = sum(r.label for r in records)
+    n_pos = int(records.labels.sum())
     _emit(
         {
             "dataset": cfg.dataset,
@@ -149,7 +149,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_split(cfg: RunConfig, which: str) -> list[D.ImpressionRecord]:
+def _load_split(cfg: RunConfig, which: str) -> D.Records:
     records = D.load_jsonl(cfg.dataset)
     if which == "all":
         return records
@@ -165,6 +165,7 @@ def cmd_train(cfg: RunConfig) -> int:
     train_recs, val_recs = D.split(records, cfg.split_mode, cfg.val_fraction, cfg.seed)
     train_batch, enc_stats = D.encode(train_recs, user_vocab, item_vocab, cfg.max_seq_len)
     val_batch, _ = D.encode(val_recs, user_vocab, item_vocab, cfg.max_seq_len)
+    del records, train_recs, val_recs  # training needs only the batches
     model = init_model(cfg.model_config(item_vocab.size, user_vocab.size), make_rng(cfg.seed, stream=1))
     _note(f"training {cfg.model} model on {len(train_batch)} records ({len(val_batch)} validation)")
     model, history = train(model, train_batch, val_batch, cfg.train_config())
@@ -210,15 +211,9 @@ def _single_eval(cfg: RunConfig, checkpoint_path: str, which: str, model, user_v
         "auc": M.auc(probs, batch.labels),
         "log_loss": M.log_loss(probs, batch.labels),
         "accuracy": M.accuracy(probs, batch.labels),
-        "gauc_impressions": {
-            "value": by_impressions.value,
-            "n_groups_used": by_impressions.n_groups_used,
-            "n_groups_skipped": by_impressions.n_groups_skipped,
-        },
-        "gauc_clicks": {
-            "value": by_clicks.value,
-            "n_groups_used": by_clicks.n_groups_used,
-            "n_groups_skipped": by_clicks.n_groups_skipped,
+        **{
+            name: {"value": r.value, "n_groups_used": r.n_groups_used, "n_groups_skipped": r.n_groups_skipped}
+            for name, r in (("gauc_impressions", by_impressions), ("gauc_clicks", by_clicks))
         },
         "per_group": [
             {"group": user_vocab.decode(g.group_key), "weight": g.weight, "auc": g.auc}
@@ -286,13 +281,19 @@ def cmd_eval(
     return 0
 
 
+# Output lines with the bytes json.dumps gives (see data.json_str).
+_PREDICT_LINE = '{"user_id": %s, "ad_id": %s, "p": %r}\n'
+_RANK_LINE = '{"ad_id": %s, "p": %r, "bid": %r, "ecpm": %r}\n'
+
+
 def cmd_predict(checkpoint_path: str, input_path: str, output_path: str) -> int:
     model, user_vocab, item_vocab, _ = load_checkpoint(checkpoint_path)
     records = D.load_jsonl(input_path, require_label=False)
-    probs = model.predict(D.encode(records, user_vocab, item_vocab, model.config.max_seq_len)[0]) if records else []
+    batch, _ = D.encode(records, user_vocab, item_vocab, model.config.max_seq_len)
+    probs = model.predict(batch).tolist() if len(records) else []
+    users, ads = map(D.json_str, records.users), map(D.json_str, records.items[records.starts])
     with _open_output(output_path) as out:
-        for rec, p in zip(records, probs):
-            out.write(json.dumps({"user_id": rec.user_id, "ad_id": rec.ad_id, "p": float(p)}) + "\n")
+        out.write("".join(map(_PREDICT_LINE.__mod__, zip(users, ads, probs))))
     return 0
 
 
@@ -307,33 +308,26 @@ def cmd_rank(checkpoint_path: str, candidates_path: str, context_path: str | Non
             raise ValueError(f"{context_path}: expected a JSON object")
         user_id = D.parse_id(ctx.get("user_id", ""), context_path, "user_id")
         behaviors = D.parse_behavior_ids(ctx.get("behavior_ids", []), context_path)
-    raw = []
+    ads, bids = [], []
     for line_no, obj in D.iter_jsonl(candidates_path):
         if "ad_id" not in obj:
             raise ValueError(f"line {line_no}: candidate missing ad_id")
         if "bid" not in obj or obj["bid"] is None:
             raise ValueError(f"candidate {obj['ad_id']!r} missing bid (line {line_no})")
-        ad_id = D.parse_id(obj["ad_id"], f"line {line_no}", "ad_id")
-        raw.append((ad_id, D.parse_bid(obj["bid"], f"line {line_no} (candidate {ad_id!r})")))
-    if not raw:
+        ads.append(D.parse_id(obj["ad_id"], f"line {line_no}", "ad_id"))
+        bids.append(D.parse_bid(obj["bid"], f"line {line_no} (candidate {ads[-1]!r})"))
+    if not ads:
         raise ValueError("no candidates to rank")
-    records = [
-        D.ImpressionRecord(user_id=user_id, ad_id=ad_id, behavior_ids=behaviors, label=0, timestamp=0, bid=bid)
-        for ad_id, bid in raw
-    ]
-    batch, _ = D.encode(records, user_vocab, item_vocab, model.config.max_seq_len)
-    probs = model.predict(batch)
-    ranked = M.rank_ads(
-        [M.AdCandidate(ad_id=r[0], bid=r[1], predicted_ctr=float(p)) for r, p in zip(raw, probs)]
-    )
+    # The context is encoded once (its ad slot is unused); each candidate's
+    # row repeats it, with the candidate's ad.
+    context = D.Records.of([user_id], ["", *behaviors], [len(behaviors)], [0], [0], [np.nan])
+    batch = D.encode(context, user_vocab, item_vocab, model.config.max_seq_len)[0].take(np.zeros(len(ads), dtype=int))
+    batch.ad_idx = item_vocab.lookup(ads)
+    probs = model.predict(batch).tolist()
+    ranked = M.rank_ads([M.AdCandidate(ad_id=a, bid=b, predicted_ctr=p) for a, b, p in zip(ads, bids, probs)])
+    lines = (_RANK_LINE % (D.json_str(c.ad_id), c.predicted_ctr, c.bid, M.ecpm(c.predicted_ctr, c.bid)) for c in ranked)
     with _open_output(output_path) as out:
-        for c in ranked:
-            out.write(
-                json.dumps(
-                    {"ad_id": c.ad_id, "p": c.predicted_ctr, "bid": c.bid, "ecpm": M.ecpm(c.predicted_ctr, c.bid)}
-                )
-                + "\n"
-            )
+        out.write("".join(lines))
     return 0
 
 
@@ -341,13 +335,7 @@ def gradcheck_model(use_attention: bool, seed: int, eps: float = 1e-5, l2_lambda
     """Max relative error of the analytic gradients on a tiny random model."""
     rng = make_rng(seed, stream=3)
     config = ModelConfig(
-        item_vocab=20,
-        user_vocab=6,
-        dim=4,
-        hidden=(8,),
-        max_seq_len=6,
-        temperature=1.0,
-        use_attention=use_attention,
+        item_vocab=20, user_vocab=6, dim=4, hidden=(8,), max_seq_len=6, temperature=1.0, use_attention=use_attention
     )
     model = init_model(config, rng)
     B, T = 4, config.max_seq_len
@@ -381,15 +369,7 @@ def gradcheck_model(use_attention: bool, seed: int, eps: float = 1e-5, l2_lambda
 def cmd_gradcheck(cfg: RunConfig, eps: float) -> int:
     error, _ = gradcheck_model(cfg.model == "din", cfg.seed, eps=eps, l2_lambda=cfg.l2_lambda)
     passed = bool(error < GRADCHECK_THRESHOLD)
-    _emit(
-        {
-            "model": cfg.model,
-            "max_rel_error": error,
-            "threshold": GRADCHECK_THRESHOLD,
-            "eps": eps,
-            "passed": passed,
-        }
-    )
+    _emit({"model": cfg.model, "max_rel_error": error, "threshold": GRADCHECK_THRESHOLD, "eps": eps, "passed": passed})
     return 0 if passed else 1
 
 

@@ -17,8 +17,8 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
-from operator import attrgetter, length_hint
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import length_hint
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -105,16 +105,56 @@ def parse_fields(cls, values: dict, where: Optional[str] = None) -> dict:
     return parsed
 
 
-@dataclass(slots=True)
-class ImpressionRecord:
-    """One ad display/click event."""
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``first[r], first[r] + 1, ..., first[r] + counts[r] - 1`` for every row r, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(first - (ends - counts), counts)
 
-    user_id: str
-    ad_id: str
-    behavior_ids: list[str]
-    label: int
-    timestamp: int
-    bid: Optional[float] = None
+
+@dataclass(eq=False)
+class Records:
+    """Ad display/click events as columns, one row per impression.
+
+    ``items`` holds, row after row, the row's ad and then its behaviors,
+    oldest first: row r's ad is ``items[starts[r]]`` and its behaviors are
+    the ``lengths[r]`` entries after it. IDs are str. A row without a bid
+    holds NaN in ``bids``; a bid is finite.
+    """
+
+    users: np.ndarray  # (n,) object, str
+    items: np.ndarray  # (n + lengths.sum(),) object, str
+    starts: np.ndarray  # (n,) int64
+    lengths: np.ndarray  # (n,) int64
+    labels: np.ndarray  # (n,) int64 in {0, 1}
+    timestamps: np.ndarray  # (n,) int64; object if an integer does not fit
+    bids: np.ndarray  # (n,) float64
+
+    @classmethod
+    def of(cls, users, items, lengths, labels, timestamps, bids) -> "Records":
+        """Records from column values (sequences or arrays); ``starts`` follows from ``lengths``."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        try:
+            timestamps = np.asarray(timestamps, dtype=np.int64)
+        except OverflowError:  # a JSON integer has no size limit
+            timestamps = np.array(timestamps, dtype=object)
+        labels, bids = np.asarray(labels, dtype=np.int64), np.asarray(bids, dtype=np.float64)
+        users, items = np.asarray(users, dtype=object), np.asarray(items, dtype=object)
+        return cls(users, items, np.cumsum(lengths + 1) - (lengths + 1), lengths, labels, timestamps, bids)
+
+    def __len__(self) -> int:
+        return int(self.users.shape[0])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Records) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name), equal_nan=f.name == "bids")
+            for f in fields(self)
+        )
+
+    def take(self, rows) -> "Records":
+        """The rows at ``rows`` (an index array or a slice), with their tokens."""
+        lengths = self.lengths[rows]
+        items = self.items[_ranges(self.starts[rows], lengths + 1)]
+        return Records.of(self.users[rows], items, lengths, self.labels[rows], self.timestamps[rows], self.bids[rows])
 
 
 class Vocabulary:
@@ -134,9 +174,6 @@ class Vocabulary:
         self._tokens: list[str] = list(self._index)
         self._index.update(zip(self._tokens, range(len(self._tokens))))
 
-    def __len__(self) -> int:
-        return len(self._tokens)
-
     @property
     def size(self) -> int:
         return len(self._tokens)
@@ -149,6 +186,15 @@ class Vocabulary:
     def encode(self, token: str) -> int:
         return self._index.get(token, OOV_INDEX)
 
+    def lookup(self, tokens) -> np.ndarray:
+        """Index of each token (a sequence or array); unknown and reserved tokens get OOV_INDEX.
+
+        A token spelled like a reserved one comes from data, not from padding,
+        so it must not encode to PAD_INDEX and empty a mask row.
+        """
+        idx = np.fromiter(map(self._index.get, tokens, repeat(OOV_INDEX)), dtype=np.int64, count=len(tokens))
+        return np.maximum(idx, OOV_INDEX, out=idx)  # PAD_INDEX is the only index below OOV_INDEX
+
     def decode(self, index: int) -> str:
         return self._tokens[index]
 
@@ -156,24 +202,18 @@ class Vocabulary:
         return token in self._index
 
 
-def build_vocab(records: Sequence[ImpressionRecord]) -> tuple[Vocabulary, Vocabulary]:
+def build_vocab(records: Records) -> tuple[Vocabulary, Vocabulary]:
     """First-seen-order vocabularies for users and items.
 
     Ads and behavior IDs share the single item vocabulary (one embedding
-    space for both). Per record the ad token is registered before its
-    behaviors. The reserved `<no_history>` item token is appended last; it
-    is a normal trainable index used to stand in for empty histories.
+    space for both), registered in ``records.items`` order: per record the
+    ad before its behaviors. The reserved `<no_history>` item token is
+    appended last; it is a normal trainable index used to stand in for
+    empty histories.
     """
-    if not records:
+    if not len(records):
         raise ValueError("cannot build a vocabulary from zero records")
-    users = Vocabulary(map(attrgetter("user_id"), records))
-    item_tokens: list[str] = []
-    add_ad, add_behaviors = item_tokens.append, item_tokens.extend
-    for rec in records:
-        add_ad(rec.ad_id)
-        add_behaviors(rec.behavior_ids)
-    item_tokens.append(NO_HISTORY_TOKEN)
-    return users, Vocabulary(item_tokens)
+    return Vocabulary(records.users), Vocabulary(chain(records.items, (NO_HISTORY_TOKEN,)))
 
 
 @dataclass
@@ -225,18 +265,8 @@ class EncodeStats:
         return fields_dict(self)
 
 
-def _lookup(vocab: Vocabulary, tokens: Iterable[str], count: int) -> np.ndarray:
-    """Index of each of ``count`` tokens; unknown and reserved tokens get OOV_INDEX.
-
-    A token spelled like a reserved one comes from data, not from padding,
-    so it must not encode to PAD_INDEX and empty a mask row.
-    """
-    idx = np.fromiter(map(vocab._index.get, tokens, repeat(OOV_INDEX)), dtype=np.int64, count=count)
-    return np.maximum(idx, OOV_INDEX, out=idx)  # PAD_INDEX is the only index below OOV_INDEX
-
-
 def encode(
-    records: Sequence[ImpressionRecord],
+    records: Records,
     user_vocab: Vocabulary,
     item_vocab: Vocabulary,
     max_seq_len: int,
@@ -246,20 +276,18 @@ def encode(
     Histories longer than ``max_seq_len`` keep their most recent tail;
     shorter ones are right-padded with index 0. OOV tokens (including
     tokens spelled like the reserved `<pad>`/`<oov>`) and truncations are
-    handled silently and counted in the returned stats.
+    handled silently and counted in the returned stats. Only the kept
+    tokens are gathered from ``records.items`` and looked up.
     """
     if max_seq_len < 1:
         raise ValueError("max_seq_len must be >= 1")
-    n = len(records)
-    T = max_seq_len
-    user_idx = _lookup(user_vocab, map(attrgetter("user_id"), records), n)
-    ad_idx = _lookup(item_vocab, map(attrgetter("ad_id"), records), n)
-    lengths = np.fromiter((len(rec.behavior_ids) for rec in records), dtype=np.int64, count=n)
+    n, T, lengths = len(records), max_seq_len, records.lengths
     kept = np.minimum(lengths, T)
-    mask = np.arange(T) < kept[:, None]
+    user_idx = user_vocab.lookup(records.users)
+    ad_idx = item_vocab.lookup(records.items[records.starts])
+    tail_idx = item_vocab.lookup(records.items[_ranges(records.starts + 1 + lengths - kept, kept)])
     behavior_idx = np.zeros((n, T), dtype=np.int64)
-    tail_idx = _lookup(item_vocab, chain.from_iterable(rec.behavior_ids[-T:] for rec in records), int(kept.sum()))
-    behavior_idx[mask] = tail_idx
+    behavior_idx[np.arange(T) < kept[:, None]] = tail_idx
     empty = kept == 0
     behavior_idx[empty, 0] = item_vocab.encode(NO_HISTORY_TOKEN)
     stats = EncodeStats(
@@ -268,13 +296,7 @@ def encode(
         n_truncated=int(np.count_nonzero(lengths > T)),
         n_empty_history=int(np.count_nonzero(empty)),
     )
-    batch = EncodedBatch(
-        ad_idx=ad_idx,
-        behavior_idx=behavior_idx,
-        labels=np.fromiter(map(attrgetter("label"), records), dtype=np.float64, count=n),
-        user_idx=user_idx,
-    )
-    return batch, stats
+    return EncodedBatch(ad_idx, behavior_idx, records.labels.astype(np.float64), user_idx), stats
 
 
 def check_split(mode: str, fraction: float) -> None:
@@ -285,12 +307,7 @@ def check_split(mode: str, fraction: float) -> None:
         raise ValueError(f"validation fraction must be in (0, 1), got {fraction}")
 
 
-def split(
-    records: Sequence[ImpressionRecord],
-    mode: str,
-    fraction: float,
-    seed: int = 0,
-) -> tuple[list[ImpressionRecord], list[ImpressionRecord]]:
+def split(records: Records, mode: str, fraction: float, seed: int = 0) -> tuple[Records, Records]:
     """Partition into (train, validation).
 
     temporal: stable-sort by timestamp, the last ``fraction`` of records is
@@ -298,18 +315,12 @@ def split(
     record lands on exactly one side.
     """
     check_split(mode, fraction)
-    recs = list(records)
-    n = len(recs)
+    n = len(records)
     n_val = int(round(n * fraction))
     if n_val < 1 or n_val >= n:
         raise ValueError(f"split of {n} records with fraction {fraction} leaves an empty side")
-    if mode == "temporal":
-        order = sorted(range(n), key=lambda i: recs[i].timestamp)
-        ordered = [recs[i] for i in order]
-    else:
-        perm = make_rng(seed).permutation(n)
-        ordered = [recs[i] for i in perm]
-    return ordered[: n - n_val], ordered[n - n_val:]
+    order = np.argsort(records.timestamps, kind="stable") if mode == "temporal" else make_rng(seed).permutation(n)
+    return records.take(order[: n - n_val]), records.take(order[n - n_val :])
 
 
 # ---------------------------------------------------------------------------
@@ -343,26 +354,13 @@ def atomic_open(path, mode: str = "w", **kwargs):
 _REQUIRED_KEYS = ("user_id", "ad_id", "behavior_ids", "label", "ts")
 
 
-def record_to_obj(rec: ImpressionRecord) -> dict:
-    obj = {
-        "user_id": rec.user_id,
-        "ad_id": rec.ad_id,
-        "behavior_ids": list(rec.behavior_ids),
-        "label": int(rec.label),
-        "ts": int(rec.timestamp),
-    }
-    if rec.bid is not None:
-        obj["bid"] = float(rec.bid)
-    return obj
-
-
 def parse_bid(value, where: str) -> float:
     """A bid as a finite float >= 0; ``where`` (a line) leads the error message.
 
     Only a JSON number is a bid: text and true/false are rejected, not cast.
     """
-    bid = math.nan
-    if type(value) in (int, float):
+    bid = value if type(value) is float else math.nan
+    if type(value) is int:
         with contextlib.suppress(OverflowError):  # an integer beyond float range
             bid = float(value)
     if not (math.isfinite(bid) and bid >= 0.0):
@@ -392,35 +390,25 @@ def parse_behavior_ids(value, where: str) -> list[str]:
 _LABELLED_KEYS = frozenset(_REQUIRED_KEYS)
 _PREDICT_KEYS = _LABELLED_KEYS - {"label", "ts"}
 
-
-def obj_to_record(obj: dict, line_no: int, require_label: bool = True) -> ImpressionRecord:
-    # require_label=False is the prediction-input mode: label and ts optional.
-    where = f"line {line_no}"
-    if not obj.keys() >= (_LABELLED_KEYS if require_label else _PREDICT_KEYS):
-        missing = next(k for k in _REQUIRED_KEYS if k not in obj)
-        raise ValueError(f"{where}: missing required field {missing!r}")
-    # type() rather than isinstance(): JSON true/false must not pass as 1/0.
-    label = obj.get("label", 0)
-    if type(label) is not int or label not in (0, 1):
-        raise ValueError(f"{where}: field 'label' must be 0 or 1, got {label!r}")
-    ts = obj.get("ts", 0)
-    if type(ts) is not int:
-        raise ValueError(f"{where}: field 'ts' must be an integer, got {ts!r}")
-    bid = obj.get("bid")
-    return ImpressionRecord(
-        parse_id(obj["user_id"], where, "user_id"),
-        parse_id(obj["ad_id"], where, "ad_id"),
-        parse_behavior_ids(obj["behavior_ids"], where),
-        label,
-        ts,
-        None if bid is None else parse_bid(bid, where),
-    )
+# json.dumps's own string encoder. A line formatted from it, %d for integers
+# and repr for finite floats holds the bytes json.dumps gives.
+json_str = json.encoder.encode_basestring_ascii
+_RECORD_LINE = '{"user_id": %s, "ad_id": %s, "behavior_ids": [%s], "label": %d, "ts": %d'
 
 
-def save_jsonl(records: Sequence[ImpressionRecord], path) -> None:
+def save_jsonl(records: Records, path) -> None:
+    """One JSON object per record, as ``load_jsonl`` reads it; ``bid`` only
+    where the record has one."""
+    with_bid, without_bid = _RECORD_LINE + ', "bid": %r}\n', _RECORD_LINE + "}\n"
     with atomic_open(path) as fh:
-        for rec in records:
-            fh.write(json.dumps(record_to_obj(rec)) + "\n")
+        infinite = np.flatnonzero(np.isinf(records.bids))
+        if infinite.size:
+            raise ValueError(f"record {infinite[0] + 1}: bid must be finite, got {records.bids[infinite[0]]!r}")
+        items = records.items.tolist()
+        columns = (records.users, records.starts, records.lengths, records.labels, records.timestamps, records.bids)
+        for user, s, k, label, ts, bid in zip(*(c.tolist() for c in columns)):
+            row = (json_str(user), json_str(items[s]), ", ".join(map(json_str, items[s + 1 : s + 1 + k])), label, ts)
+            fh.write(with_bid % (*row, bid) if bid == bid else without_bid % row)  # NaN: no bid
 
 
 _decode_json = json.JSONDecoder().raw_decode
@@ -430,12 +418,13 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
     """(1-based line number, object) per non-blank line.
 
     Lines end at a newline byte. A line that is not UTF-8 text holding one
-    JSON object raises ValueError naming its number.
+    JSON object, with only JSON whitespace (space, tab, CR, LF) around it,
+    raises ValueError naming its number.
     """
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8").strip(" \t\r\n")
                 if not line:
                     continue
                 obj, end = _decode_json(line)  # json.loads without its per-call wrapper
@@ -450,13 +439,37 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
             yield line_no, obj
 
 
-def load_jsonl(path, require_label: bool = True) -> list[ImpressionRecord]:
-    """Read one record per line; unknown keys are ignored.
+def load_jsonl(path, require_label: bool = True) -> Records:
+    """Read one record per line into columns; unknown keys are ignored.
 
-    A malformed line raises ValueError naming its 1-based line number. An
-    empty file is an empty list.
+    With ``require_label=False`` (prediction input) label and ts may be
+    absent and read as 0. A malformed line raises ValueError naming its
+    1-based line number and the field. An empty file gives zero records.
     """
-    return [obj_to_record(obj, line_no, require_label=require_label) for line_no, obj in iter_jsonl(path)]
+    required = _LABELLED_KEYS if require_label else _PREDICT_KEYS
+    users, items, lengths, labels, stamps, bids = [], [], [], [], [], []
+    for line_no, obj in iter_jsonl(path):
+        where = f"line {line_no}"
+        if not obj.keys() >= required:
+            missing = next(k for k in _REQUIRED_KEYS if k not in obj)
+            raise ValueError(f"{where}: missing required field {missing!r}")
+        # type() rather than isinstance(): JSON true/false must not pass as 1/0.
+        label = obj.get("label", 0)
+        if type(label) is not int or label not in (0, 1):
+            raise ValueError(f"{where}: field 'label' must be 0 or 1, got {label!r}")
+        ts = obj.get("ts", 0)
+        if type(ts) is not int:
+            raise ValueError(f"{where}: field 'ts' must be an integer, got {ts!r}")
+        users.append(parse_id(obj["user_id"], where, "user_id"))
+        items.append(parse_id(obj["ad_id"], where, "ad_id"))
+        behaviors = parse_behavior_ids(obj["behavior_ids"], where)
+        items += behaviors
+        lengths.append(len(behaviors))
+        labels.append(label)
+        stamps.append(ts)
+        bid = obj.get("bid")
+        bids.append(math.nan if bid is None else parse_bid(bid, where))
+    return Records.of(users, items, lengths, labels, stamps, bids)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +635,7 @@ class _Pcg64Draws:
         self._bitgen.state = state
 
 
-def generate_synthetic(config: SyntheticConfig) -> tuple[list[ImpressionRecord], GroundTruth]:
+def generate_synthetic(config: SyntheticConfig) -> tuple[Records, GroundTruth]:
     """Draw an ad log with a known click process.
 
     Items go round-robin into clusters (item i -> cluster i mod K). Each
@@ -674,16 +687,20 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[list[ImpressionRecord],
     pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
     matches = np.where(keys[pos] == wanted, counts[pos], 0)
     p = sigmoid(config.base_logit + config.signal_strength * (matches / lengths[user]))
-    labels = (np.array(click_u) < p).astype(np.int64).tolist()
-    bids = (0.1 + (2.0 - 0.1) * np.array(bid_u)).tolist()  # Generator.uniform(0.1, 2.0)
+    labels = (np.array(click_u) < p).astype(np.int64)
+    bids = 0.1 + (2.0 - 0.1) * np.array(bid_u)  # Generator.uniform(0.1, 2.0)
 
-    tokens = [[f"i{item}" for item in history] for history in user_behaviors]
-    records = [
-        ImpressionRecord(f"u{u}", f"i{a}", tokens[u], label, _BASE_TIMESTAMP + i, bid)
-        for i, (u, a, label, bid) in enumerate(zip(users, ads, labels, bids))
-    ]
+    # Per impression the ad, then the user's history: the history's item ids
+    # with one slot before it, which the ad then overwrites.
+    row_lengths = lengths[user]
+    item_ids = behaviors[_ranges(np.cumsum(lengths)[user] - row_lengths - 1, row_lengths + 1)]
+    item_names = np.array([f"i{item}" for item in range(num_items)], dtype=object)
+    user_names = np.array([f"u{u}" for u in range(num_users)], dtype=object)
+    timestamps = _BASE_TIMESTAMP + np.arange(config.impressions, dtype=np.int64)
+    records = Records.of(user_names[user], item_names[item_ids], row_lengths, labels, timestamps, bids)
+    records.items[records.starts] = item_names[ad]
     truth = GroundTruth(
-        item_clusters={f"i{item}": item % K for item in range(num_items)},
+        item_clusters=dict(zip(item_names.tolist(), (np.arange(num_items) % K).tolist())),
         true_probs=p.tolist(),
         config=config.to_dict(),
     )

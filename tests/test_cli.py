@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from dinctr.cli import RunConfig, build_parser, main
-from dinctr.data import SyntheticConfig
-from dinctr.model import ModelConfig, load_checkpoint
+from dinctr.data import Records, SyntheticConfig, encode
+from dinctr.metrics import AdCandidate, ecpm, rank_ads
+from dinctr.model import DinModel, ModelConfig, load_checkpoint
 from dinctr.optim import TrainConfig
 
 TINY = {
@@ -504,7 +505,7 @@ class TestPredict:
 
         ck, _ = pipeline["checkpoints"]["din"]
         model, users, items, _ = load_checkpoint(ck)
-        records = D.load_jsonl(pipeline["dataset"])[:8]
+        records = D.load_jsonl(pipeline["dataset"]).take(slice(0, 8))
         batch, _ = D.encode(records, users, items, model.config.max_seq_len)
         expect = model.predict(batch)
         inputs = pipeline["tmp_path"] / "in8.jsonl"
@@ -606,6 +607,24 @@ class TestRank:
         assert out == ""
         assert "null_ctx.json" in err and "field 'user_id'" in err
 
+    @pytest.mark.parametrize("history", [[], ["i4"], [f"i{k % 30}" for k in range(45)], ["<pad>", "unseen"]],
+                             ids=["empty", "one", "truncated", "reserved-and-unseen"])
+    def test_scores_equal_one_record_per_candidate(self, pipeline, capsys, history):
+        """The context is encoded once and shared; every candidate still gets
+        the probability of its own record."""
+        ck, _ = pipeline["checkpoints"]["din"]
+        ads = ["i1", "i2", "unseen-ad", "<pad>", "i29"]
+        cands = self.candidates(pipeline["tmp_path"], [{"ad_id": a, "bid": 1.0} for a in ads])
+        context = pipeline["tmp_path"] / "ctx.json"
+        context.write_text(json.dumps({"user_id": "u3", "behavior_ids": history}))
+        code, out, _ = run_cli(capsys, "rank", "--checkpoint", ck, "--candidates", cands, "--context", str(context))
+        assert code == 0
+        model, users, items, _ = load_checkpoint(ck)
+        per_record = Records.of(["u3"] * len(ads), [t for a in ads for t in (a, *history)], [len(history)] * len(ads),
+                                [0] * len(ads), [0] * len(ads), [np.nan] * len(ads))
+        want = dict(zip(ads, model.predict(encode(per_record, users, items, model.config.max_seq_len)[0]).tolist()))
+        assert {r["ad_id"]: r["p"] for r in map(json.loads, out.splitlines())} == want
+
     def test_integer_context_user_reads_as_digits(self, pipeline, capsys):
         ck, _ = pipeline["checkpoints"]["din"]
         cands = self.candidates(pipeline["tmp_path"], [{"ad_id": "i1", "bid": 1.0}, {"ad_id": "i2", "bid": 2.0}])
@@ -617,6 +636,46 @@ class TestRank:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+class TestOutputLines:
+    """predict and rank lines hold exactly the bytes json.dumps gives."""
+
+    IDS = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "naïve 東京 🚀", "\ud800", 12, -3, "i1"]
+    FLOATS = [0.0, 1.0, 5e-324, 0.1 + 0.2]
+
+    def fixed_probabilities(self, monkeypatch):
+        floats = np.array(self.FLOATS)
+        monkeypatch.setattr(DinModel, "predict", lambda model, batch: np.resize(floats, len(batch)))
+
+    def test_predict_lines_equal_json_dumps(self, pipeline, capsys, monkeypatch):
+        ck, _ = pipeline["checkpoints"]["din"]
+        objs = [{"user_id": u, "ad_id": self.IDS[-1 - i], "behavior_ids": self.IDS[i:]} for i, u in enumerate(self.IDS)]
+        inputs, output = pipeline["tmp_path"] / "weird_in.jsonl", pipeline["tmp_path"] / "weird_out.jsonl"
+        inputs.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        self.fixed_probabilities(monkeypatch)
+        code, _, err = run_cli(capsys, "predict", "--checkpoint", ck, "--input", str(inputs), "--output", str(output))
+        assert code == 0, err
+        p = np.resize(self.FLOATS, len(objs)).tolist()
+        want = [{"user_id": str(o["user_id"]), "ad_id": str(o["ad_id"]), "p": p[i]} for i, o in enumerate(objs)]
+        assert output.read_bytes() == "".join(json.dumps(o) + "\n" for o in want).encode("ascii")
+
+    def test_rank_lines_equal_json_dumps(self, pipeline, capsys, monkeypatch):
+        ck, _ = pipeline["checkpoints"]["din"]
+        bids = [*self.FLOATS, 2, 0.7, 5e-324, 1e300]
+        cands = pipeline["tmp_path"] / "weird_cands.jsonl"
+        cands.write_text("".join(json.dumps({"ad_id": a, "bid": b}) + "\n" for a, b in zip(self.IDS, bids)))
+        context = pipeline["tmp_path"] / "weird_ctx.json"
+        context.write_text(json.dumps({"user_id": "\ud800", "behavior_ids": self.IDS}))
+        self.fixed_probabilities(monkeypatch)
+        code, out, err = run_cli(capsys, "rank", "--checkpoint", ck, "--candidates", str(cands), "--context",
+                                 str(context))
+        assert code == 0, err
+        p = np.resize(self.FLOATS, len(bids)).tolist()
+        ranked = rank_ads([AdCandidate(str(a), float(b), p[i]) for i, (a, b) in enumerate(zip(self.IDS, bids))])
+        want = [{"ad_id": c.ad_id, "p": c.predicted_ctr, "bid": c.bid, "ecpm": ecpm(c.predicted_ctr, c.bid)}
+                for c in ranked]
+        assert out == "".join(json.dumps(o) + "\n" for o in want)
 
 
 class HalfWrite:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from dinctr.data import (
     NO_HISTORY_TOKEN,
     EncodeStats,
-    ImpressionRecord,
+    Records,
     SyntheticConfig,
     Vocabulary,
     atomic_open,
@@ -26,13 +27,48 @@ from dinctr.data import (
 from dinctr.numerics import sigmoid
 
 
+class Row(NamedTuple):
+    """One record's values; ``bid`` is None when the record has none."""
+
+    user: str
+    ad: str
+    behaviors: list
+    label: int
+    ts: int
+    bid: float | None
+
+
 def rec(user="u1", ad="a1", behaviors=("b1",), label=0, ts=0, bid=None):
-    return ImpressionRecord(user, ad, list(behaviors), label, ts, bid)
+    return Row(user, ad, list(behaviors), label, ts, bid)
+
+
+def recs(*rows) -> Records:
+    """Records holding ``rows`` in order."""
+    return Records.of(
+        [r.user for r in rows],
+        [t for r in rows for t in (r.ad, *r.behaviors)],
+        [len(r.behaviors) for r in rows],
+        [r.label for r in rows],
+        [r.ts for r in rows],
+        [math.nan if r.bid is None else r.bid for r in rows],
+    )
+
+
+def rows_of(records: Records) -> list:
+    """The rows of ``records``, read back through ``starts`` and ``lengths``."""
+    items = records.items.tolist()
+    return [
+        Row(user, items[s], items[s + 1 : s + 1 + k], label, ts, None if math.isnan(bid) else bid)
+        for user, s, k, label, ts, bid in zip(
+            records.users.tolist(), records.starts.tolist(), records.lengths.tolist(), records.labels.tolist(),
+            records.timestamps.tolist(), records.bids.tolist(),
+        )
+    ]
 
 
 class TestVocabulary:
     def test_construction_order_ad_before_behaviors(self):
-        users, items = build_vocab([rec(user="u9", ad="a", behaviors=("b", "a"))])
+        users, items = build_vocab(recs(rec(user="u9", ad="a", behaviors=("b", "a"))))
         assert items.encode("a") == 2
         assert items.encode("b") == 3
         assert items.encode(Vocabulary.PAD) == 0
@@ -41,31 +77,31 @@ class TestVocabulary:
         assert users.encode("u9") == 2
 
     def test_rebuild_is_identical(self):
-        records = [rec(user=f"u{i % 3}", ad=f"a{i % 5}", behaviors=(f"b{i % 7}",)) for i in range(30)]
+        records = recs(*(rec(user=f"u{i % 3}", ad=f"a{i % 5}", behaviors=(f"b{i % 7}",)) for i in range(30)))
         _, items1 = build_vocab(records)
         _, items2 = build_vocab(records)
         assert items1.tokens == items2.tokens
 
     def test_frozen_unknown_token_encodes_to_oov(self):
-        _, items = build_vocab([rec()])
+        _, items = build_vocab(recs(rec()))
         assert items.encode("never-seen") == 1
 
     def test_frozen_vocab_never_grows(self):
-        _, items = build_vocab([rec()])
+        _, items = build_vocab(recs(rec()))
         size = items.size
         items.encode("never-seen")
         assert items.size == size
         assert "never-seen" not in items
 
     def test_index_token_round_trip(self):
-        _, items = build_vocab([rec(ad="x", behaviors=("y", "z"))])
+        _, items = build_vocab(recs(rec(ad="x", behaviors=("y", "z"))))
         for tok in ("x", "y", "z"):
             assert items.decode(items.encode(tok)) == tok
 
 
 class TestEncode:
     def setup_method(self):
-        self.records = [rec(user="u1", ad="a", behaviors=("x", "y"), label=1, ts=5)]
+        self.records = recs(rec(user="u1", ad="a", behaviors=("x", "y"), label=1, ts=5))
         self.users, self.items = build_vocab(self.records)
 
     def test_padding_and_mask(self):
@@ -76,7 +112,7 @@ class TestEncode:
         assert batch.labels[0] == 1.0
 
     def test_truncation_keeps_most_recent_tail(self):
-        records = [rec(behaviors=tuple(f"b{i}" for i in range(6)))]
+        records = recs(rec(behaviors=tuple(f"b{i}" for i in range(6))))
         users, items = build_vocab(records)
         batch, stats = encode(records, users, items, max_seq_len=4)
         kept = [items.decode(i) for i in batch.behavior_idx[0]]
@@ -84,7 +120,7 @@ class TestEncode:
         assert stats.n_truncated == 1
 
     def test_empty_history_gets_reserved_token(self):
-        records = [rec(behaviors=())]
+        records = recs(rec(behaviors=()))
         users, items = build_vocab(records)
         batch, stats = encode(records, users, items, max_seq_len=3)
         assert batch.behavior_idx[0, 0] == items.encode(NO_HISTORY_TOKEN)
@@ -100,7 +136,7 @@ class TestEncode:
         assert batch.mask.any(axis=1).all()  # every record has a live slot
 
     def test_oov_tokens_counted(self):
-        other = [rec(ad="unknown-ad", behaviors=("unknown-item",))]
+        other = recs(rec(ad="unknown-ad", behaviors=("unknown-item",)))
         batch, stats = encode(other, self.users, self.items, max_seq_len=4)
         assert batch.ad_idx[0] == 1
         assert batch.behavior_idx[0, 0] == 1
@@ -110,7 +146,7 @@ class TestEncode:
 RESERVED = (Vocabulary.PAD, Vocabulary.OOV)
 
 
-def build_vocab_oracle(records):
+def build_vocab_oracle(rows):
     """Token lists grown one token at a time, each kept on first sight:
     users, then per record the ad before its behaviors, `<no_history>` last."""
     users, items = list(RESERVED), list(RESERVED)
@@ -119,19 +155,19 @@ def build_vocab_oracle(records):
         if tok not in tokens:
             tokens.append(tok)
 
-    for r in records:
-        add(users, r.user_id)
-        add(items, r.ad_id)
-        for tok in r.behavior_ids:
+    for r in rows:
+        add(users, r.user)
+        add(items, r.ad)
+        for tok in r.behaviors:
             add(items, tok)
     add(items, NO_HISTORY_TOKEN)
     return users, items
 
 
-def encode_oracle(records, users, items, max_seq_len):
+def encode_oracle(rows, users, items, max_seq_len):
     """One lookup per token. Unknown tokens and tokens spelled like a
     reserved one encode as OOV and are counted."""
-    n = len(records)
+    n = len(rows)
     stats = EncodeStats(n_records=n)
 
     def look(vocab, tok):
@@ -144,10 +180,10 @@ def encode_oracle(records, users, items, max_seq_len):
     user_idx = np.zeros(n, dtype=np.int64)
     behavior_idx = np.zeros((n, max_seq_len), dtype=np.int64)
     labels = np.zeros(n)
-    for i, r in enumerate(records):
-        user_idx[i] = look(users, r.user_id)
-        ad_idx[i] = look(items, r.ad_id)
-        seq = r.behavior_ids
+    for i, r in enumerate(rows):
+        user_idx[i] = look(users, r.user)
+        ad_idx[i] = look(items, r.ad)
+        seq = r.behaviors
         if len(seq) > max_seq_len:
             seq = seq[-max_seq_len:]
             stats.n_truncated += 1
@@ -162,7 +198,7 @@ def encode_oracle(records, users, items, max_seq_len):
 
 def assert_encode_matches_oracle(records, users, items, max_seq_len):
     batch, stats = encode(records, users, items, max_seq_len)
-    ad_idx, user_idx, behavior_idx, labels, expect = encode_oracle(records, users, items, max_seq_len)
+    ad_idx, user_idx, behavior_idx, labels, expect = encode_oracle(rows_of(records), users, items, max_seq_len)
     np.testing.assert_array_equal(batch.ad_idx, ad_idx)
     np.testing.assert_array_equal(batch.user_idx, user_idx)
     np.testing.assert_array_equal(batch.behavior_idx, behavior_idx)
@@ -184,12 +220,13 @@ class TestEncodeOracle:
             rec(ad=Vocabulary.PAD, behaviors=("i3", Vocabulary.OOV, Vocabulary.PAD, "never-seen")),
             rec(user="u1", ad="i2", behaviors=(NO_HISTORY_TOKEN, "i4")),
         ]
-        return records[:200] + extra + records[200:]
+        rows = rows_of(records)
+        return recs(*rows[:200], *extra, *rows[200:])
 
     def test_build_vocab_matches_per_token_adds(self):
         records = self.records()
         users, items = build_vocab(records)
-        o_users, o_items = build_vocab_oracle(records)
+        o_users, o_items = build_vocab_oracle(rows_of(records))
         assert users.tokens == o_users
         assert items.tokens == o_items
         assert all(items.encode(t) == i for i, t in enumerate(o_items))
@@ -197,16 +234,16 @@ class TestEncodeOracle:
     @pytest.mark.parametrize("max_seq_len", [1, 10, 40])
     def test_generated_data_with_oov_truncation_and_empty(self, max_seq_len):
         records = self.records()
-        users, items = build_vocab(records[:150])  # the rest meets unseen tokens
+        users, items = build_vocab(records.take(slice(0, 150)))  # the rest meets unseen tokens
         stats = assert_encode_matches_oracle(records, users, items, max_seq_len)
         assert stats.n_oov_tokens > 0 and stats.n_empty_history == 1
         assert (stats.n_truncated > 0) == (max_seq_len < 32)
 
     def test_reserved_spellings_encode_as_oov(self):
-        records = [
+        records = recs(
             rec(user=Vocabulary.PAD, ad=Vocabulary.PAD, behaviors=(Vocabulary.PAD,)),
             rec(user=Vocabulary.OOV, ad="a", behaviors=(Vocabulary.PAD, "b", Vocabulary.OOV)),
-        ]
+        )
         users, items = build_vocab(records)
         assert Vocabulary.PAD not in items.tokens[2:] and Vocabulary.OOV not in items.tokens[2:]
         batch, stats = encode(records, users, items, max_seq_len=4)
@@ -218,8 +255,8 @@ class TestEncodeOracle:
         assert_encode_matches_oracle(records, users, items, 4)
 
     def test_zero_records(self):
-        users, items = build_vocab([rec()])
-        batch, stats = encode([], users, items, max_seq_len=3)
+        users, items = build_vocab(recs(rec()))
+        batch, stats = encode(recs(), users, items, max_seq_len=3)
         assert batch.behavior_idx.shape == (0, 3) and len(batch) == 0
         assert stats == EncodeStats()
 
@@ -227,28 +264,28 @@ class TestEncodeOracle:
 class TestSplit:
     def test_temporal_eight_day_example(self):
         # 8 uniform "days" of 10 records each; fraction 1/8 peels off the last day
-        records = [rec(ad=f"a{d}_{i}", ts=d * 86_400 + i) for d in range(8) for i in range(10)]
+        records = recs(*(rec(ad=f"a{d}_{i}", ts=d * 86_400 + i) for d in range(8) for i in range(10)))
         train_side, val_side = split(records, "temporal", 0.125)
         assert len(val_side) == 10
-        assert all(r.timestamp >= 7 * 86_400 for r in val_side)
-        assert max(r.timestamp for r in train_side) < 7 * 86_400
+        assert all(r.ts >= 7 * 86_400 for r in rows_of(val_side))
+        assert max(r.ts for r in rows_of(train_side)) < 7 * 86_400
 
     def test_random_same_seed_identical(self):
-        records = [rec(ad=f"a{i}", ts=i) for i in range(50)]
+        records = recs(*(rec(ad=f"a{i}", ts=i) for i in range(50)))
         a = split(records, "random", 0.3, seed=11)
         b = split(records, "random", 0.3, seed=11)
-        assert [r.ad_id for r in a[0]] == [r.ad_id for r in b[0]]
-        assert [r.ad_id for r in a[1]] == [r.ad_id for r in b[1]]
+        assert rows_of(a[0]) == rows_of(b[0])
+        assert rows_of(a[1]) == rows_of(b[1])
 
     def test_partition_is_exact(self):
-        records = [rec(ad=f"a{i}", ts=i % 7) for i in range(41)]
+        records = recs(*(rec(ad=f"a{i}", ts=i % 7) for i in range(41)))
         train_side, val_side = split(records, "random", 0.25, seed=2)
         assert len(train_side) + len(val_side) == 41
-        all_ids = sorted(r.ad_id for r in records)
-        assert sorted(r.ad_id for r in train_side + val_side) == all_ids
+        all_ids = sorted(r.ad for r in rows_of(records))
+        assert sorted(r.ad for r in rows_of(train_side) + rows_of(val_side)) == all_ids
 
     def test_degenerate_fraction_raises(self):
-        records = [rec(), rec()]
+        records = recs(rec(), rec())
         with pytest.raises(ValueError):
             split(records, "temporal", 0.9999)
         with pytest.raises(ValueError):
@@ -256,7 +293,7 @@ class TestSplit:
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="mode"):
-            split([rec(), rec()], "stratified", 0.5)
+            split(recs(rec(), rec()), "stratified", 0.5)
 
 
 class TestJsonl:
@@ -285,13 +322,12 @@ class TestJsonl:
     def test_empty_file_is_empty_list(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert load_jsonl(path) == []
+        assert len(load_jsonl(path)) == 0 and load_jsonl(path) == recs()
 
     def test_unknown_keys_ignored(self, tmp_path):
         path = tmp_path / "extra.jsonl"
         path.write_text('{"user_id":"u","ad_id":"a","behavior_ids":["b"],"label":1,"ts":3,"debug":42}\n')
-        [loaded] = load_jsonl(path)
-        assert loaded == rec(user="u", ad="a", behaviors=("b",), label=1, ts=3)
+        assert rows_of(load_jsonl(path)) == [rec(user="u", ad="a", behaviors=("b",), label=1, ts=3)]
 
     @pytest.mark.parametrize("bid", ["NaN", "Infinity", "-Infinity", '"abc"'])
     def test_non_finite_bid_names_line_and_field(self, tmp_path, bid):
@@ -328,10 +364,11 @@ class TestJsonl:
 
     def test_bid_optional_and_preserved(self, tmp_path):
         path = tmp_path / "bids.jsonl"
-        save_jsonl([rec(bid=1.25), rec(ad="a2")], path)
+        save_jsonl(recs(rec(bid=1.25), rec(ad="a2")), path)
         loaded = load_jsonl(path)
-        assert loaded[0].bid == 1.25
-        assert loaded[1].bid is None
+        assert loaded.bids[0] == 1.25
+        assert math.isnan(loaded.bids[1])
+        assert [r.bid for r in rows_of(loaded)] == [1.25, None]
 
 
 class TestJsonlTypes:
@@ -356,8 +393,8 @@ class TestJsonlTypes:
 
     def test_integer_ids_read_as_their_digits(self, tmp_path):
         line = json.dumps({**self.GOOD, "user_id": 12, "ad_id": -3, "behavior_ids": [7, "i7"]}).encode()
-        loaded = self.load_second_line(tmp_path, line)[1]
-        assert (loaded.user_id, loaded.ad_id, loaded.behavior_ids) == ("12", "-3", ["7", "i7"])
+        loaded = rows_of(self.load_second_line(tmp_path, line))[1]
+        assert (loaded.user, loaded.ad, loaded.behaviors) == ("12", "-3", ["7", "i7"])
 
     @pytest.mark.parametrize(
         "line,message",
@@ -368,6 +405,25 @@ class TestJsonlTypes:
     def test_unreadable_line_names_its_number(self, tmp_path, line, message):
         with pytest.raises(ValueError, match=message):
             self.load_second_line(tmp_path, line)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["\xa0" + json.dumps(GOOD) + "\x1c", "\x0c", "\u2028" + json.dumps(GOOD), json.dumps(GOOD) + "\x85"],
+        ids=["nbsp-and-separator", "form-feed-only", "line-separator", "next-line"],
+    )
+    def test_non_json_whitespace_around_a_line_rejected(self, tmp_path, line):
+        """The loader used to strip every Unicode whitespace character, so these
+        lines loaded (or were skipped as blank) although json.loads rejects them."""
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(line)
+        with pytest.raises(ValueError, match="line 2: invalid JSON"):
+            self.load_second_line(tmp_path, line.encode())
+
+    def test_crlf_and_json_whitespace_load(self, tmp_path):
+        path = tmp_path / "crlf.jsonl"
+        good = json.dumps(self.GOOD).encode()
+        path.write_bytes(good + b"\r\n \t" + good + b" \t\r\n\r\n \n")
+        assert rows_of(load_jsonl(path)) == [rec(user="u", ad="a", behaviors=("i3", "i1"), label=1, ts=5)] * 2
 
 
 _JSON = st.recursive(
@@ -426,28 +482,110 @@ class TestJsonlFuzz:
             assert msg.startswith("line 2: "), msg
             named = msg.split("field ")[1].split("'")[1] if "field '" in msg else None
             if named is not None:
-                obj = json.loads(line.decode().strip())
+                obj = json.loads(line.decode())
                 assert named not in obj or not _field_ok(named, obj[named]), msg
             return
-        text = line.decode().strip()  # the loader strips Unicode whitespace too
+        text = line.decode().strip(" \t\r\n")  # the JSON whitespace, as json.loads skips it
         if len(records) == 1:  # a blank line
             assert not text
             return
         obj = json.loads(text)
-        rec = records[1]
+        rec = rows_of(records)[1]
         required = ("user_id", "ad_id", "behavior_ids") + (("label", "ts") if require_label else ())
         assert all(k in obj and _field_ok(k, obj[k]) for k in required)
         assert all(_field_ok(k, obj[k]) for k in _FIELDS if k in obj)
-        assert rec == ImpressionRecord(
-            user_id=str(obj["user_id"]),
-            ad_id=str(obj["ad_id"]),
-            behavior_ids=[str(t) for t in obj["behavior_ids"]],
+        assert rec == Row(
+            user=str(obj["user_id"]),
+            ad=str(obj["ad_id"]),
+            behaviors=[str(t) for t in obj["behavior_ids"]],
             label=obj.get("label", 0),
-            timestamp=obj.get("ts", 0),
+            ts=obj.get("ts", 0),
             bid=None if obj.get("bid") is None else float(obj["bid"]),
         )
-        assert type(rec.label) is int and type(rec.timestamp) is int
+        assert records.labels.dtype == np.int64 and records.bids.dtype == np.float64
+        assert type(rec.label) is int and type(rec.ts) is int
         assert rec.bid is None or type(rec.bid) is float
+
+
+_RESERVED_OR_COMMON = st.sampled_from([Vocabulary.PAD, Vocabulary.OOV, NO_HISTORY_TOKEN, "a", "b"])
+_TOKENS = _RESERVED_OR_COMMON | st.text(max_size=3) | st.integers(-3, 30)
+
+
+@st.composite
+def jsonl_files(draw):
+    """(require_label, JSON objects) for a file of records: string and integer
+    IDs, reserved spellings, empty and long histories, with and without a
+    bid; in predict mode label and ts may be absent."""
+    require_label = draw(st.booleans())
+    scalar = {"label": st.sampled_from([0, 1]), "ts": st.integers(-2, 3) | st.integers(),
+              "bid": st.floats(0.0, 5.0) | st.integers(0, 5)}
+    required = {"user_id": _TOKENS, "ad_id": _TOKENS, "behavior_ids": st.lists(_TOKENS, max_size=12)}
+    if require_label:
+        required |= {"label": scalar.pop("label"), "ts": scalar.pop("ts")}
+    objs = draw(st.lists(st.fixed_dictionaries(required, optional=scalar), min_size=1, max_size=30))
+    return require_label, objs
+
+
+def row_of_obj(obj) -> Row:
+    """What a JSON object should load as: IDs as text, label and ts 0 when absent."""
+    bid = obj.get("bid")
+    return Row(str(obj["user_id"]), str(obj["ad_id"]), [str(t) for t in obj["behavior_ids"]], obj.get("label", 0),
+               obj.get("ts", 0), None if bid is None else float(bid))
+
+
+class TestFileBoundary:
+    @given(jsonl_files(), st.integers(1, 8), st.integers(0, 12), st.sampled_from([0.25, 0.5]))
+    @settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_loaded_columns_match_the_per_record_oracles(self, tmp_path, file, max_seq_len, prefix, fraction):
+        """Records written as JSONL and read back give the vocabularies,
+        batch arrays, stats and splits of the per-record oracles."""
+        require_label, objs = file
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        records = load_jsonl(path, require_label=require_label)
+        rows = [row_of_obj(o) for o in objs]
+        assert rows_of(records) == rows
+
+        users, items = build_vocab(records)
+        assert (users.tokens, items.tokens) == build_vocab_oracle(rows)
+        if 0 < prefix < len(rows):  # later records meet tokens the vocabularies lack
+            users, items = build_vocab(records.take(np.arange(prefix)))
+        batch, stats = encode(records, users, items, max_seq_len)
+        ad_idx, user_idx, behavior_idx, labels, expect = encode_oracle(rows, users, items, max_seq_len)
+        for got, want in ((batch.ad_idx, ad_idx), (batch.user_idx, user_idx), (batch.behavior_idx, behavior_idx),
+                          (batch.labels, labels)):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+        assert stats == expect
+
+        n_val = round(len(rows) * fraction)
+        if 1 <= n_val < len(rows):
+            order = sorted(range(len(rows)), key=lambda i: rows[i].ts)
+            train_side, val_side = split(records, "temporal", fraction)
+            assert rows_of(train_side) == [rows[i] for i in order[: len(rows) - n_val]]
+            assert rows_of(val_side) == [rows[i] for i in order[len(rows) - n_val :]]
+
+
+class TestLineFormat:
+    IDS = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "naïve 東京 🚀", "\ud800", "12", "", "<pad>"]
+    FLOATS = [0.0, 1.0, 5e-324, 0.1 + 0.2]
+
+    def test_save_jsonl_lines_equal_json_dumps(self, tmp_path):
+        rows = [
+            rec(user=u, ad=self.IDS[-1 - i], behaviors=self.IDS[i:], label=i % 2, ts=(-1) ** i * 10 ** (3 * i),
+                bid=self.FLOATS[i % 4] if i % 5 else None)
+            for i, u in enumerate(self.IDS)
+        ]
+        assert any(abs(r.ts) > 2**63 for r in rows)  # beyond int64
+        path = tmp_path / "weird.jsonl"
+        save_jsonl(recs(*rows), path)
+        want = [
+            {"user_id": r.user, "ad_id": r.ad, "behavior_ids": r.behaviors, "label": r.label, "ts": r.ts}
+            | ({} if r.bid is None else {"bid": r.bid})
+            for r in rows
+        ]
+        assert path.read_bytes() == "".join(json.dumps(o) + "\n" for o in want).encode("ascii")
+        assert load_jsonl(path) == recs(*rows)
 
 
 class TestAtomicWrites:
@@ -471,10 +609,10 @@ class TestAtomicWrites:
 
     def test_failed_dataset_write_keeps_previous_dataset(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        save_jsonl([rec(), rec(ad="a2")], path)
+        save_jsonl(recs(rec(), rec(ad="a2")), path)
         before = path.read_bytes()
-        with pytest.raises(ValueError):
-            save_jsonl([rec(ad="a3"), rec(label="not a label")], path)  # fails on the second record
+        with pytest.raises(ValueError, match="record 2: bid must be finite"):
+            save_jsonl(recs(rec(ad="a3"), rec(bid=math.inf)), path)  # JSON has no infinity
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["data.jsonl"]
 
@@ -499,7 +637,7 @@ class TestGenerator:
         records, truth = generate_synthetic(config)
         base_rate = sigmoid(config.base_logit)
         assert all(p == base_rate for p in truth.true_probs)
-        ctr_hat = np.mean([r.label for r in records])
+        ctr_hat = np.mean(records.labels)
         sigma = math.sqrt(base_rate * (1 - base_rate) / len(records))
         assert abs(ctr_hat - base_rate) < 3 * sigma
 
@@ -510,7 +648,7 @@ class TestGenerator:
         config = SyntheticConfig(seed=2, impressions=25_000)
         records, truth = generate_synthetic(config)
         p = np.array(truth.true_probs)
-        ctr_hat = np.mean([r.label for r in records])
+        ctr_hat = np.mean(records.labels)
         sigma = math.sqrt(float(np.sum(p * (1 - p))) / len(p) ** 2)
         assert abs(ctr_hat - p.mean()) < 3 * sigma
 
@@ -521,13 +659,13 @@ class TestGenerator:
         config = SyntheticConfig(seed=3)
         records, truth = generate_synthetic(config)
         dominant = {}
-        for r in records:
-            if r.user_id not in dominant:
-                clusters = [truth.item_clusters[b] for b in r.behavior_ids]
-                dominant[r.user_id] = max(set(clusters), key=clusters.count)
+        for r in rows_of(records):
+            if r.user not in dominant:
+                clusters = [truth.item_clusters[b] for b in r.behaviors]
+                dominant[r.user] = max(set(clusters), key=clusters.count)
         matched, unmatched = [], []
-        for r, p in zip(records, truth.true_probs):
-            if truth.item_clusters[r.ad_id] == dominant[r.user_id]:
+        for r, p in zip(rows_of(records), truth.true_probs):
+            if truth.item_clusters[r.ad] == dominant[r.user]:
                 matched.append(p)
             else:
                 unmatched.append(p)
@@ -535,7 +673,7 @@ class TestGenerator:
 
     def test_timestamps_increase_with_generation_order(self):
         records, _ = generate_synthetic(SyntheticConfig(num_users=5, num_items=10, impressions=40, seed=6))
-        ts = [r.timestamp for r in records]
+        ts = records.timestamps.tolist()
         assert ts == sorted(ts)
         assert len(set(ts)) == len(ts)
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dinctr import data
-from dinctr.data import GroundTruth, ImpressionRecord, SyntheticConfig, _Pcg64Draws, generate_synthetic
+from dinctr.data import GroundTruth, Records, SyntheticConfig, _Pcg64Draws, generate_synthetic
 from dinctr.numerics import make_rng, sigmoid
 
 
@@ -42,7 +42,7 @@ def generate_synthetic_oracle(config: SyntheticConfig):
             history.append(members[int(rng.integers(len(members)))])
         user_behaviors.append(history)
 
-    records = []
+    users, items, lengths, labels, timestamps, bids = [], [], [], [], [], []
     true_probs = []
     for i in range(config.impressions):
         user = int(rng.integers(config.num_users))
@@ -54,17 +54,14 @@ def generate_synthetic_oracle(config: SyntheticConfig):
         p = sigmoid(config.base_logit + config.signal_strength * match_fraction)
         label = 1 if rng.random() < p else 0
         bid = float(rng.uniform(0.1, 2.0))
-        records.append(
-            ImpressionRecord(
-                user_id=f"u{user}",
-                ad_id=f"i{ad}",
-                behavior_ids=[f"i{item}" for item in history],
-                label=label,
-                timestamp=data._BASE_TIMESTAMP + i,
-                bid=bid,
-            )
-        )
+        users.append(f"u{user}")
+        items += [f"i{ad}", *(f"i{item}" for item in history)]
+        lengths.append(len(history))
+        labels.append(label)
+        timestamps.append(data._BASE_TIMESTAMP + i)
+        bids.append(bid)
         true_probs.append(p)
+    records = Records.of(users, items, lengths, labels, timestamps, bids)
 
     truth = GroundTruth(
         item_clusters={f"i{item}": item % K for item in range(config.num_items)},

@@ -82,3 +82,26 @@ def test_gauc_hook_reads_the_group_counts():
     tracer = load_tracer().Tracer()
     tracer._hooks()["metrics.gauc"]((), result)
     assert tracer.counts["metrics.gauc_groups"] == result.n_groups_used + result.n_groups_skipped == 8
+
+
+def test_load_and_encode_hooks_read_what_the_program_returns(tmp_path):
+    """``len(load_jsonl(path))`` is the record count and ``encode`` returns
+    ``(EncodedBatch, EncodeStats)``: the ``len(ret)`` and ``ret[0]`` the hooks read."""
+    records, _ = D.generate_synthetic(D.SyntheticConfig(num_users=6, num_items=12, impressions=40, seed=1))
+    path = tmp_path / "data.jsonl"
+    D.save_jsonl(records, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join([b"\n", *lines[:20], b" \t\r\n", *lines[20:]]))  # two blank lines
+    non_blank = sum(1 for line in path.read_bytes().split(b"\n") if line.strip(b" \t\r\n"))
+    loaded = D.load_jsonl(path)
+    assert len(loaded) == non_blank == 40
+    users, items = D.build_vocab(loaded)
+    ret = D.encode(loaded, users, items, 5)
+    assert type(ret) is tuple and len(ret) == 2
+    assert isinstance(ret[0], D.EncodedBatch) and isinstance(ret[1], D.EncodeStats)
+    tracer = load_tracer().Tracer()
+    hooks = tracer._hooks()
+    hooks["data.load_jsonl"]((path,), loaded)
+    hooks["data.encode"]((loaded, users, items, 5), ret)
+    assert tracer.counts["data.records_loaded"] == non_blank
+    assert tracer.counts["data.tokens_encoded"] == np.count_nonzero(ret[0].behavior_idx) + 2 * len(ret[0])
