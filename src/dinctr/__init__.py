@@ -23,6 +23,7 @@ from .metrics import (
     AdCandidate,
     accuracy,
     auc,
+    bce_loss,
     ecpm,
     gauc,
     log_loss,
@@ -36,7 +37,7 @@ from .model import (
     save_checkpoint,
 )
 from .numerics import grad_check, make_rng, sigmoid
-from .optim import AdamState, TrainConfig, TrainHistory, adam_step, bce_loss, l2_penalty, train
+from .optim import AdamState, TrainConfig, TrainHistory, adam_step, l2_penalty, train
 
 __version__ = "0.1.0"
 
@@ -55,6 +56,7 @@ __all__ = [
     "AdCandidate",
     "accuracy",
     "auc",
+    "bce_loss",
     "ecpm",
     "gauc",
     "log_loss",
@@ -71,7 +73,6 @@ __all__ = [
     "TrainConfig",
     "TrainHistory",
     "adam_step",
-    "bce_loss",
     "l2_penalty",
     "train",
     "__version__",

@@ -22,8 +22,8 @@ import numpy as np
 from . import data as D
 from . import metrics as M
 from .model import ModelConfig, init_model, load_checkpoint, save_checkpoint
-from .numerics import grad_check, make_rng
-from .optim import TrainConfig, bce_loss, l2_penalty, save_history, train
+from .numerics import make_rng
+from .optim import TrainConfig, check_gradients, save_history, train
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -153,8 +153,8 @@ def _load_split(cfg: RunConfig, which: str) -> D.Records:
     records = D.load_jsonl(cfg.dataset)
     if which == "all":
         return records
-    train_recs, val_recs = D.split(records, cfg.split_mode, cfg.val_fraction, cfg.seed)
-    return train_recs if which == "train" else val_recs
+    train_rows, val_rows = D.split(records, cfg.split_mode, cfg.val_fraction, cfg.seed)
+    return records.take(train_rows if which == "train" else val_rows)
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -162,10 +162,10 @@ def cmd_train(cfg: RunConfig) -> int:
         raise FileNotFoundError(f"dataset not found: {cfg.dataset}")
     records = D.load_jsonl(cfg.dataset)
     user_vocab, item_vocab = D.build_vocab(records)
-    train_recs, val_recs = D.split(records, cfg.split_mode, cfg.val_fraction, cfg.seed)
-    train_batch, enc_stats = D.encode(train_recs, user_vocab, item_vocab, cfg.max_seq_len)
-    val_batch, _ = D.encode(val_recs, user_vocab, item_vocab, cfg.max_seq_len)
-    del records, train_recs, val_recs  # training needs only the batches
+    train_rows, val_rows = D.split(records, cfg.split_mode, cfg.val_fraction, cfg.seed)
+    train_batch, enc_stats = D.encode(records.take(train_rows), user_vocab, item_vocab, cfg.max_seq_len)
+    val_batch, _ = D.encode(records.take(val_rows), user_vocab, item_vocab, cfg.max_seq_len)
+    del records  # training needs only the batches
     model = init_model(cfg.model_config(item_vocab.size, user_vocab.size), make_rng(cfg.seed, stream=1))
     _note(f"training {cfg.model} model on {len(train_batch)} records ({len(val_batch)} validation)")
     model, history = train(model, train_batch, val_batch, cfg.train_config())
@@ -331,7 +331,7 @@ def cmd_rank(checkpoint_path: str, candidates_path: str, context_path: str | Non
     return 0
 
 
-def gradcheck_model(use_attention: bool, seed: int, eps: float = 1e-5, l2_lambda: float = 1e-5):
+def gradcheck_model(use_attention: bool, seed: int, eps: float = 1e-5, l2_lambda: float = 1e-5) -> float:
     """Max relative error of the analytic gradients on a tiny random model."""
     rng = make_rng(seed, stream=3)
     config = ModelConfig(
@@ -349,25 +349,11 @@ def gradcheck_model(use_attention: bool, seed: int, eps: float = 1e-5, l2_lambda
         labels=rng.integers(0, 2, size=B).astype(np.float64),
         user_idx=rng.integers(2, config.user_vocab, size=B).astype(np.int64),
     )
-
-    def loss_at(flat: np.ndarray) -> float:
-        probe = model.copy()
-        probe.set_flat_params(flat)
-        probs, cache = probe.forward(batch)
-        loss, _ = bce_loss(probs, batch.labels)
-        grads = probe.backward(cache, np.zeros(B))  # zero grads, batch-touched rows
-        return loss + l2_penalty(probe, l2_lambda, grads)
-
-    probs, cache = model.forward(batch)
-    loss, dprobs = bce_loss(probs, batch.labels)
-    grads = model.backward(cache, dprobs)
-    l2_penalty(model, l2_lambda, grads)
-    analytic = grads.flat(model.params)
-    return grad_check(loss_at, model.flat_params(), analytic, eps=eps), model
+    return check_gradients(model, batch, l2_lambda, eps)
 
 
 def cmd_gradcheck(cfg: RunConfig, eps: float) -> int:
-    error, _ = gradcheck_model(cfg.model == "din", cfg.seed, eps=eps, l2_lambda=cfg.l2_lambda)
+    error = gradcheck_model(cfg.model == "din", cfg.seed, eps=eps, l2_lambda=cfg.l2_lambda)
     passed = bool(error < GRADCHECK_THRESHOLD)
     _emit({"model": cfg.model, "max_rel_error": error, "threshold": GRADCHECK_THRESHOLD, "eps": eps, "passed": passed})
     return 0 if passed else 1

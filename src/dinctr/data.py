@@ -307,8 +307,8 @@ def check_split(mode: str, fraction: float) -> None:
         raise ValueError(f"validation fraction must be in (0, 1), got {fraction}")
 
 
-def split(records: Records, mode: str, fraction: float, seed: int = 0) -> tuple[Records, Records]:
-    """Partition into (train, validation).
+def split(records: Records, mode: str, fraction: float, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Partition the rows into (train, validation) row indices, for ``records.take``.
 
     temporal: stable-sort by timestamp, the last ``fraction`` of records is
     validation. random: seeded shuffle, then the same tail split. Each
@@ -320,7 +320,7 @@ def split(records: Records, mode: str, fraction: float, seed: int = 0) -> tuple[
     if n_val < 1 or n_val >= n:
         raise ValueError(f"split of {n} records with fraction {fraction} leaves an empty side")
     order = np.argsort(records.timestamps, kind="stable") if mode == "temporal" else make_rng(seed).permutation(n)
-    return records.take(order[: n - n_val]), records.take(order[n - n_val :])
+    return order[: n - n_val], order[n - n_val :]
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .optim import bce_loss
-
+PROB_CLAMP = 1e-7
 WEIGHT_MODES = ("impressions", "clicks")
 
 
@@ -131,6 +130,26 @@ def gauc(scores, labels, groups, weight_mode: str = "impressions") -> GaucResult
         n_groups_used=len(groups),
         n_groups_skipped=skipped,
     )
+
+
+def bce_loss(probs, labels) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy and its per-record gradient.
+
+    Probabilities are clamped to [1e-7, 1 - 1e-7] before the logs; the
+    gradient is taken at the clamped value so the two stay consistent.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    if p.shape != y.shape or p.ndim != 1:
+        raise ValueError(f"shape mismatch: probs {p.shape} vs labels {y.shape}")
+    if p.size == 0:
+        raise ValueError("empty batch")
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise ValueError("labels must be 0 or 1")
+    pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
+    dprobs = (pc - y) / (pc * (1.0 - pc)) / p.size
+    return loss, dprobs
 
 
 def log_loss(scores, labels) -> float:

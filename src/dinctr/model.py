@@ -106,19 +106,6 @@ class Gradients:
     rows: dict[str, np.ndarray] = field(default_factory=dict)
     row_grads: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def flat(self, params: dict[str, np.ndarray]) -> np.ndarray:
-        """All gradients as one vector laid out like ``DinModel.flat_params``,
-        with zeros for the embedding rows the batch did not touch."""
-        parts = []
-        for name, p in params.items():
-            if name in self.rows:
-                g = np.zeros_like(p)
-                g[self.rows[name]] = self.row_grads[name]
-            else:
-                g = self.dense[name]
-            parts.append(g.ravel())
-        return np.concatenate(parts)
-
 
 def _sum_rows(idx: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum the rows that share an index in ``idx``; ``cols`` holds the rows
@@ -158,22 +145,6 @@ class DinModel:
     @property
     def n_layers(self) -> int:
         return len(self.config.hidden) + 1
-
-    def copy(self) -> "DinModel":
-        return DinModel(self.config, {k: v.copy() for k, v in self.params.items()})
-
-    def flat_params(self) -> np.ndarray:
-        """All parameters concatenated in key-insertion order."""
-        return np.concatenate([self.params[k].ravel() for k in self.params])
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        offset = 0
-        for k in self.params:
-            size = self.params[k].size
-            self.params[k][...] = flat[offset : offset + size].reshape(self.params[k].shape)
-            offset += size
-        if offset != flat.size:
-            raise ValueError(f"flat vector has {flat.size} entries, expected {offset}")
 
     # -- forward ----------------------------------------------------------
 

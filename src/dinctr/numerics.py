@@ -40,40 +40,45 @@ def sigmoid(x):
 
 
 def grad_check(
-    loss_fn: Callable[[np.ndarray], float],
-    params,
-    analytic_grad,
+    loss_fn: Callable[[], float],
+    params: dict[str, np.ndarray],
+    analytic: dict[str, np.ndarray],
     eps: float = 1e-5,
 ) -> float:
-    """Compare an analytic gradient against central finite differences.
+    """Compare analytic gradients against central finite differences.
 
-    For each coordinate i the numeric gradient is
-    (loss(p + eps*e_i) - loss(p - eps*e_i)) / (2*eps) and the returned value
-    is the maximum over coordinates of
+    ``params`` maps block names to float64 arrays, ``analytic`` each name to
+    a same-shape gradient, and ``loss_fn()`` reads the ``params`` arrays.
+    Block by block, in C order, each entry x is set to x + eps, then x - eps,
+    then back to x in place, also when ``loss_fn`` raises. The numeric gradient
+    is (loss(x+eps) - loss(x-eps)) / (2*eps); the result is the maximum of
 
         |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
 
-    ``loss_fn`` must be pure and deterministic. Raises on non-finite loss
-    evaluations and on non-positive ``eps``.
+    ``loss_fn`` must be deterministic. Raises on non-finite losses, on
+    non-positive ``eps`` and on a block whose shape or dtype does not fit.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    p = np.array(params, dtype=np.float64).ravel()
-    g = np.asarray(analytic_grad, dtype=np.float64).ravel()
-    if g.shape != p.shape:
-        raise ValueError(f"gradient shape {g.shape} != params shape {p.shape}")
     worst = 0.0
-    for i in range(p.size):
-        orig = p[i]
-        p[i] = orig + eps
-        f_plus = float(loss_fn(p))
-        p[i] = orig - eps
-        f_minus = float(loss_fn(p))
-        p[i] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise FloatingPointError(f"non-finite loss while perturbing coordinate {i}")
-        numeric = (f_plus - f_minus) / (2.0 * eps)
-        rel = abs(g[i] - numeric) / max(1e-8, abs(g[i]) + abs(numeric))
-        if rel > worst:
-            worst = float(rel)
+    for name, p in params.items():
+        g = np.asarray(analytic[name], dtype=np.float64)
+        if g.shape != p.shape:
+            raise ValueError(f"block {name!r}: gradient shape {g.shape} != params shape {p.shape}")
+        if p.dtype != np.float64:
+            raise TypeError(f"block {name!r}: params must be float64 to be perturbed in place, got {p.dtype}")
+        for idx in np.ndindex(p.shape):
+            orig = p[idx]
+            try:
+                p[idx] = orig + eps
+                f_plus = float(loss_fn())
+                p[idx] = orig - eps
+                f_minus = float(loss_fn())
+            finally:
+                p[idx] = orig
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise FloatingPointError(f"non-finite loss while perturbing block {name!r} at index {idx}")
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            rel = abs(g[idx] - numeric) / max(1e-8, abs(g[idx]) + abs(numeric))
+            worst = max(worst, float(rel))
     return worst

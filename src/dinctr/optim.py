@@ -1,4 +1,4 @@
-"""Binary cross-entropy with L2, the Adam optimizer, and the training loop.
+"""The step's objective (cross-entropy plus L2), its gradient check, Adam, and the training loop.
 
 Embedding tables get lazy (sparse) Adam semantics: the optimizer reads
 their gradients as the compact rows the batch touched (``Gradients.rows``
@@ -20,34 +20,15 @@ from typing import Optional
 
 import numpy as np
 
+from . import metrics  # train calls metrics.gauc through the module, so a wrapper set on it sees the call
 from .data import EncodedBatch, atomic_open
+from .metrics import bce_loss
 from .model import DinModel, Gradients
-from .numerics import make_rng
+from .numerics import grad_check, make_rng
 
-PROB_CLAMP = 1e-7
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-def bce_loss(probs, labels) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy and its per-record gradient.
-
-    Probabilities are clamped to [1e-7, 1 - 1e-7] before the logs; the
-    gradient is taken at the clamped value so the two stay consistent.
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if p.shape != y.shape or p.ndim != 1:
-        raise ValueError(f"shape mismatch: probs {p.shape} vs labels {y.shape}")
-    if p.size == 0:
-        raise ValueError("empty batch")
-    if not ((y == 0.0) | (y == 1.0)).all():
-        raise ValueError("labels must be 0 or 1")
-    pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
-    dprobs = (pc - y) / (pc * (1.0 - pc)) / p.size
-    return loss, dprobs
 
 
 def l2_penalty(model: DinModel, lam: float, grads: Gradients) -> float:
@@ -71,6 +52,33 @@ def l2_penalty(model: DinModel, lam: float, grads: Gradients) -> float:
             penalty += float(np.sum(sub * sub))
             grads.row_grads[name] += 2.0 * lam * sub
     return lam * penalty
+
+
+def objective(model: DinModel, batch: EncodedBatch, l2_lambda: float) -> tuple[float, float, Gradients]:
+    """A training step's (bce, penalty, grads): forward, mean BCE, backward,
+    then ``l2_penalty``, whose gradient is folded into ``grads``."""
+    probs, cache = model.forward(batch)
+    loss, dprobs = bce_loss(probs, batch.labels)
+    grads = model.backward(cache, dprobs)
+    return loss, l2_penalty(model, l2_lambda, grads), grads
+
+
+def check_gradients(model: DinModel, batch: EncodedBatch, l2_lambda: float = 0.0, eps: float = 1e-5) -> float:
+    """Max relative error of ``objective``'s gradients against central
+    differences of bce + penalty (``numerics.grad_check``, which perturbs
+    the model's own arrays in place and restores them). Embedding gradients
+    are compared as full tables, zero in the rows the batch did not touch."""
+    _, _, grads = objective(model, batch, l2_lambda)
+    analytic = dict(grads.dense)
+    for name, rows in grads.rows.items():
+        analytic[name] = np.zeros_like(model.params[name])
+        analytic[name][rows] = grads.row_grads[name]
+
+    def loss() -> float:
+        bce, penalty, _ = objective(model, batch, l2_lambda)
+        return bce + penalty
+
+    return grad_check(loss, model.params, analytic, eps)
 
 
 @dataclass
@@ -197,8 +205,6 @@ def train(
     when ``patience`` is set (stopping early after that many epochs without
     improvement). Fully deterministic given (seed, config, data).
     """
-    from .metrics import gauc, log_loss  # local import, metrics depends on optim
-
     config.validate()
     n = len(train_batch)
     if n == 0:
@@ -219,15 +225,12 @@ def train(
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             mb = train_batch.take(order[start : start + config.batch_size])
-            probs, cache = model.forward(mb)
-            loss, dprobs = bce_loss(probs, mb.labels)
-            grads = model.backward(cache, dprobs)
-            l2_penalty(model, config.l2_lambda, grads)
+            loss, _, grads = objective(model, mb, config.l2_lambda)
             adam_step(state, model.params, grads)
             loss_sum += loss * len(mb)
         val_probs = model.predict(val_batch)
-        val_loss = log_loss(val_probs, val_batch.labels)
-        val_gauc = gauc(val_probs, val_batch.labels, val_batch.user_idx, "impressions").value
+        val_loss = metrics.log_loss(val_probs, val_batch.labels)
+        val_gauc = metrics.gauc(val_probs, val_batch.labels, val_batch.user_idx, "impressions").value
         seconds = time.perf_counter() - tic if config.timing else 0.0
         history.epochs.append(
             EpochStats(

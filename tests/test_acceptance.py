@@ -50,10 +50,10 @@ class Run:
 def _train_one(seed: int, use_attention: bool, signal_strength: float) -> Run:
     cfg = RunConfig(seed=seed, **{**EXPERIMENT, "signal_strength": signal_strength})
     records, _ = D.generate_synthetic(cfg.synthetic_config())
-    train_recs, val_recs = D.split(records, cfg.split_mode, cfg.val_fraction, seed)
+    train_rows, val_rows = D.split(records, cfg.split_mode, cfg.val_fraction, seed)
     users, items = D.build_vocab(records)
-    train_batch, _ = D.encode(train_recs, users, items, cfg.max_seq_len)
-    val_batch, _ = D.encode(val_recs, users, items, cfg.max_seq_len)
+    train_batch, _ = D.encode(records.take(train_rows), users, items, cfg.max_seq_len)
+    val_batch, _ = D.encode(records.take(val_rows), users, items, cfg.max_seq_len)
     model_config = cfg.model_config(items.size, users.size)
     model_config.use_attention = use_attention
     model = init_model(model_config, make_rng(seed, stream=1))
@@ -85,10 +85,10 @@ def null_runs():
     for seed in SEEDS:
         cfg = RunConfig(seed=seed, **{**EXPERIMENT, "signal_strength": 0.0})
         records, _ = D.generate_synthetic(cfg.synthetic_config())
-        train_recs, val_recs = D.split(records, cfg.split_mode, cfg.val_fraction, seed)
+        train_rows, val_rows = D.split(records, cfg.split_mode, cfg.val_fraction, seed)
         users, items = D.build_vocab(records)
-        train_batch, _ = D.encode(train_recs, users, items, cfg.max_seq_len)
-        val_batch, _ = D.encode(val_recs, users, items, cfg.max_seq_len)
+        train_batch, _ = D.encode(records.take(train_rows), users, items, cfg.max_seq_len)
+        val_batch, _ = D.encode(records.take(val_rows), users, items, cfg.max_seq_len)
         for name in ("din", "base"):
             model_config = cfg.model_config(items.size, users.size)
             model_config.use_attention = name == "din"
@@ -345,8 +345,8 @@ def test_criterion_9_adam_recurrence(capsys):
     records, _ = D.generate_synthetic(cfg.synthetic_config())
     tr, vr = D.split(records, "temporal", 0.2, 1)
     users, items = D.build_vocab(records)
-    tb, _ = D.encode(tr, users, items, 32)
-    vb, _ = D.encode(vr, users, items, 32)
+    tb, _ = D.encode(records.take(tr), users, items, 32)
+    vb, _ = D.encode(records.take(vr), users, items, 32)
     model = init_model(cfg.model_config(items.size, users.size), make_rng(1, stream=1))
     model, _ = train(model, tb, vb, cfg.train_config())
     pad_ok = not model.params["item_emb"][0].any()

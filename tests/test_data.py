@@ -265,21 +265,23 @@ class TestSplit:
     def test_temporal_eight_day_example(self):
         # 8 uniform "days" of 10 records each; fraction 1/8 peels off the last day
         records = recs(*(rec(ad=f"a{d}_{i}", ts=d * 86_400 + i) for d in range(8) for i in range(10)))
-        train_side, val_side = split(records, "temporal", 0.125)
+        train_side, val_side = (records.take(rows) for rows in split(records, "temporal", 0.125))
         assert len(val_side) == 10
         assert all(r.ts >= 7 * 86_400 for r in rows_of(val_side))
         assert max(r.ts for r in rows_of(train_side)) < 7 * 86_400
 
     def test_random_same_seed_identical(self):
         records = recs(*(rec(ad=f"a{i}", ts=i) for i in range(50)))
-        a = split(records, "random", 0.3, seed=11)
-        b = split(records, "random", 0.3, seed=11)
+        a = [records.take(rows) for rows in split(records, "random", 0.3, seed=11)]
+        b = [records.take(rows) for rows in split(records, "random", 0.3, seed=11)]
         assert rows_of(a[0]) == rows_of(b[0])
         assert rows_of(a[1]) == rows_of(b[1])
 
     def test_partition_is_exact(self):
         records = recs(*(rec(ad=f"a{i}", ts=i % 7) for i in range(41)))
-        train_side, val_side = split(records, "random", 0.25, seed=2)
+        train_rows, val_rows = split(records, "random", 0.25, seed=2)
+        assert sorted(np.concatenate([train_rows, val_rows]).tolist()) == list(range(41))
+        train_side, val_side = records.take(train_rows), records.take(val_rows)
         assert len(train_side) + len(val_side) == 41
         all_ids = sorted(r.ad for r in rows_of(records))
         assert sorted(r.ad for r in rows_of(train_side) + rows_of(val_side)) == all_ids
@@ -561,7 +563,7 @@ class TestFileBoundary:
         n_val = round(len(rows) * fraction)
         if 1 <= n_val < len(rows):
             order = sorted(range(len(rows)), key=lambda i: rows[i].ts)
-            train_side, val_side = split(records, "temporal", fraction)
+            train_side, val_side = (records.take(rows) for rows in split(records, "temporal", fraction))
             assert rows_of(train_side) == [rows[i] for i in order[: len(rows) - n_val]]
             assert rows_of(val_side) == [rows[i] for i in order[len(rows) - n_val :]]
 

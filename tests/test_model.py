@@ -18,8 +18,8 @@ from dinctr.model import (
     save_checkpoint,
 )
 from dinctr.data import Vocabulary
-from dinctr.numerics import grad_check, make_rng
-from dinctr.optim import bce_loss, l2_penalty
+from dinctr.numerics import make_rng
+from dinctr.optim import bce_loss, check_gradients, objective
 
 
 def tiny_config(use_attention=True, dim=3, hidden=(4,), item_vocab=12, max_seq_len=5):
@@ -266,18 +266,8 @@ class TestUserProfile:
         config.use_user_profile = True
         model = init_model(config, make_rng(62, stream=1))
         batch = random_batch(config, make_rng(63), B=3)
-
-        def loss_at(flat):
-            probe = model.copy()
-            probe.set_flat_params(flat)
-            probs, _ = probe.forward(batch)
-            return bce_loss(probs, batch.labels)[0]
-
-        probs, cache = model.forward(batch)
-        _, dprobs = bce_loss(probs, batch.labels)
-        grads = model.backward(cache, dprobs)
-        analytic = grads.flat(model.params)
-        assert grad_check(loss_at, model.flat_params(), analytic, eps=1e-5) < 1e-4
+        assert check_gradients(model, batch, eps=1e-5) < 1e-4
+        grads = objective(model, batch, 0.0)[2]
         assert grads.rows["user_emb"].size and 0 not in grads.rows["user_emb"]
 
 
@@ -363,21 +353,18 @@ class TestBackward:
         config = tiny_config(use_attention=use_attention, dim=4, hidden=(6,), item_vocab=14)
         model = init_model(config, make_rng(20, stream=1))
         batch = random_batch(config, make_rng(21), B=4)
+        assert check_gradients(model, batch, l2_lambda=1e-3, eps=1e-5) < 1e-4
 
-        def loss_at(flat):
-            probe = model.copy()
-            probe.set_flat_params(flat)
-            probs, cache = probe.forward(batch)
-            loss, _ = bce_loss(probs, batch.labels)
-            grads = probe.backward(cache, np.zeros(len(batch)))
-            return loss + l2_penalty(probe, 1e-3, grads)
-
-        probs, cache = model.forward(batch)
-        loss, dprobs = bce_loss(probs, batch.labels)
-        grads = model.backward(cache, dprobs)
-        l2_penalty(model, 1e-3, grads)
-        analytic = grads.flat(model.params)
-        assert grad_check(loss_at, model.flat_params(), analytic, eps=1e-5) < 1e-4
+    @pytest.mark.parametrize(
+        "use_attention,use_user_profile", [(True, False), (False, False), (True, True), (False, True)]
+    )
+    def test_gradient_check_leaves_every_parameter_bit_identical(self, use_attention, use_user_profile):
+        config = tiny_config(use_attention=use_attention, dim=3, hidden=(4,), item_vocab=10)
+        config.use_user_profile = use_user_profile
+        model = init_model(config, make_rng(64, stream=1))
+        before = {k: p.tobytes() for k, p in model.params.items()}
+        check_gradients(model, random_batch(config, make_rng(65), B=3), l2_lambda=1e-3)
+        assert {k: p.tobytes() for k, p in model.params.items()} == before
 
     def test_zero_upstream_zero_gradients(self):
         config = tiny_config()
@@ -385,7 +372,8 @@ class TestBackward:
         batch = random_batch(config, make_rng(23), B=3)
         _, cache = model.forward(batch)
         grads = model.backward(cache, np.zeros(3))
-        assert not grads.flat(model.params).any()
+        assert len(grads.dense) == 4 and set(grads.row_grads) == {"item_emb"}  # every block is looked at below
+        assert not any(g.any() for g in (*grads.dense.values(), *grads.row_grads.values()))
 
     def test_singleton_sequence_reduces_to_dot_product_gradient(self):
         """One behavior: the softmax is constant 1, so only the direct
@@ -411,7 +399,12 @@ class TestBackward:
         _, dprobs_u = bce_loss(probs_u, batch.labels)
         grads_uni = uniform.backward(cache_u, dprobs_u)
 
-        np.testing.assert_allclose(grads_att.flat(model.params), grads_uni.flat(model.params), atol=1e-12)
+        assert grads_att.rows.keys() == grads_uni.rows.keys() and grads_att.dense.keys() == grads_uni.dense.keys()
+        for name, rows in grads_att.rows.items():
+            np.testing.assert_array_equal(rows, grads_uni.rows[name])
+            np.testing.assert_allclose(grads_att.row_grads[name], grads_uni.row_grads[name], atol=1e-12)
+        for name, g in grads_att.dense.items():
+            np.testing.assert_allclose(g, grads_uni.dense[name], atol=1e-12)
 
     def test_pad_row_gradient_forced_zero(self):
         config = tiny_config()
@@ -420,7 +413,6 @@ class TestBackward:
         probs, cache = model.forward(batch)
         _, dprobs = bce_loss(probs, batch.labels)
         grads = model.backward(cache, dprobs)
-        assert not grads.flat(model.params)[: model.config.dim].any()  # item row 0 leads the flat layout
         assert 0 not in grads.rows["item_emb"]
 
     def test_pad_lookups_leave_no_pad_row(self):

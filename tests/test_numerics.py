@@ -68,24 +68,53 @@ class TestSoftmax:
 
 class TestGradCheck:
     def test_quadratic(self):
-        err = grad_check(lambda p: float(p[0] ** 2), np.array([3.0]), np.array([6.0]))
+        p = {"x": np.array([3.0])}
+        err = grad_check(lambda: float(p["x"][0] ** 2), p, {"x": np.array([6.0])})
         assert err < 1e-9
 
     def test_constant_function(self):
-        err = grad_check(lambda p: 1.5, np.array([0.3, -0.7]), np.zeros(2))
+        err = grad_check(lambda: 1.5, {"x": np.array([0.3, -0.7])}, {"x": np.zeros(2)})
         assert err == 0.0
 
     def test_detects_wrong_gradient(self):
-        err = grad_check(lambda p: float(p[0] ** 2), np.array([3.0]), np.array([5.0]))
+        p = {"x": np.array([3.0])}
+        err = grad_check(lambda: float(p["x"][0] ** 2), p, {"x": np.array([5.0])})
         assert err > 1e-2
 
     def test_non_finite_loss_raises(self):
-        with pytest.raises(FloatingPointError):
-            grad_check(lambda p: float("nan"), np.array([1.0]), np.array([0.0]))
+        with pytest.raises(FloatingPointError, match=r"'x' at index \(0,\)"):
+            grad_check(lambda: float("nan"), {"x": np.array([1.0])}, {"x": np.array([0.0])})
 
     def test_bad_eps_raises(self):
         with pytest.raises(ValueError):
-            grad_check(lambda p: 0.0, np.array([1.0]), np.array([0.0]), eps=0.0)
+            grad_check(lambda: 0.0, {"x": np.array([1.0])}, {"x": np.array([0.0])}, eps=0.0)
+
+    @pytest.mark.parametrize(
+        "params,grad,error",
+        [(np.zeros(2), np.zeros(3), ValueError), (np.zeros((2, 1)), np.zeros(2), ValueError),
+         (np.zeros(2, dtype=np.int64), np.zeros(2), TypeError), (np.zeros(2, dtype=np.float32), np.zeros(2), TypeError)],
+    )
+    def test_block_that_does_not_fit_raises_naming_it(self, params, grad, error):
+        ok = {"a": np.array([1.0])}
+        with pytest.raises(error, match="'b'"):
+            grad_check(lambda: 0.0, {**ok, "b": params}, {"a": np.zeros(1), "b": grad})
+        assert ok["a"][0] == 1.0
+
+    def test_restores_every_entry_when_loss_raises_partway(self):
+        w = np.arange(6.0).reshape(2, 3) / 7.0
+        before = w.tobytes()
+        calls = []
+
+        def loss():
+            calls.append(w.copy())
+            if len(calls) == 4:  # entry (0, 1) is at x - eps
+                raise RuntimeError("boom")
+            return float(np.sum(w**2))
+
+        with pytest.raises(RuntimeError, match="boom"):
+            grad_check(loss, {"w": w}, {"w": 2.0 * w})
+        assert w.tobytes() == before
+        assert calls[3][0, 1] != w[0, 1] and calls[2][0, 0] == w[0, 0]  # one entry moved at a time, in C order
 
 
 class TestSeededRng:

@@ -236,10 +236,10 @@ def small_dataset(seed=1, impressions=1500, alpha=4.0):
         num_users=60, num_items=40, impressions=impressions, signal_strength=alpha, seed=seed
     )
     records, _ = generate_synthetic(config)
-    train_recs, val_recs = split(records, "temporal", 0.2, seed)
+    train_rows, val_rows = split(records, "temporal", 0.2, seed)
     users, items = build_vocab(records)
-    tb, _ = encode(train_recs, users, items, 32)
-    vb, _ = encode(val_recs, users, items, 32)
+    tb, _ = encode(records.take(train_rows), users, items, 32)
+    vb, _ = encode(records.take(val_rows), users, items, 32)
     return tb, vb, items, users
 
 
