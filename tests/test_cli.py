@@ -17,7 +17,6 @@ import pytest
 
 from dinctr.cli import RunConfig, build_parser, main
 from dinctr.data import Records, SyntheticConfig, encode
-from dinctr.metrics import AdCandidate, ecpm, rank_ads
 from dinctr.model import DinModel, ModelConfig, load_checkpoint
 from dinctr.optim import TrainConfig
 
@@ -383,6 +382,20 @@ class TestEval:
         for name, single in singles.items():  # "config" echoes each run's own flags
             assert {**models[name], "config": None} == {**single, "config": None}
 
+    def test_compare_groups_csv_is_the_first_checkpoints_table(self, pipeline, capsys):
+        """``--compare CKPT_A CKPT_B --groups-csv`` writes CKPT_A's table, the
+        bytes a single eval of CKPT_A writes."""
+        tmp_path = pipeline["tmp_path"]
+        cks = {name: pipeline["checkpoints"][name][0] for name in ("din", "base")}
+        common = ("eval", "--config", pipeline["config"], "--dataset", pipeline["dataset"])
+        for first, second in (("din", "base"), ("base", "din")):
+            single, compared = tmp_path / f"{first}_groups.csv", tmp_path / f"{first}_{second}_groups.csv"
+            assert run_cli(capsys, *common, "--checkpoint", cks[first], "--groups-csv", str(single))[0] == 0
+            code, _, _ = run_cli(capsys, *common, "--compare", cks[first], cks[second], "--groups-csv", str(compared))
+            assert code == 0
+            assert compared.read_bytes() == single.read_bytes()
+        assert (tmp_path / "din_groups.csv").read_bytes() != (tmp_path / "base_groups.csv").read_bytes()
+
     def test_compare_table_is_strict_csv(self, pipeline, capsys):
         din_ck, _ = pipeline["checkpoints"]["din"]
         base_ck, _ = pipeline["checkpoints"]["base"]
@@ -672,9 +685,8 @@ class TestOutputLines:
                                  str(context))
         assert code == 0, err
         p = np.resize(self.FLOATS, len(bids)).tolist()
-        ranked = rank_ads([AdCandidate(str(a), float(b), p[i]) for i, (a, b) in enumerate(zip(self.IDS, bids))])
-        want = [{"ad_id": c.ad_id, "p": c.predicted_ctr, "bid": c.bid, "ecpm": ecpm(c.predicted_ctr, c.bid)}
-                for c in ranked]
+        rows = [{"ad_id": str(a), "p": p_a, "bid": float(b), "ecpm": p_a * b} for a, b, p_a in zip(self.IDS, bids, p)]
+        want = sorted(rows, key=lambda r: (-r["ecpm"], r["ad_id"]))
         assert out == "".join(json.dumps(o) + "\n" for o in want)
 
 

@@ -7,12 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dinctr.metrics import (
-    AdCandidate,
     GaucResult,
-    GroupAuc,
     accuracy,
     auc,
-    ecpm,
     gauc,
     log_loss,
     rank_ads,
@@ -106,7 +103,7 @@ def gauc_oracle(scores, labels, keys, weight_mode="impressions"):
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     k = np.asarray(keys)
-    groups = []
+    keys, weights, aucs = [], [], []
     skipped = 0
     for key in np.unique(k):
         sel = k == key
@@ -115,13 +112,13 @@ def gauc_oracle(scores, labels, keys, weight_mode="impressions"):
         if n_pos == 0 or n_pos == y_g.size:
             skipped += 1
             continue
-        weight = float(n_pos if weight_mode == "clicks" else y_g.size)
-        groups.append(GroupAuc(group_key=int(key), weight=weight, auc=auc(s[sel], y_g), n_records=int(y_g.size)))
-    if not groups:
+        keys.append(int(key))
+        weights.append(float(n_pos if weight_mode == "clicks" else y_g.size))
+        aucs.append(auc(s[sel], y_g))
+    if not keys:
         raise ValueError("no usable groups: every group has a single class")
-    total = sum(g.weight for g in groups)
-    value = sum(g.weight * g.auc for g in groups) / total
-    return GaucResult(value=float(value), groups=groups, n_groups_used=len(groups), n_groups_skipped=skipped)
+    value = sum(w * a for w, a in zip(weights, aucs)) / sum(weights)
+    return GaucResult(float(value), np.array(keys), np.array(weights), np.array(aucs), n_groups_skipped=skipped)
 
 
 @st.composite
@@ -167,7 +164,7 @@ class TestGauc:
         keys = np.array([0, 0, 0, 0, 1, 1])
         result = gauc(scores, labels, keys, "clicks")
         assert result.value == 0.875
-        assert [g.weight for g in result.groups] == [3.0, 1.0]
+        assert result.weights.tolist() == [3.0, 1.0]
 
     def test_matches_two_pass_brute_force(self):
         rng = make_rng(8)
@@ -205,8 +202,7 @@ class TestGauc:
                 result = gauc(scores, labels, keys)
             except ValueError:
                 continue
-            per_group = [g.auc for g in result.groups]
-            assert min(per_group) - 1e-12 <= result.value <= max(per_group) + 1e-12
+            assert result.aucs.min() - 1e-12 <= result.value <= result.aucs.max() + 1e-12
 
     @given(grouped_instances(), st.sampled_from(["impressions", "clicks"]))
     @settings(deadline=None, max_examples=300)
@@ -220,8 +216,10 @@ class TestGauc:
             return
         got = gauc(scores, labels, keys, mode)
         assert got.value == expect.value
-        assert got.groups == expect.groups  # keys, weights, AUCs and sizes, in key order
+        for name in ("keys", "weights", "aucs"):  # one entry per usable group, in key order
+            assert getattr(got, name).tolist() == getattr(expect, name).tolist(), name
         assert (got.n_groups_used, got.n_groups_skipped) == (expect.n_groups_used, expect.n_groups_skipped)
+        assert type(got.n_groups_used) is int and type(got.n_groups_skipped) is int
 
     def test_cost_is_one_sort_not_one_pass_per_group(self):
         """60k records in 30k groups: the per-group loop needs 30k masks of
@@ -270,46 +268,74 @@ class TestLogLossAccuracy:
         assert abs(accuracy(scores, labels) + accuracy(scores, 1 - labels) - 1.0) < 1e-12
 
 
+def ranked_ids(ad_ids, bids, probs):
+    order, _ = rank_ads(ad_ids, bids, probs)
+    return [ad_ids[i] for i in order]
+
+
+@st.composite
+def candidate_sets(draw):
+    """Candidates with tied eCPMs (zero bids and ctrs, -0.0 bids, repeated
+    values), repeated ids, and ids that differ only in a trailing NUL or a
+    lone surrogate."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    names = ["a", "a\x00", "b", "B", "\ud800", "東京", "", "a b", "10", "9"]
+    id_pool = draw(st.lists(st.sampled_from(names), min_size=1))
+    ids = draw(st.lists(st.sampled_from(id_pool), min_size=n, max_size=n))
+    bids = draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 1e300, 5e-324]), min_size=n, max_size=n))
+    probs = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 5e-324]), min_size=n, max_size=n))
+    return ids, bids, probs
+
+
 class TestBusinessFormulas:
     def test_ecpm(self):
-        assert abs(ecpm(0.05, 2.0) - 0.10) < 1e-15
-        assert ecpm(0.0, 5.0) == 0.0
-        assert ecpm(0.3, 0.0) == 0.0
+        """eCPM is ctr * bid with no per-mille factor, returned in input order."""
+        _, ecpm = rank_ads(["a", "b", "c", "d"], [2.0, 5.0, 0.0, 3.0], [0.05, 0.0, 0.3, 0.1])
+        assert ecpm.tolist() == [0.05 * 2.0, 0.0, 0.0, 0.1 * 3.0]
+        assert abs(ecpm[0] - 0.10) < 1e-15
 
     def test_ecpm_validation(self):
-        with pytest.raises(ValueError):
-            ecpm(0.5, -1.0)
-        with pytest.raises(ValueError):
-            ecpm(1.5, 1.0)
+        with pytest.raises(ValueError, match="'x'.*bid"):
+            rank_ads(["x"], [-1.0], [0.5])
+        for ctr in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="'x'.*ctr"):
+                rank_ads(["x"], [1.0], [ctr])
 
     def test_rank_ads_by_expected_value(self):
-        ranked = rank_ads(
-            [AdCandidate("a", bid=1.0, predicted_ctr=0.10), AdCandidate("b", bid=3.0, predicted_ctr=0.05)]
-        )
-        assert [c.ad_id for c in ranked] == ["b", "a"]  # 0.15 > 0.10
+        assert ranked_ids(["a", "b"], [1.0, 3.0], [0.10, 0.05]) == ["b", "a"]  # 0.15 > 0.10
 
     def test_rank_ties_broken_by_ad_id(self):
-        ranked = rank_ads(
-            [AdCandidate("z", bid=2.0, predicted_ctr=0.05), AdCandidate("a", bid=1.0, predicted_ctr=0.10)]
-        )
-        assert [c.ad_id for c in ranked] == ["a", "z"]
+        assert ranked_ids(["z", "a"], [2.0, 1.0], [0.05, 0.10]) == ["a", "z"]
 
     def test_rank_single_candidate(self):
-        [only] = rank_ads([AdCandidate("solo", bid=1.0, predicted_ctr=0.5)])
-        assert only.ad_id == "solo"
+        order, ecpm = rank_ads(["solo"], [1.0], [0.5])
+        assert order.tolist() == [0] and ecpm.tolist() == [0.5]
 
     def test_rank_empty_raises(self):
-        with pytest.raises(ValueError):
-            rank_ads([])
+        with pytest.raises(ValueError, match="no candidates"):
+            rank_ads([], [], [])
+
+    def test_unequal_lengths_raise(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            rank_ads(["a", "b"], [1.0], [0.5, 0.5])
 
     def test_negative_bid_rejected(self):
-        with pytest.raises(ValueError, match="bid"):
-            AdCandidate("x", bid=-0.5, predicted_ctr=0.1)
+        with pytest.raises(ValueError, match="'y'.*bid"):
+            rank_ads(["x", "y"], [1.0, -0.5], [0.1, 0.1])  # names the first bad candidate
 
     @pytest.mark.parametrize("bid", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_bid_rejected(self, bid):
         with pytest.raises(ValueError, match="'x'.*finite"):
-            AdCandidate("x", bid=bid, predicted_ctr=0.1)
+            rank_ads(["x"], [bid], [0.1])
+
+    @given(candidate_sets())
+    @settings(deadline=None, max_examples=300)
+    def test_order_equals_python_sorted(self, candidates):
+        ids, bids, probs = candidates
+        order, ecpm = rank_ads(ids, bids, probs)
+        expect = sorted(range(len(ids)), key=lambda i: (-(probs[i] * bids[i]), ids[i]))
+        assert order.tolist() == expect
+        assert ecpm.tolist() == [p * b for p, b in zip(probs, bids)]
 
 
 class TestEvalMetrics:
@@ -327,4 +353,4 @@ class TestEvalMetrics:
         assert 0.0 <= accuracy(scores, labels) <= 1.0
         total_groups = np.unique(keys).size
         assert grouped.n_groups_used + grouped.n_groups_skipped == total_groups
-        assert len(grouped.groups) == grouped.n_groups_used
+        assert grouped.keys.size == grouped.weights.size == grouped.aucs.size == grouped.n_groups_used

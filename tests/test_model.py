@@ -323,12 +323,17 @@ def assert_matches_dense_oracle(model, cache, dprobs, grads):
 
 class TestBackward:
     @pytest.mark.parametrize(
-        "use_attention,use_user_profile", [(True, False), (False, False), (True, True), (False, True)]
+        "use_attention,use_user_profile,item_scale",
+        [pytest.param(a, u, 1.0, id=f"{a}-{u}") for u in (False, True) for a in (True, False)]
+        # Item embeddings x10 make the attention sharp, where its backward
+        # terms are large enough for a one-ulp error in them to change the rows.
+        + [pytest.param(True, u, 10.0, id=f"True-{u}-x10") for u in (False, True)],
     )
-    def test_compact_rows_equal_dense_scatter_oracle(self, use_attention, use_user_profile):
+    def test_compact_rows_equal_dense_scatter_oracle(self, use_attention, use_user_profile, item_scale):
         config = tiny_config(use_attention=use_attention, dim=4, hidden=(6,), item_vocab=9, max_seq_len=7)
         config.use_user_profile = use_user_profile
         model = init_model(config, make_rng(30, stream=1))
+        model.params["item_emb"] *= item_scale
         batch = random_batch(config, make_rng(31), B=16)  # 9 items: many repeated rows
         probs, cache = model.forward(batch)
         _, dprobs = bce_loss(probs, batch.labels)

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from dinctr import data as D
-from dinctr.metrics import gauc
-from dinctr.model import ModelConfig, init_model
+from dinctr.cli import main
+from dinctr.metrics import gauc, rank_ads
+from dinctr.model import ModelConfig, init_model, save_checkpoint
 from dinctr.numerics import make_rng
 from dinctr.optim import bce_loss
 
@@ -82,6 +83,28 @@ def test_gauc_hook_reads_the_group_counts():
     tracer = load_tracer().Tracer()
     tracer._hooks()["metrics.gauc"]((), result)
     assert tracer.counts["metrics.gauc_groups"] == result.n_groups_used + result.n_groups_skipped == 8
+
+
+def test_rank_hook_reads_the_candidate_count(tmp_path, capsys):
+    """``ctr rank`` passes the ad ids first, so the hook's ``len(args[0])`` is
+    the number of candidates ranked."""
+    ad_ids, bids, probs = ["i3", "cold", "i1"], [1.0, 2.0, 0.5], [0.2, 0.1, 0.4]
+    tracer = load_tracer().Tracer()
+    tracer._hooks()["metrics.rank_ads"]((ad_ids, bids, probs), rank_ads(ad_ids, bids, probs))
+    assert tracer.counts["metrics.candidates_ranked"] == 3
+
+    _, _, users, items = tiny_batch()
+    model = init_model(ModelConfig(item_vocab=items.size, user_vocab=users.size, max_seq_len=5), make_rng(1, stream=1))
+    checkpoint, candidates = tmp_path / "model.ckpt", tmp_path / "candidates.jsonl"
+    save_checkpoint(model, users, items, checkpoint)
+    candidates.write_text("".join(f'{{"ad_id": "{a}", "bid": {b}}}\n' for a, b in zip(ad_ids * 2, bids * 2)))
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert main(["rank", "--checkpoint", str(checkpoint), "--candidates", str(candidates)]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out.count("\n") == tracer.counts["metrics.candidates_ranked"] == 6
 
 
 def test_load_and_encode_hooks_read_what_the_program_returns(tmp_path):
