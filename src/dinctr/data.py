@@ -17,7 +17,6 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
-from operator import length_hint
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -555,86 +554,6 @@ class GroundTruth:
 _BASE_TIMESTAMP = 1_700_000_000
 
 
-class _Pcg64Draws:
-    """A seeded PCG64 ``Generator``'s scalar ``integers(n)`` and ``random()``
-    draws, computed from its raw 64-bit words.
-
-    NumPy draws ``integers(n)`` for n <= 2**32 by Lemire's method on a
-    32-bit half word: the low half of a fresh word, or the high half the bit
-    generator buffered from the previous one (``has_uint32``/``uinteger``).
-    Larger n use Lemire on a full word, and ``random()`` is
-    ``(w >> 11) * 2**-53`` of a full word; neither touches the buffered
-    half. The same arithmetic on words pulled in blocks with ``random_raw``
-    gives the same values at a fraction of a scalar call's cost. ``sync()``,
-    called once at the end, leaves the generator exactly where the scalar
-    calls would have.
-    """
-
-    _BLOCK = 1 << 14
-
-    def __init__(self, rng: np.random.Generator):
-        self._bitgen = rng.bit_generator
-        self._start = self._bitgen.state
-        self._has_half = bool(self._start["has_uint32"])
-        self._half = self._start["uinteger"]
-        self._pulled = 0
-        self._words = iter(())
-        self._next_word = self._words.__next__
-
-    def _refill(self) -> int:
-        self._words = iter(self._bitgen.random_raw(self._BLOCK).tolist())
-        self._next_word = self._words.__next__
-        self._pulled += self._BLOCK
-        return self._next_word()
-
-    def integers(self, n: int) -> int:
-        """``Generator.integers(n)`` for n >= 1; n == 1 draws nothing."""
-        if n == 1:
-            return 0
-        if n > 1 << 32:
-            while True:
-                try:
-                    m = self._next_word() * n
-                except StopIteration:
-                    m = self._refill() * n
-                leftover = m & 0xFFFFFFFFFFFFFFFF
-                if leftover >= n or leftover >= ((1 << 64) - n) % n:
-                    return m >> 64
-        while True:
-            if self._has_half:
-                self._has_half = False
-                m = self._half * n
-            else:
-                try:
-                    word = self._next_word()
-                except StopIteration:
-                    word = self._refill()
-                self._has_half = True
-                self._half = word >> 32
-                m = (word & 0xFFFFFFFF) * n
-            leftover = m & 0xFFFFFFFF
-            # Lemire rejects below (2**32 - n) % n, which is < n: test n first, as NumPy does.
-            if leftover >= n or leftover >= ((1 << 32) - n) % n:
-                return m >> 32
-
-    def random(self) -> float:
-        """``Generator.random()``."""
-        try:
-            word = self._next_word()
-        except StopIteration:
-            word = self._refill()
-        return (word >> 11) * 2.0**-53
-
-    def sync(self) -> None:
-        """Move the generator to where the replayed draws leave it."""
-        used = self._pulled - length_hint(self._words)
-        self._bitgen.state = self._start
-        self._bitgen.advance(used)  # also clears the buffered half
-        state = self._bitgen.state
-        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
-        self._bitgen.state = state
-
-
 def generate_synthetic(config: SyntheticConfig) -> tuple[Records, GroundTruth]:
     """Draw an ad log with a known click process.
 
@@ -643,52 +562,38 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Records, GroundTruth]:
     preference distribution; each impression shows a uniformly random ad to
     a uniformly random user and clicks with the match-fraction sigmoid.
     Timestamps increase by one per impression so temporal splits follow
-    generation order. All randomness flows from ``config.seed``, as scalar
-    ``Generator`` draws in a fixed order (replayed by ``_Pcg64Draws``).
+    generation order.
+
+    All randomness flows from ``config.seed`` as array draws from one
+    ``Generator``, in this order: the users' dominant clusters and history
+    lengths; which behaviors stray from the dominant cluster (K > 1 only);
+    each stray's cluster, uniform over the other K - 1; each behavior's item,
+    uniform within its cluster; then the impressions' users, ads, click
+    uniforms and bid uniforms. A seed gives the same dataset on one NumPy
+    version; NEP 19 lets a new version change the streams.
     """
     config.validate()
-    draws = _Pcg64Draws(make_rng(config.seed))
-    integers, random = draws.integers, draws.random
-    K = config.num_clusters
-    cluster_members = [range(k, config.num_items, K) for k in range(K)]
-    n_counts = config.behaviors_max - config.behaviors_min + 1
-    concentration = config.cluster_concentration
-
-    user_behaviors: list[list[int]] = []
-    for _ in range(config.num_users):
-        dominant = integers(K)
-        n_b = config.behaviors_min + integers(n_counts)
-        history = []
-        for _ in range(n_b):
-            if K == 1 or random() < concentration:
-                cluster = dominant
-            else:
-                cluster = (dominant + 1 + integers(K - 1)) % K
-            members = cluster_members[cluster]
-            history.append(members[integers(len(members))])
-        user_behaviors.append(history)
-
-    # Per impression: user, ad, the click uniform and the bid uniform.
-    users, ads, click_u, bid_u = [], [], [], []
-    num_users, num_items = config.num_users, config.num_items
-    for _ in range(config.impressions):
-        users.append(integers(num_users))
-        ads.append(integers(num_items))
-        click_u.append(random())
-        bid_u.append(random())
-    draws.sync()
+    rng = make_rng(config.seed)
+    K, num_users, num_items, n = config.num_clusters, config.num_users, config.num_items, config.impressions
+    dominant = rng.integers(K, size=num_users)
+    lengths = rng.integers(config.behaviors_min, config.behaviors_max + 1, size=num_users)
+    owner = np.repeat(np.arange(num_users), lengths)
+    cluster = dominant[owner]
+    if K > 1:
+        stray = rng.random(cluster.size) >= config.cluster_concentration
+        cluster[stray] = (cluster[stray] + 1 + rng.integers(K - 1, size=int(stray.sum()))) % K
+    behaviors = cluster + K * rng.integers((num_items - cluster + K - 1) // K)  # cluster k: k, k + K, ...
+    user, ad = rng.integers(num_users, size=n), rng.integers(num_items, size=n)
+    click_u, bid_u = rng.random(n), rng.random(n)
 
     # Behaviors per (user, cluster), as sorted user * K + cluster keys.
-    lengths = np.fromiter(map(len, user_behaviors), dtype=np.int64, count=num_users)
-    behaviors = np.fromiter(chain.from_iterable(user_behaviors), dtype=np.int64, count=int(lengths.sum()))
-    keys, counts = np.unique(np.repeat(np.arange(num_users), lengths) * K + behaviors % K, return_counts=True)
-    user, ad = np.array(users, dtype=np.int64), np.array(ads, dtype=np.int64)
+    keys, counts = np.unique(owner * K + cluster, return_counts=True)
     wanted = user * K + ad % K
     pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
     matches = np.where(keys[pos] == wanted, counts[pos], 0)
     p = sigmoid(config.base_logit + config.signal_strength * (matches / lengths[user]))
-    labels = (np.array(click_u) < p).astype(np.int64)
-    bids = 0.1 + (2.0 - 0.1) * np.array(bid_u)  # Generator.uniform(0.1, 2.0)
+    labels = (click_u < p).astype(np.int64)
+    bids = 0.1 + (2.0 - 0.1) * bid_u  # Generator.uniform(0.1, 2.0)
 
     # Per impression the ad, then the user's history: the history's item ids
     # with one slot before it, which the ad then overwrites.
@@ -696,7 +601,7 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Records, GroundTruth]:
     item_ids = behaviors[_ranges(np.cumsum(lengths)[user] - row_lengths - 1, row_lengths + 1)]
     item_names = np.array([f"i{item}" for item in range(num_items)], dtype=object)
     user_names = np.array([f"u{u}" for u in range(num_users)], dtype=object)
-    timestamps = _BASE_TIMESTAMP + np.arange(config.impressions, dtype=np.int64)
+    timestamps = _BASE_TIMESTAMP + np.arange(n, dtype=np.int64)
     records = Records.of(user_names[user], item_names[item_ids], row_lengths, labels, timestamps, bids)
     records.items[records.starts] = item_names[ad]
     truth = GroundTruth(

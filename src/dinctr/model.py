@@ -130,17 +130,23 @@ class DinModel:
         config.validate()
         self.config = config
         self.params = params
-        self._check_shapes()
+        self._check_params()
 
     # -- construction -----------------------------------------------------
 
-    def _check_shapes(self) -> None:
+    def _check_params(self) -> None:
+        """Every parameter is a C-contiguous float64 array of its config's
+        shape: the in-place updates and the checkpoint payload rely on it."""
         expect = self.config.param_shapes()
         if set(expect) != set(self.params):
             raise ValueError(f"parameter keys {sorted(self.params)} != expected {sorted(expect)}")
         for name, shape in expect.items():
-            if self.params[name].shape != shape:
-                raise ValueError(f"parameter {name} has shape {self.params[name].shape}, expected {shape}")
+            p = self.params[name]
+            if not (isinstance(p, np.ndarray) and p.dtype == np.float64 and p.flags.c_contiguous):
+                got = f"{p.dtype}, contiguous={p.flags.c_contiguous}" if isinstance(p, np.ndarray) else type(p).__name__
+                raise TypeError(f"parameter {name} must be a C-contiguous float64 array, got {got}")
+            if p.shape != shape:
+                raise ValueError(f"parameter {name} has shape {p.shape}, expected {shape}")
 
     @property
     def n_layers(self) -> int:

@@ -17,7 +17,7 @@ import pytest
 
 from dinctr.cli import RunConfig, build_parser, main
 from dinctr.data import Records, SyntheticConfig, encode
-from dinctr.model import DinModel, ModelConfig, load_checkpoint
+from dinctr.model import DinModel, ModelConfig, load_checkpoint, save_checkpoint
 from dinctr.optim import TrainConfig
 
 TINY = {
@@ -384,17 +384,25 @@ class TestEval:
 
     def test_compare_groups_csv_is_the_first_checkpoints_table(self, pipeline, capsys):
         """``--compare CKPT_A CKPT_B --groups-csv`` writes CKPT_A's table, the
-        bytes a single eval of CKPT_A writes."""
+        bytes a single eval of CKPT_A writes. CKPT_B is din with its output
+        layer negated, so every group's AUC is 1 - din's and the two tables
+        differ by construction (din and base can tie on a tiny dataset)."""
         tmp_path = pipeline["tmp_path"]
-        cks = {name: pipeline["checkpoints"][name][0] for name in ("din", "base")}
+        din_ck = pipeline["checkpoints"]["din"][0]
+        model, user_vocab, item_vocab, run_config = load_checkpoint(din_ck)
+        last = model.n_layers - 1
+        for name in (f"w{last}", f"b{last}"):
+            model.params[name] = -model.params[name]
+        save_checkpoint(model, user_vocab, item_vocab, tmp_path / "flipped.ckpt", run_config)
+        cks = {"din": din_ck, "flipped": str(tmp_path / "flipped.ckpt")}
         common = ("eval", "--config", pipeline["config"], "--dataset", pipeline["dataset"])
-        for first, second in (("din", "base"), ("base", "din")):
+        for first, second in (("din", "flipped"), ("flipped", "din")):
             single, compared = tmp_path / f"{first}_groups.csv", tmp_path / f"{first}_{second}_groups.csv"
             assert run_cli(capsys, *common, "--checkpoint", cks[first], "--groups-csv", str(single))[0] == 0
             code, _, _ = run_cli(capsys, *common, "--compare", cks[first], cks[second], "--groups-csv", str(compared))
             assert code == 0
             assert compared.read_bytes() == single.read_bytes()
-        assert (tmp_path / "din_groups.csv").read_bytes() != (tmp_path / "base_groups.csv").read_bytes()
+        assert (tmp_path / "din_groups.csv").read_bytes() != (tmp_path / "flipped_groups.csv").read_bytes()
 
     def test_compare_table_is_strict_csv(self, pipeline, capsys):
         din_ck, _ = pipeline["checkpoints"]["din"]

@@ -1,10 +1,16 @@
-"""The synthetic generator against its scalar-draw reference.
+"""The synthetic generator: its draws against a per-record reference, the
+distributions it promises, and pinned digests of two small datasets.
 
-``generate_synthetic`` computes its draws from PCG64's raw words
-(``data._Pcg64Draws``). ``generate_synthetic_oracle`` below is the
-straightforward loop of scalar ``Generator`` calls it replaces; both must
-give the same records, ground truth and final generator state.
+``generate_synthetic`` draws whole arrays from one seeded ``Generator`` and
+builds the records with array gathers. ``generate_synthetic_oracle`` below
+makes the same draws in the documented order and builds every history and
+impression with plain Python loops; both must give the same records, ground
+truth and final generator state.
 """
+
+import hashlib
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,54 +18,50 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dinctr import data
-from dinctr.data import GroundTruth, Records, SyntheticConfig, _Pcg64Draws, generate_synthetic
+from dinctr.data import GroundTruth, Records, SyntheticConfig, generate_synthetic, save_ground_truth, save_jsonl
 from dinctr.numerics import make_rng, sigmoid
 
 
 def generate_synthetic_oracle(config: SyntheticConfig):
-    """The generator as one scalar ``Generator`` call per draw; returns the
-    records, the ground truth and the generator after its last draw."""
+    """The generator as per-user and per-impression loops over the documented
+    draws; returns the records, the ground truth and the generator after its
+    last draw."""
     config.validate()
     rng = make_rng(config.seed)
-    K = config.num_clusters
+    K, n = config.num_clusters, config.impressions
 
-    cluster_members: list[list[int]] = [[] for _ in range(K)]
-    for item in range(config.num_items):
-        cluster_members[item % K].append(item)
+    dominant = rng.integers(K, size=config.num_users).tolist()
+    n_behaviors = rng.integers(config.behaviors_min, config.behaviors_max + 1, size=config.num_users).tolist()
+    slots = [(u, j) for u in range(config.num_users) for j in range(n_behaviors[u])]
+    clusters = [[dominant[u]] * n_behaviors[u] for u in range(config.num_users)]
+    if K > 1:
+        stray = rng.random(len(slots)) >= config.cluster_concentration
+        strays = [slot for slot, s in zip(slots, stray) if s]
+        for (u, j), offset in zip(strays, rng.integers(K - 1, size=len(strays)).tolist()):
+            clusters[u][j] = (dominant[u] + 1 + offset) % K
+    cluster_members = [list(range(k, config.num_items, K)) for k in range(K)]
+    picks = rng.integers([len(cluster_members[clusters[u][j]]) for u, j in slots]).tolist()
+    histories: list[list[int]] = [[] for _ in range(config.num_users)]
+    for (u, j), pick in zip(slots, picks):
+        histories[u].append(cluster_members[clusters[u][j]][pick])
 
-    user_behaviors: list[list[int]] = []
-    for _ in range(config.num_users):
-        dominant = int(rng.integers(K))
-        n_b = int(rng.integers(config.behaviors_min, config.behaviors_max + 1))
-        history = []
-        for _ in range(n_b):
-            if K == 1 or rng.random() < config.cluster_concentration:
-                cluster = dominant
-            else:
-                offset = 1 + int(rng.integers(K - 1))
-                cluster = (dominant + offset) % K
-            members = cluster_members[cluster]
-            history.append(members[int(rng.integers(len(members)))])
-        user_behaviors.append(history)
+    user_draws = rng.integers(config.num_users, size=n).tolist()
+    ad_draws = rng.integers(config.num_items, size=n).tolist()
+    click_u = rng.random(n).tolist()
+    bid_draws = rng.uniform(0.1, 2.0, size=n).tolist()
 
     users, items, lengths, labels, timestamps, bids = [], [], [], [], [], []
     true_probs = []
-    for i in range(config.impressions):
-        user = int(rng.integers(config.num_users))
-        ad = int(rng.integers(config.num_items))
-        history = user_behaviors[user]
-        ad_cluster = ad % K
-        matches = sum(1 for item in history if item % K == ad_cluster)
-        match_fraction = matches / len(history)
-        p = sigmoid(config.base_logit + config.signal_strength * match_fraction)
-        label = 1 if rng.random() < p else 0
-        bid = float(rng.uniform(0.1, 2.0))
+    for i, (user, ad) in enumerate(zip(user_draws, ad_draws)):
+        history = histories[user]
+        matches = sum(1 for item in history if item % K == ad % K)
+        p = sigmoid(config.base_logit + config.signal_strength * (matches / len(history)))
         users.append(f"u{user}")
         items += [f"i{ad}", *(f"i{item}" for item in history)]
         lengths.append(len(history))
-        labels.append(label)
+        labels.append(1 if click_u[i] < p else 0)
         timestamps.append(data._BASE_TIMESTAMP + i)
-        bids.append(bid)
+        bids.append(bid_draws[i])
         true_probs.append(p)
     records = Records.of(users, items, lengths, labels, timestamps, bids)
 
@@ -131,97 +133,122 @@ class TestAgainstOracle:
         assert_same_as_oracle(SyntheticConfig(seed=seed, impressions=2_000))
 
     def test_stream_continues_after_generation(self):
-        """A draw after generating continues the scalar calls' stream, from
-        either buffered-half state."""
-        ends = set()
-        for seed in range(1, 9):
+        """The generator makes the documented draws and no others: a draw
+        after generating continues the reference's stream."""
+        for seed in range(1, 5):
             config = SyntheticConfig(num_users=5, num_items=12, num_clusters=3, impressions=7 + seed, seed=seed)
             rng, want_rng = assert_same_as_oracle(config)
-            ends.add(rng.bit_generator.state["has_uint32"])
-            after = [rng.integers(1000), rng.random(), rng.integers(7), rng.integers(2**40), rng.integers(3)]
-            want = [want_rng.integers(1000), want_rng.random(), want_rng.integers(7), want_rng.integers(2**40),
-                    want_rng.integers(3)]
-            assert after == want
-        assert ends == {0, 1}
+            assert [rng.integers(1000), rng.random()] == [want_rng.integers(1000), want_rng.random()]
 
 
-def replay_pair(seed: int, buffered_half: bool):
-    """A generator and a replay of an identical one, both with (or both
-    without) a buffered 32-bit half."""
-    rng, twin = make_rng(seed), make_rng(seed)
-    if buffered_half:
-        rng.integers(2)
-        twin.integers(2)
-    assert rng.bit_generator.state["has_uint32"] == int(buffered_half)
-    return rng, twin, _Pcg64Draws(twin)
+def histories(records: Records) -> list[list[int]]:
+    """Each record's behavior items, as integer ids."""
+    items = [int(tok[1:]) for tok in records.items]
+    return [items[s + 1 : s + 1 + n] for s, n in zip(records.starts.tolist(), records.lengths.tolist())]
 
 
-def halves(seed: int, n_words: int) -> np.ndarray:
-    """The 32-bit halves ``integers`` consumes, in order: low, then high."""
-    words = make_rng(seed).bit_generator.random_raw(n_words)
-    return np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()
+def user_histories(records: Records) -> dict[int, list[int]]:
+    """Each shown user's history; every impression of a user carries the same one."""
+    out: dict[int, list[int]] = {}
+    for user, history in zip(records.users, histories(records)):
+        assert out.setdefault(int(user[1:]), history) == history
+    return out
 
 
-class TestReplay:
-    @pytest.mark.parametrize("buffered_half", [False, True])
-    @pytest.mark.parametrize("n", [1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 3 * 2**61])
-    def test_matches_generator(self, n, buffered_half):
-        rng, twin, draws = replay_pair(11, buffered_half)
-        got, want = [], []
-        for step in range(40):
-            if step % 3 == 2:
-                got.append(draws.random())
-                want.append(rng.random())
-            else:
-                got.append(draws.integers(n))
-                want.append(int(rng.integers(n)))
-        draws.sync()
-        assert got == want
-        assert twin.bit_generator.state == rng.bit_generator.state
+class TestDistributions:
+    def test_full_concentration_keeps_every_behavior_in_the_dominant_cluster(self):
+        config = SyntheticConfig(num_users=60, num_items=50, num_clusters=7, impressions=3_000,
+                                 cluster_concentration=1.0, seed=21)
+        records, _ = generate_synthetic(config)
+        dominant = make_rng(config.seed).integers(config.num_clusters, size=config.num_users)  # the first draw
+        shown = user_histories(records)
+        assert len(shown) == config.num_users
+        for user, history in shown.items():
+            assert {item % config.num_clusters for item in history} == {dominant[user]}
 
-    def test_mixed_ranges_keep_the_buffered_half(self):
-        """A full-word draw between two 32-bit draws leaves the buffered
-        half for the second one."""
-        ranges = [7, 2**40, 7, 2**32 + 1, 100_000, 1, 3, 2**32, 5]
-        rng, twin, draws = replay_pair(12, False)
-        for _ in range(10):
-            for n in ranges:
-                assert draws.integers(n) == int(rng.integers(n))
-                assert draws.random() == rng.random()
-        draws.sync()
-        assert twin.bit_generator.state == rng.bit_generator.state
+    def test_strays_spread_over_the_other_clusters(self):
+        """A behavior stays in the dominant cluster with probability
+        ``cluster_concentration``; otherwise its cluster is uniform over the
+        other K - 1. Counts are checked within 5 sigma."""
+        K, c = 4, 0.55
+        config = SyntheticConfig(num_users=3_000, num_items=40, num_clusters=K, behaviors_min=8, behaviors_max=12,
+                                 impressions=30_000, cluster_concentration=c, seed=22)
+        records, _ = generate_synthetic(config)
+        dominant = make_rng(config.seed).integers(K, size=config.num_users)
+        offsets = Counter()
+        for user, history in user_histories(records).items():
+            offsets.update((item - dominant[user]) % K for item in history)
+        total = sum(offsets.values())
+        for offset, share in [(0, c)] + [(o, (1 - c) / (K - 1)) for o in range(1, K)]:
+            assert abs(offsets[offset] - total * share) < 5 * math.sqrt(total * share * (1 - share)), offsets
 
-    @pytest.mark.parametrize("n", [100_000, 3_000_000_000])
-    def test_lemire_rejection(self, n):
-        """At the first half word Lemire's method rejects, both draw again."""
-        seed = 13
-        x = halves(seed, 1 << 17)
-        leftover = (x * np.uint64(n)) & np.uint64(0xFFFFFFFF)
-        rejected = np.flatnonzero(leftover < np.uint64((2**32 - n) % n))
-        assert rejected.size, "no rejection in the searched stream"
-        first = int(rejected[0])
-        rng, twin, draws = replay_pair(seed, False)
-        got = [draws.integers(n) for _ in range(first + 3)]
-        assert got == [int(v) for v in (rng.integers(n) for _ in range(first + 3))]
-        draws.sync()
-        assert twin.bit_generator.state == rng.bit_generator.state
-        # The draw at that position skipped the rejected half for the next accepted one.
-        accepted = np.setdiff1d(np.arange(first + 1, first + 20), rejected)[0]
-        assert got[first] == (int(x[accepted]) * n) >> 32 != (int(x[first]) * n) >> 32
+    def test_items_are_uniform_within_their_cluster(self):
+        """23 items in 7 clusters: clusters 0-1 hold four items, 2-6 three.
+        Every item is drawn, and only from its own cluster, at about its
+        cluster's rate."""
+        config = SyntheticConfig(num_users=2_000, num_items=23, num_clusters=7, impressions=20_000, seed=23)
+        records, truth = generate_synthetic(config)
+        picked = Counter(item for history in user_histories(records).values() for item in history)
+        assert set(picked) == set(range(config.num_items))
+        by_cluster = Counter()
+        for item, count in picked.items():
+            by_cluster[truth.item_clusters[f"i{item}"]] += count
+        for item, count in picked.items():
+            k = item % 7
+            expect, share = by_cluster[k] / len(range(k, 23, 7)), 1 / len(range(k, 23, 7))
+            assert abs(count - expect) < 5 * math.sqrt(by_cluster[k] * share * (1 - share))
 
-    def test_full_word_rejection(self):
-        """64-bit Lemire (n > 2**32) rejects a word about a quarter of the time here."""
-        n = 3 * 2**61
-        words = make_rng(14).bit_generator.random_raw(64).astype(object)
-        threshold = (2**64 - n) % n
-        assert any((w * n) % 2**64 < threshold for w in words)
-        rng, twin, draws = replay_pair(14, False)
-        assert [draws.integers(n) for _ in range(40)] == [int(rng.integers(n)) for _ in range(40)]
-        draws.sync()
-        assert twin.bit_generator.state == rng.bit_generator.state
+    def test_history_lengths_cover_the_range(self):
+        config = SyntheticConfig(num_users=300, num_items=30, behaviors_min=3, behaviors_max=9, impressions=6_000,
+                                 seed=24)
+        records, _ = generate_synthetic(config)
+        assert set(records.lengths.tolist()) == set(range(3, 10))
 
-    def test_nothing_drawn_leaves_the_state(self):
-        rng, twin, draws = replay_pair(15, True)
-        assert draws.integers(1) == 0
-        draws.sync()
-        assert twin.bit_generator.state == rng.bit_generator.state
+    @pytest.mark.parametrize("num_clusters, num_items", [(1, 9), (4, 10), (7, 23)])
+    def test_true_probs_are_the_sigmoid_of_the_records_match_fraction(self, num_clusters, num_items):
+        """Recomputed from the written records alone, exactly: K = 1 and
+        numbers of items that K does not divide included."""
+        config = SyntheticConfig(num_users=30, num_items=num_items, num_clusters=num_clusters, impressions=500,
+                                 signal_strength=7.5, base_logit=-2.0, seed=25)
+        records, truth = generate_synthetic(config)
+        ads = np.array([int(records.items[s][1:]) for s in records.starts.tolist()])
+        matches = np.array([sum(item % num_clusters == ad % num_clusters for item in history)
+                            for ad, history in zip(ads.tolist(), histories(records))])
+        want = sigmoid(config.base_logit + config.signal_strength * (matches / records.lengths))
+        assert truth.true_probs == want.tolist()
+        if num_clusters == 1:
+            assert set(truth.true_probs) == {float(sigmoid(config.base_logit + config.signal_strength))}
+
+
+def dataset_bytes(config: SyntheticConfig, tmp_path) -> bytes:
+    """The dataset and metadata files ``ctr generate`` would write."""
+    records, truth = generate_synthetic(config)
+    save_jsonl(records, tmp_path / "data.jsonl")
+    save_ground_truth(truth, tmp_path / "meta.json")
+    return (tmp_path / "data.jsonl").read_bytes() + (tmp_path / "meta.json").read_bytes()
+
+
+class TestReproducibility:
+    def test_same_seed_same_bytes_other_seed_other_data(self, tmp_path):
+        config = SyntheticConfig(num_users=20, num_items=30, impressions=300, seed=31)
+        first = dataset_bytes(config, tmp_path)
+        assert dataset_bytes(config, tmp_path) == first
+        config.seed = 32
+        assert dataset_bytes(config, tmp_path) != first
+
+    @pytest.mark.parametrize("config, digest", [
+        (SyntheticConfig(num_users=8, num_items=13, num_clusters=3, behaviors_min=2, behaviors_max=6,
+                         impressions=40, cluster_concentration=0.7, seed=41),
+         "cc24fc0170c71b04cb1bf95a41e52e637962a60de768d77cb9059ff985100c10"),
+        (SyntheticConfig(num_users=5, num_items=6, num_clusters=1, behaviors_min=1, behaviors_max=3,
+                         impressions=25, seed=42),
+         "2d44a643dadec755823c6af0aff68cf2f31272349fc02905bb3c10890ff3fbb7"),
+    ])
+    def test_pinned_digests(self, config, digest, tmp_path):
+        """Pinned with NumPy 2.4.6. The digest covers the dataset and metadata bytes."""
+        got = hashlib.sha256(dataset_bytes(config, tmp_path)).hexdigest()
+        assert got == digest, (
+            f"dataset sha256 is {got} under numpy {np.__version__}, not the pinned {digest}. "
+            "Either the generator's draws changed, or NumPy changed its Generator streams, "
+            "which NEP 19 allows between versions; in that case repin the digests."
+        )

@@ -470,6 +470,21 @@ class TestInit:
         for key in a.params:
             np.testing.assert_array_equal(a.params[key], b.params[key])
 
+    @pytest.mark.parametrize("block", ["item_emb", "w0", "b0"])
+    @pytest.mark.parametrize("bad", [
+        lambda p: p.astype(np.float32),
+        lambda p: p.astype(np.int64),
+        lambda p: p.astype(">f8"),  # float64, but not in native byte order
+        lambda p: np.stack([p, p], axis=-1)[..., 0],  # float64, every other element
+        lambda p: p.tolist(),
+    ], ids=["float32", "int64", "big-endian", "non-contiguous", "list"])
+    def test_rejects_a_block_that_is_not_c_contiguous_float64(self, block, bad):
+        model = init_model(tiny_config(), make_rng(46, stream=1))
+        params = dict(model.params)
+        params[block] = bad(params[block])
+        with pytest.raises(TypeError, match=f"parameter {block} must be a C-contiguous float64 array"):
+            DinModel(model.config, params)
+
 
 def without(obj: dict, key: str) -> dict:
     return {k: v for k, v in obj.items() if k != key}
