@@ -141,6 +141,22 @@ class TestAgainstOracle:
             assert [rng.integers(1000), rng.random()] == [want_rng.integers(1000), want_rng.random()]
 
 
+class TestReplay:
+    """A seed replays whole: seeds on either side of 32 and 64-bit word
+    boundaries match the reference, and a seed that differs only above its
+    low 32 bits gives other data."""
+
+    @pytest.mark.parametrize("single_cluster", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 3 * 2**61])
+    def test_matches_generator(self, seed, single_cluster):
+        config = SyntheticConfig(num_users=6, num_items=14, num_clusters=1 if single_cluster else 4,
+                                 impressions=40, cluster_concentration=0.6, seed=seed)
+        assert_same_as_oracle(config)
+        records, _ = generate_synthetic(config)
+        config.seed = seed ^ 2**32
+        assert generate_synthetic(config)[0] != records
+
+
 def histories(records: Records) -> list[list[int]]:
     """Each record's behavior items, as integer ids."""
     items = [int(tok[1:]) for tok in records.items]
