@@ -6,11 +6,11 @@ metrics, a synthetic ad-log generator with known ground truth, and a CLI
 covering the full generate -> train -> evaluate -> rank pipeline.
 """
 
+from .config import RunConfig
 from .data import (
     EncodedBatch,
     GroundTruth,
     Records,
-    SyntheticConfig,
     Vocabulary,
     build_vocab,
     encode,
@@ -35,7 +35,7 @@ from .model import (
     save_checkpoint,
 )
 from .numerics import grad_check, make_rng, sigmoid
-from .optim import AdamState, TrainConfig, TrainHistory, adam_step, l2_penalty, train
+from .optim import AdamState, TrainHistory, adam_step, l2_penalty, train
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,7 @@ __all__ = [
     "EncodedBatch",
     "GroundTruth",
     "Records",
-    "SyntheticConfig",
+    "RunConfig",
     "Vocabulary",
     "build_vocab",
     "encode",
@@ -66,7 +66,6 @@ __all__ = [
     "make_rng",
     "sigmoid",
     "AdamState",
-    "TrainConfig",
     "TrainHistory",
     "adam_step",
     "l2_penalty",

@@ -15,96 +15,36 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields, make_dataclass
+from dataclasses import fields
 
 import numpy as np
 
 from . import data as D
 from . import metrics as M
+from .config import RunConfig
 from .model import ModelConfig, init_model, load_checkpoint, save_checkpoint
 from .numerics import make_rng
-from .optim import TrainConfig, check_gradients, save_history, train
+from .optim import check_gradients, save_history, train
 
 GRADCHECK_THRESHOLD = 1e-4
-
-
-class _RunConfigMethods:
-    def to_dict(self) -> dict:
-        return D.fields_dict(self)
-
-    def validate(self) -> None:
-        if self.model not in ("din", "base"):
-            raise ValueError(f"model must be 'din' or 'base', got {self.model!r}")
-        D.check_split(self.split_mode, self.val_fraction)
-        self.synthetic_config().validate()
-        self.train_config().validate()
-        self.model_config(item_vocab=2, user_vocab=2).validate()  # the smallest vocabularies it accepts
-
-    def _sub_config(self, cls, **given):
-        """``cls`` built from this config's fields of the same names, plus ``given``."""
-        return cls(**{f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}, **given)
-
-    def synthetic_config(self) -> D.SyntheticConfig:
-        return self._sub_config(D.SyntheticConfig)
-
-    def train_config(self) -> TrainConfig:
-        return self._sub_config(TrainConfig)
-
-    def model_config(self, item_vocab: int, user_vocab: int) -> ModelConfig:
-        return self._sub_config(
-            ModelConfig,
-            item_vocab=item_vocab,
-            user_vocab=user_vocab,
-            hidden=tuple(self.hidden),
-            use_attention=self.model == "din",
-        )
-
 
 # The model fields a run sets, by run key: the vocabulary sizes come from the
 # data, and use_attention from the run key `model`.
 _MODEL_KEYS = {"model": "use_attention"} | {
     f.name: f.name for f in fields(ModelConfig) if f.name not in ("item_vocab", "user_vocab", "use_attention")
 }
-_PATH_DEFAULTS = {
-    "dataset": "data/impressions.jsonl",
-    "metadata": "data/metadata.json",
-    "checkpoint": "out/model.ckpt",
-    "history": "out/history.csv",
-}
-
-
-def _run_fields() -> list:
-    """(name, type, default) of every run key: ``model`` and the split, each
-    sub-config field once (``seed`` is in two of them) and the paths."""
-    run_only = [("model", "str", "din"), ("split_mode", "str", "temporal"), ("val_fraction", "float", 0.2)]
-    model_fields = [f for f in fields(ModelConfig) if f.name in _MODEL_KEYS]
-    specs = {}
-    for f in (*fields(D.SyntheticConfig), *fields(TrainConfig), *model_fields):
-        specs.setdefault(f.name, (f.name, f.type, f.default))
-    return [*run_only, *specs.values(), *((k, "str", v) for k, v in _PATH_DEFAULTS.items())]
-
-
-RunConfig = make_dataclass(
-    "RunConfig",
-    _run_fields(),
-    bases=(_RunConfigMethods,),
-    namespace={"__module__": __name__, "__doc__": "Every setting of a run: model, split, sub-config fields, paths."},
-)
 
 
 def resolve_config(config_path: str | None, overrides: dict) -> tuple[RunConfig, set]:
     """defaults < file < flags; returns the config and explicitly-set keys."""
     values = {}
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
+        file_values = D.read_json(config_path)
         if not isinstance(file_values, dict):
             raise ValueError(f"{config_path}: config file must hold a JSON object")
         values = D.parse_fields(RunConfig, file_values, config_path)
     values |= D.parse_fields(RunConfig, {k: v for k, v in overrides.items() if v is not None})
-    cfg = RunConfig(**values)
-    cfg.validate()
-    return cfg, set(values)
+    return RunConfig(**values), set(values)
 
 
 def _open_output(path: str):
@@ -131,7 +71,7 @@ def _note(msg: str) -> None:
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    records, truth = D.generate_synthetic(cfg.synthetic_config())
+    records, truth = D.generate_synthetic(cfg)
     D.save_jsonl(records, cfg.dataset)
     D.save_ground_truth(truth, cfg.metadata)
     n_pos = int(records.labels.sum())
@@ -168,7 +108,7 @@ def cmd_train(cfg: RunConfig) -> int:
     del records  # training needs only the batches
     model = init_model(cfg.model_config(item_vocab.size, user_vocab.size), make_rng(cfg.seed, stream=1))
     _note(f"training {cfg.model} model on {len(train_batch)} records ({len(val_batch)} validation)")
-    model, history = train(model, train_batch, val_batch, cfg.train_config())
+    model, history = train(model, train_batch, val_batch, cfg)
     save_checkpoint(model, user_vocab, item_vocab, cfg.checkpoint, run_config=cfg.to_dict())
     save_history(history, cfg.history)
     last = history.epochs[-1]
@@ -300,8 +240,7 @@ def cmd_rank(checkpoint_path: str, candidates_path: str, context_path: str | Non
     user_id = ""
     behaviors: list[str] = []
     if context_path:
-        with open(context_path, "r", encoding="utf-8") as fh:
-            ctx = json.load(fh)
+        ctx = D.read_json(context_path)
         if not isinstance(ctx, dict):
             raise ValueError(f"{context_path}: expected a JSON object")
         user_id = D.parse_id(ctx.get("user_id", ""), context_path, "user_id")
@@ -363,10 +302,9 @@ def cmd_gradcheck(cfg: RunConfig, eps: float) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-_GENERATOR_FLAGS = tuple(f.name for f in fields(D.SyntheticConfig) if f.name != "seed")
-# seed is a flag of every command, and timing is set by --no-timing.
-_TRAIN_FLAGS = (*_MODEL_KEYS, *(f.name for f in fields(TrainConfig) if f.name not in ("seed", "timing")))
-_TRAIN_FLAGS += ("split_mode", "val_fraction")
+# seed (the last generator key) is a flag of every command, and timing is set by --no-timing.
+_GENERATOR_FLAGS = D.GENERATOR_KEYS[:-1]
+_TRAIN_FLAGS = (*_MODEL_KEYS, "epochs", "batch_size", "lr", "l2_lambda", "patience", "split_mode", "val_fraction")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:

@@ -438,6 +438,20 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
             yield line_no, obj
 
 
+def read_json(path):
+    """The JSON value in file ``path``; ValueError names the path, line and column if it is not UTF-8 JSON."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]
+        line, column, what = head.count(b"\n") + 1, exc.start - head.rfind(b"\n"), f"not UTF-8 text: {exc.reason}"
+    except json.JSONDecodeError as exc:
+        line, column, what = exc.lineno, exc.colno, f"invalid JSON: {exc.msg}"
+    raise ValueError(f"{path}: line {line} column {column}: {what}")
+
+
 def load_jsonl(path, require_label: bool = True) -> Records:
     """Read one record per line into columns; unknown keys are ignored.
 
@@ -476,46 +490,9 @@ def load_jsonl(path, require_label: bool = True) -> Records:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SyntheticConfig:
-    """Knobs of the synthetic ad-log generator.
-
-    The click process is sigmoid(base_logit + signal_strength * f) where f
-    is the fraction of the user's behaviors that fall in the shown ad's
-    cluster. ``cluster_concentration`` is the probability mass a user puts
-    on their dominant interest cluster; the remainder spreads uniformly
-    over the other clusters.
-    """
-
-    num_users: int = 500
-    num_items: int = 200
-    num_clusters: int = 10
-    behaviors_min: int = 8
-    behaviors_max: int = 32
-    impressions: int = 25_000
-    signal_strength: float = 4.0
-    base_logit: float = -1.0
-    cluster_concentration: float = 0.8
-    seed: int = 1
-
-    def validate(self) -> None:
-        if self.num_users < 1 or self.num_items < 1 or self.impressions < 1:
-            raise ValueError("num_users, num_items and impressions must be positive")
-        if self.num_clusters < 1:
-            raise ValueError("num_clusters must be >= 1")
-        if self.num_clusters > self.num_items:
-            raise ValueError("num_clusters cannot exceed num_items")
-        if not (math.isfinite(self.signal_strength) and math.isfinite(self.base_logit)):
-            raise ValueError("signal_strength and base_logit must be finite")
-        if self.signal_strength < 0.0:
-            raise ValueError("signal_strength must be >= 0")
-        if not 1 <= self.behaviors_min <= self.behaviors_max:
-            raise ValueError("behavior count range must satisfy 1 <= min <= max")
-        if not 0.0 < self.cluster_concentration <= 1.0:
-            raise ValueError("cluster_concentration must be in (0, 1]")
-
-    def to_dict(self) -> dict:
-        return fields_dict(self)
+# The run keys the generator reads, echoed in the ground truth's ``config``.
+GENERATOR_KEYS = ("num_users", "num_items", "num_clusters", "behaviors_min", "behaviors_max", "impressions",
+                  "signal_strength", "base_logit", "cluster_concentration", "seed")
 
 
 @dataclass
@@ -554,8 +531,8 @@ class GroundTruth:
 _BASE_TIMESTAMP = 1_700_000_000
 
 
-def generate_synthetic(config: SyntheticConfig) -> tuple[Records, GroundTruth]:
-    """Draw an ad log with a known click process.
+def generate_synthetic(config) -> tuple[Records, GroundTruth]:
+    """Draw an ad log with a known click process, from a ``RunConfig``'s ``GENERATOR_KEYS``.
 
     Items go round-robin into clusters (item i -> cluster i mod K). Each
     user gets a dominant cluster and a behavior history sampled from their
@@ -572,7 +549,6 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Records, GroundTruth]:
     uniforms and bid uniforms. A seed gives the same dataset on one NumPy
     version; NEP 19 lets a new version change the streams.
     """
-    config.validate()
     rng = make_rng(config.seed)
     K, num_users, num_items, n = config.num_clusters, config.num_users, config.num_items, config.impressions
     dominant = rng.integers(K, size=num_users)
@@ -607,7 +583,7 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Records, GroundTruth]:
     truth = GroundTruth(
         item_clusters=dict(zip(item_names.tolist(), (np.arange(num_items) % K).tolist())),
         true_probs=p.tolist(),
-        config=config.to_dict(),
+        config={key: getattr(config, key) for key in GENERATOR_KEYS},
     )
     return records, truth
 
@@ -620,5 +596,4 @@ def save_ground_truth(truth: GroundTruth, path) -> None:
 
 
 def load_ground_truth(path) -> GroundTruth:
-    with open(path, "r", encoding="utf-8") as fh:
-        return GroundTruth.from_dict(json.load(fh), str(path))
+    return GroundTruth.from_dict(read_json(path), str(path))

@@ -13,7 +13,6 @@ penalized.
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -21,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics  # train calls metrics.gauc through the module, so a wrapper set on it sees the call
+from .config import RunConfig
 from .data import EncodedBatch, atomic_open
 from .metrics import bce_loss
 from .model import DinModel, Gradients
@@ -135,29 +135,6 @@ def _adam_update(p, m, v, g, lr, bc1, bc2) -> None:
 
 
 @dataclass
-class TrainConfig:
-    epochs: int = 5
-    batch_size: int = 256
-    lr: float = 1e-3
-    l2_lambda: float = 1e-5
-    seed: int = 1
-    patience: int = 0  # 0 disables early stopping
-    timing: bool = True
-
-    def validate(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
-        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0.0):
-            raise ValueError(f"l2_lambda must be a finite number >= 0, got {self.l2_lambda!r}")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
-
-
-@dataclass
 class EpochStats:
     epoch: int
     train_loss: float
@@ -194,7 +171,7 @@ def train(
     model: DinModel,
     train_batch: EncodedBatch,
     val_batch: EncodedBatch,
-    config: TrainConfig,
+    config: RunConfig,
 ) -> tuple[DinModel, TrainHistory]:
     """Epoch/minibatch training with per-epoch validation tracking.
 
@@ -205,7 +182,6 @@ def train(
     when ``patience`` is set (stopping early after that many epochs without
     improvement). Fully deterministic given (seed, config, data).
     """
-    config.validate()
     n = len(train_batch)
     if n == 0:
         raise ValueError("empty training set")

@@ -20,7 +20,8 @@ import pytest
 from dinctr import data as D
 from dinctr import kernels
 from dinctr import metrics as M
-from dinctr.cli import RunConfig, main
+from dinctr.cli import main
+from dinctr.config import RunConfig
 from dinctr.model import init_model, load_checkpoint, save_checkpoint
 from dinctr.numerics import make_rng
 from dinctr.optim import AdamState, Gradients, adam_step, train
@@ -49,7 +50,7 @@ class Run:
 
 def _train_one(seed: int, use_attention: bool, signal_strength: float) -> Run:
     cfg = RunConfig(seed=seed, **{**EXPERIMENT, "signal_strength": signal_strength})
-    records, _ = D.generate_synthetic(cfg.synthetic_config())
+    records, _ = D.generate_synthetic(cfg)
     train_rows, val_rows = D.split(records, cfg.split_mode, cfg.val_fraction, seed)
     users, items = D.build_vocab(records)
     train_batch, _ = D.encode(records.take(train_rows), users, items, cfg.max_seq_len)
@@ -58,7 +59,7 @@ def _train_one(seed: int, use_attention: bool, signal_strength: float) -> Run:
     model_config.use_attention = use_attention
     model = init_model(model_config, make_rng(seed, stream=1))
     tic = time.perf_counter()
-    model, history = train(model, train_batch, val_batch, cfg.train_config())
+    model, history = train(model, train_batch, val_batch, cfg)
     seconds = time.perf_counter() - tic
     return Run(
         gauc=history.epochs[-1].val_gauc,
@@ -84,7 +85,7 @@ def null_runs():
     out = {}
     for seed in SEEDS:
         cfg = RunConfig(seed=seed, **{**EXPERIMENT, "signal_strength": 0.0})
-        records, _ = D.generate_synthetic(cfg.synthetic_config())
+        records, _ = D.generate_synthetic(cfg)
         train_rows, val_rows = D.split(records, cfg.split_mode, cfg.val_fraction, seed)
         users, items = D.build_vocab(records)
         train_batch, _ = D.encode(records.take(train_rows), users, items, cfg.max_seq_len)
@@ -93,7 +94,7 @@ def null_runs():
             model_config = cfg.model_config(items.size, users.size)
             model_config.use_attention = name == "din"
             model = init_model(model_config, make_rng(seed, stream=1))
-            model, _ = train(model, train_batch, val_batch, cfg.train_config())
+            model, _ = train(model, train_batch, val_batch, cfg)
             out[(seed, name)] = M.auc(model.predict(val_batch), val_batch.labels)
     return out
 
@@ -342,13 +343,13 @@ def test_criterion_9_adam_recurrence(capsys):
 
     # pad row pinned through a real training run
     cfg = RunConfig(num_users=30, num_items=25, impressions=800, epochs=2, batch_size=64, lr=0.01)
-    records, _ = D.generate_synthetic(cfg.synthetic_config())
+    records, _ = D.generate_synthetic(cfg)
     tr, vr = D.split(records, "temporal", 0.2, 1)
     users, items = D.build_vocab(records)
     tb, _ = D.encode(records.take(tr), users, items, 32)
     vb, _ = D.encode(records.take(vr), users, items, 32)
     model = init_model(cfg.model_config(items.size, users.size), make_rng(1, stream=1))
-    model, _ = train(model, tb, vb, cfg.train_config())
+    model, _ = train(model, tb, vb, cfg)
     pad_ok = not model.params["item_emb"][0].any()
 
     ok = trace_ok and noop_ok and pad_ok
@@ -357,7 +358,7 @@ def test_criterion_9_adam_recurrence(capsys):
 
 
 def test_criterion_10_round_trips(tmp_path, capsys):
-    records, _ = D.generate_synthetic(D.SyntheticConfig(num_users=20, num_items=15, impressions=300, seed=13))
+    records, _ = D.generate_synthetic(RunConfig(num_users=20, num_items=15, impressions=300, seed=13))
     path = tmp_path / "roundtrip.jsonl"
     D.save_jsonl(records, path)
     jsonl_ok = D.load_jsonl(path) == records

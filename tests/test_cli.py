@@ -10,15 +10,18 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dinctr.cli import RunConfig, build_parser, main
-from dinctr.data import Records, SyntheticConfig, encode
+from dinctr.cli import build_parser, main
+from dinctr.config import RunConfig
+from dinctr.data import Records, encode, parse_fields
 from dinctr.model import DinModel, ModelConfig, load_checkpoint, save_checkpoint
-from dinctr.optim import TrainConfig
 
 TINY = {
     "num_users": 40,
@@ -196,6 +199,35 @@ class TestStrictConfigValues:
                                  "--dataset", str(tmp_path / "missing.jsonl"))
         assert code != 0 and out == ""
         assert err == f"error: validation fraction must be in (0, 1), got {float(value)}\n"
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_negative_seed_rejected_before_data_is_read(self, tmp_path, capsys, monkeypatch, command, source):
+        """--seed -2 used to load, split and encode the dataset, then fail with
+        "expected non-negative integer", naming no key."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "generate", "--config", write_config(tmp_path), "--dataset", "d.jsonl",
+                       "--metadata", "m.json")[0] == 0
+        config = write_config(tmp_path, **({"seed": -2} if source == "file" else {}))
+        paths = {"generate": ("--dataset", "new.jsonl", "--metadata", "new.json"),
+                 "train": ("--dataset", "d.jsonl", "--checkpoint", "m.ckpt", "--history", "h.csv")}[command]
+        flag = ("--seed", "-2") if source == "flag" else ()
+        code, out, err = run_cli(capsys, command, "--config", config, *flag, *paths)
+        assert (code, out, err) == (1, "", "error: seed must be >= 0, got -2\n")
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "d.jsonl", "m.json"]
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [(b'{"num_users": 5,', "line 1 column 17: invalid JSON: Expecting property name enclosed in double quotes"),
+         (b'{"dataset": "\xe9"}', "line 1 column 14: not UTF-8 text: invalid continuation byte")],
+    )
+    def test_unreadable_config_file_names_file_line_and_column(self, tmp_path, capsys, monkeypatch, raw, message):
+        """These used to print json's or the codec's bare message, naming no file."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_bytes(raw)
+        code, out, err = run_cli(capsys, "generate", "--config", "config.json")
+        assert (code, out, err) == (1, "", f"error: config.json: {message}\n")
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_integral_values_keep_their_echo(self, tmp_path, capsys):
         echoes = []
@@ -617,6 +649,16 @@ class TestRank:
         assert code != 0
         assert "naked" in err and "bid" in err
 
+    def test_invalid_json_context_names_file_line_and_column(self, pipeline, capsys):
+        """A context that is not JSON used to fail with json's bare message."""
+        ck, _ = pipeline["checkpoints"]["din"]
+        cands = self.candidates(pipeline["tmp_path"], [{"ad_id": "i1", "bid": 1.0}])
+        context = pipeline["tmp_path"] / "bad_ctx.json"
+        context.write_text('{"user_id": "u1",\n "behavior_ids": ["i4" "i5"]}')
+        code, out, err = run_cli(capsys, "rank", "--checkpoint", ck, "--candidates", cands, "--context", str(context))
+        assert code == 1 and out == ""
+        assert err == f"error: {context}: line 2 column 24: invalid JSON: Expecting ',' delimiter\n"
+
     def test_null_context_user_rejected(self, pipeline, capsys):
         """A null user_id used to rank as the user "None"."""
         ck, _ = pipeline["checkpoints"]["din"]
@@ -797,6 +839,16 @@ class TestGradcheck:
         assert report["max_rel_error"] < 1e-4
         assert report["model"] == model
 
+    def test_module_run_keeps_stderr_clean(self):
+        """``python -m dinctr.cli`` runs the module once: importing the package
+        must not import cli first, or runpy warns on stderr and runs it twice."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-m", "dinctr.cli", "gradcheck", "--model", "base"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["passed"] is True
+
     def test_seeded_rerun_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "gradcheck", "--model", "din", "--seed", "5")
         _, out2, _ = run_cli(capsys, "gradcheck", "--model", "din", "--seed", "5")
@@ -804,22 +856,24 @@ class TestGradcheck:
 
 
 class TestConfigSchema:
-    """RunConfig is the flat union of the sub-configs; these catch drift."""
-
-    def test_defaults_agree_with_sub_configs(self):
-        assert RunConfig().synthetic_config() == SyntheticConfig()
-        assert RunConfig().train_config() == TrainConfig()
-        assert RunConfig().model_config(40, 6) == ModelConfig(40, 6)
+    """RunConfig declares every run key once; the flags, the echoes and the
+    checkpoint's model config all come from it."""
 
     def test_model_config_follows_model_flag(self):
+        assert RunConfig().model_config(40, 6) == ModelConfig(40, 6)  # ModelConfig keeps the same defaults
         cfg = RunConfig(model="base", dim=4, hidden=(8,), use_user_profile=True)
         assert cfg.model_config(40, 6) == ModelConfig(40, 6, dim=4, hidden=(8,), use_attention=False,
                                                        use_user_profile=True)
 
-    def test_every_run_field_has_one_home(self):
-        sub = {f.name for cls in (SyntheticConfig, TrainConfig, ModelConfig) for f in fields(cls)}
-        paths = {"dataset", "metadata", "checkpoint", "history"}
-        assert {f.name for f in fields(RunConfig)} - sub == {"model", "split_mode", "val_fraction"} | paths
+    def test_echo_reads_back_as_the_same_config(self):
+        """The checkpoint's run_config echo is to_dict(); read as a config
+        file it gives the config back, tuples and all."""
+        cfg = RunConfig(model="base", split_mode="random", val_fraction=0.3, num_users=7, signal_strength=2.5, seed=0,
+                        epochs=2, lr=0.05, patience=1, timing=False, hidden=(8, 3), temperature=0.5,
+                        use_user_profile=True, dataset="d.jsonl", history="h.csv")
+        echo = json.loads(json.dumps(cfg.to_dict()))
+        assert cfg != RunConfig()
+        assert RunConfig(**parse_fields(RunConfig, echo, "file")) == cfg
 
     def test_model_config_dict_round_trip(self):
         c = ModelConfig(40, 6, dim=4, hidden=(8, 3), max_seq_len=7, temperature=0.5, use_attention=False,

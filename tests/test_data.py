@@ -8,11 +8,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dinctr.config import RunConfig
 from dinctr.data import (
+    GENERATOR_KEYS,
     NO_HISTORY_TOKEN,
     EncodeStats,
     Records,
-    SyntheticConfig,
     Vocabulary,
     atomic_open,
     build_vocab,
@@ -128,7 +129,7 @@ class TestEncode:
         assert stats.n_empty_history == 1
 
     def test_mask_iff_nonzero_index(self):
-        config = SyntheticConfig(num_users=20, num_items=15, impressions=300, seed=9)
+        config = RunConfig(num_users=20, num_items=15, impressions=300, seed=9)
         records, _ = generate_synthetic(config)
         users, items = build_vocab(records)
         batch, _ = encode(records, users, items, max_seq_len=16)
@@ -213,7 +214,7 @@ def assert_encode_matches_oracle(records, users, items, max_seq_len):
 
 class TestEncodeOracle:
     def records(self):
-        records, _ = generate_synthetic(SyntheticConfig(num_users=30, num_items=25, impressions=400, seed=12))
+        records, _ = generate_synthetic(RunConfig(num_users=30, num_items=25, impressions=400, seed=12))
         extra = [
             rec(user="u-new", ad="a-new", behaviors=()),
             rec(user=Vocabulary.PAD, ad=Vocabulary.OOV, behaviors=(Vocabulary.PAD,)),
@@ -300,7 +301,7 @@ class TestSplit:
 
 class TestJsonl:
     def test_round_trip(self, tmp_path):
-        config = SyntheticConfig(num_users=10, num_items=12, impressions=100, seed=4)
+        config = RunConfig(num_users=10, num_items=12, impressions=100, seed=4)
         records, _ = generate_synthetic(config)
         path = tmp_path / "data.jsonl"
         save_jsonl(records, path)
@@ -621,7 +622,7 @@ class TestAtomicWrites:
 
 class TestGenerator:
     def test_deterministic(self):
-        config = SyntheticConfig(num_users=25, num_items=30, impressions=400, seed=123)
+        config = RunConfig(num_users=25, num_items=30, impressions=400, seed=123)
         r1, t1 = generate_synthetic(config)
         r2, t2 = generate_synthetic(config)
         assert r1 == r2
@@ -629,13 +630,13 @@ class TestGenerator:
         assert t1.item_clusters == t2.item_clusters
 
     def test_round_robin_clusters(self):
-        config = SyntheticConfig(num_users=5, num_items=23, num_clusters=7, impressions=50, seed=1)
+        config = RunConfig(num_users=5, num_items=23, num_clusters=7, impressions=50, seed=1)
         _, truth = generate_synthetic(config)
         for tok, cluster in truth.item_clusters.items():
             assert cluster == int(tok[1:]) % 7
 
     def test_null_signal_ctr_matches_base_rate(self):
-        config = SyntheticConfig(num_users=50, num_items=40, impressions=8000, signal_strength=0.0, seed=5)
+        config = RunConfig(num_users=50, num_items=40, impressions=8000, signal_strength=0.0, seed=5)
         records, truth = generate_synthetic(config)
         base_rate = sigmoid(config.base_logit)
         assert all(p == base_rate for p in truth.true_probs)
@@ -647,7 +648,7 @@ class TestGenerator:
         assert abs(sigmoid(0.0 + 4.0 * 1.0) - 0.9820137900379085) < 1e-12
 
     def test_empirical_ctr_tracks_mean_true_p(self):
-        config = SyntheticConfig(seed=2, impressions=25_000)
+        config = RunConfig(seed=2, impressions=25_000)
         records, truth = generate_synthetic(config)
         p = np.array(truth.true_probs)
         ctr_hat = np.mean(records.labels)
@@ -658,7 +659,7 @@ class TestGenerator:
         """Monte Carlo over the generator's own metadata: impressions whose ad
         cluster matches the user's dominant behavior cluster carry higher
         ground-truth click probability."""
-        config = SyntheticConfig(seed=3)
+        config = RunConfig(seed=3)
         records, truth = generate_synthetic(config)
         dominant = {}
         for r in rows_of(records):
@@ -674,25 +675,25 @@ class TestGenerator:
         assert np.mean(matched) > np.mean(unmatched) + 0.3
 
     def test_timestamps_increase_with_generation_order(self):
-        records, _ = generate_synthetic(SyntheticConfig(num_users=5, num_items=10, impressions=40, seed=6))
+        records, _ = generate_synthetic(RunConfig(num_users=5, num_items=10, impressions=40, seed=6))
         ts = records.timestamps.tolist()
         assert ts == sorted(ts)
         assert len(set(ts)) == len(ts)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            generate_synthetic(SyntheticConfig(impressions=0))
-        with pytest.raises(ValueError):
-            generate_synthetic(SyntheticConfig(signal_strength=-1.0))
-        with pytest.raises(ValueError):
-            generate_synthetic(SyntheticConfig(behaviors_min=0))
-        with pytest.raises(ValueError):
-            generate_synthetic(SyntheticConfig(num_clusters=0))
-        with pytest.raises(ValueError):
-            generate_synthetic(SyntheticConfig(cluster_concentration=1.2))
+        """A RunConfig is checked when it is made, before any draw."""
+        for bad in ({"impressions": 0}, {"signal_strength": -1.0}, {"behaviors_min": 0}, {"num_clusters": 0},
+                    {"cluster_concentration": 1.2}, {"seed": -1}):
+            with pytest.raises(ValueError):
+                RunConfig(**bad)
+
+    def test_ground_truth_echoes_the_generator_keys(self):
+        _, truth = generate_synthetic(RunConfig(num_users=5, num_items=10, impressions=30, seed=8, epochs=9))
+        assert tuple(truth.config) == GENERATOR_KEYS and GENERATOR_KEYS[-1] == "seed"
+        assert truth.config["num_users"] == 5 and truth.config["seed"] == 8
 
     def test_ground_truth_round_trip(self, tmp_path):
-        _, truth = generate_synthetic(SyntheticConfig(num_users=5, num_items=10, impressions=30, seed=8))
+        _, truth = generate_synthetic(RunConfig(num_users=5, num_items=10, impressions=30, seed=8))
         path = tmp_path / "meta.json"
         save_ground_truth(truth, path)
         loaded = load_ground_truth(path)
@@ -739,6 +740,19 @@ class TestGroundTruthFile:
         with pytest.raises(ValueError) as info:
             self.load(tmp_path, obj)
         assert str(info.value).startswith(f"{tmp_path / 'meta.json'}: {message}")
+
+    @pytest.mark.parametrize(
+        "raw,where",
+        [(b'{"item_clusters": {},\n "true_probs": [0.5,]}', "line 2 column 21: invalid JSON"),
+         (b'{"item_clusters": {"i\xff": 0}}', "line 1 column 22: not UTF-8 text")],
+    )
+    def test_unreadable_json_names_path_line_and_column(self, tmp_path, raw, where):
+        """A syntax error used to name neither the file nor, for bad UTF-8, the place."""
+        path = tmp_path / "meta.json"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as info:
+            load_ground_truth(path)
+        assert str(info.value).startswith(f"{path}: {where}")
 
     def test_integral_probabilities_and_missing_config_load(self, tmp_path):
         truth = self.load(tmp_path, {"item_clusters": {"i0": 0, "i1": 1}, "true_probs": [0, 1, 0.25]})

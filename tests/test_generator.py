@@ -18,15 +18,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dinctr import data
-from dinctr.data import GroundTruth, Records, SyntheticConfig, generate_synthetic, save_ground_truth, save_jsonl
+from dinctr.config import RunConfig
+from dinctr.data import GroundTruth, Records, generate_synthetic, save_ground_truth, save_jsonl
 from dinctr.numerics import make_rng, sigmoid
 
 
-def generate_synthetic_oracle(config: SyntheticConfig):
+def generate_synthetic_oracle(config: RunConfig):
     """The generator as per-user and per-impression loops over the documented
     draws; returns the records, the ground truth and the generator after its
     last draw."""
-    config.validate()
     rng = make_rng(config.seed)
     K, n = config.num_clusters, config.impressions
 
@@ -68,12 +68,12 @@ def generate_synthetic_oracle(config: SyntheticConfig):
     truth = GroundTruth(
         item_clusters={f"i{item}": item % K for item in range(config.num_items)},
         true_probs=true_probs,
-        config=config.to_dict(),
+        config={key: getattr(config, key) for key in data.GENERATOR_KEYS},
     )
     return records, truth, rng
 
 
-def generate_with_rng(config: SyntheticConfig):
+def generate_with_rng(config: RunConfig):
     """``generate_synthetic`` plus the generator it drew from."""
     made = []
 
@@ -88,7 +88,7 @@ def generate_with_rng(config: SyntheticConfig):
     return records, truth, rng
 
 
-def assert_same_as_oracle(config: SyntheticConfig):
+def assert_same_as_oracle(config: RunConfig):
     records, truth, rng = generate_with_rng(config)
     want_records, want_truth, want_rng = generate_synthetic_oracle(config)
     assert records == want_records
@@ -103,7 +103,7 @@ def assert_same_as_oracle(config: SyntheticConfig):
 def small_configs(draw):
     num_clusters = draw(st.integers(1, 6))
     behaviors_min = draw(st.integers(1, 5))
-    return SyntheticConfig(
+    return RunConfig(
         num_users=draw(st.integers(1, 8)),
         num_items=draw(st.integers(num_clusters, 3 * num_clusters + 4)),
         num_clusters=num_clusters,
@@ -120,23 +120,23 @@ def small_configs(draw):
 class TestAgainstOracle:
     @settings(max_examples=60, deadline=None)
     @given(config=small_configs())
-    @example(config=SyntheticConfig(num_users=6, num_items=9, num_clusters=1, impressions=30, seed=4))
-    @example(config=SyntheticConfig(num_users=1, num_items=12, num_clusters=3, impressions=30, seed=5))
-    @example(config=SyntheticConfig(num_users=7, num_items=5, num_clusters=5, impressions=30, seed=6))
-    @example(config=SyntheticConfig(num_users=7, num_items=20, behaviors_min=3, behaviors_max=3, impressions=30, seed=7))
-    @example(config=SyntheticConfig(num_users=7, num_items=20, cluster_concentration=1.0, impressions=30, seed=8))
+    @example(config=RunConfig(num_users=6, num_items=9, num_clusters=1, impressions=30, seed=4))
+    @example(config=RunConfig(num_users=1, num_items=12, num_clusters=3, impressions=30, seed=5))
+    @example(config=RunConfig(num_users=7, num_items=5, num_clusters=5, impressions=30, seed=6))
+    @example(config=RunConfig(num_users=7, num_items=20, behaviors_min=3, behaviors_max=3, impressions=30, seed=7))
+    @example(config=RunConfig(num_users=7, num_items=20, cluster_concentration=1.0, impressions=30, seed=8))
     def test_small_configs(self, config):
         assert_same_as_oracle(config)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_default_config(self, seed):
-        assert_same_as_oracle(SyntheticConfig(seed=seed, impressions=2_000))
+        assert_same_as_oracle(RunConfig(seed=seed, impressions=2_000))
 
     def test_stream_continues_after_generation(self):
         """The generator makes the documented draws and no others: a draw
         after generating continues the reference's stream."""
         for seed in range(1, 5):
-            config = SyntheticConfig(num_users=5, num_items=12, num_clusters=3, impressions=7 + seed, seed=seed)
+            config = RunConfig(num_users=5, num_items=12, num_clusters=3, impressions=7 + seed, seed=seed)
             rng, want_rng = assert_same_as_oracle(config)
             assert [rng.integers(1000), rng.random()] == [want_rng.integers(1000), want_rng.random()]
 
@@ -149,7 +149,7 @@ class TestReplay:
     @pytest.mark.parametrize("single_cluster", [False, True])
     @pytest.mark.parametrize("seed", [1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 3 * 2**61])
     def test_matches_generator(self, seed, single_cluster):
-        config = SyntheticConfig(num_users=6, num_items=14, num_clusters=1 if single_cluster else 4,
+        config = RunConfig(num_users=6, num_items=14, num_clusters=1 if single_cluster else 4,
                                  impressions=40, cluster_concentration=0.6, seed=seed)
         assert_same_as_oracle(config)
         records, _ = generate_synthetic(config)
@@ -173,7 +173,7 @@ def user_histories(records: Records) -> dict[int, list[int]]:
 
 class TestDistributions:
     def test_full_concentration_keeps_every_behavior_in_the_dominant_cluster(self):
-        config = SyntheticConfig(num_users=60, num_items=50, num_clusters=7, impressions=3_000,
+        config = RunConfig(num_users=60, num_items=50, num_clusters=7, impressions=3_000,
                                  cluster_concentration=1.0, seed=21)
         records, _ = generate_synthetic(config)
         dominant = make_rng(config.seed).integers(config.num_clusters, size=config.num_users)  # the first draw
@@ -187,7 +187,7 @@ class TestDistributions:
         ``cluster_concentration``; otherwise its cluster is uniform over the
         other K - 1. Counts are checked within 5 sigma."""
         K, c = 4, 0.55
-        config = SyntheticConfig(num_users=3_000, num_items=40, num_clusters=K, behaviors_min=8, behaviors_max=12,
+        config = RunConfig(num_users=3_000, num_items=40, num_clusters=K, behaviors_min=8, behaviors_max=12,
                                  impressions=30_000, cluster_concentration=c, seed=22)
         records, _ = generate_synthetic(config)
         dominant = make_rng(config.seed).integers(K, size=config.num_users)
@@ -202,7 +202,7 @@ class TestDistributions:
         """23 items in 7 clusters: clusters 0-1 hold four items, 2-6 three.
         Every item is drawn, and only from its own cluster, at about its
         cluster's rate."""
-        config = SyntheticConfig(num_users=2_000, num_items=23, num_clusters=7, impressions=20_000, seed=23)
+        config = RunConfig(num_users=2_000, num_items=23, num_clusters=7, impressions=20_000, seed=23)
         records, truth = generate_synthetic(config)
         picked = Counter(item for history in user_histories(records).values() for item in history)
         assert set(picked) == set(range(config.num_items))
@@ -215,7 +215,7 @@ class TestDistributions:
             assert abs(count - expect) < 5 * math.sqrt(by_cluster[k] * share * (1 - share))
 
     def test_history_lengths_cover_the_range(self):
-        config = SyntheticConfig(num_users=300, num_items=30, behaviors_min=3, behaviors_max=9, impressions=6_000,
+        config = RunConfig(num_users=300, num_items=30, behaviors_min=3, behaviors_max=9, impressions=6_000,
                                  seed=24)
         records, _ = generate_synthetic(config)
         assert set(records.lengths.tolist()) == set(range(3, 10))
@@ -224,7 +224,7 @@ class TestDistributions:
     def test_true_probs_are_the_sigmoid_of_the_records_match_fraction(self, num_clusters, num_items):
         """Recomputed from the written records alone, exactly: K = 1 and
         numbers of items that K does not divide included."""
-        config = SyntheticConfig(num_users=30, num_items=num_items, num_clusters=num_clusters, impressions=500,
+        config = RunConfig(num_users=30, num_items=num_items, num_clusters=num_clusters, impressions=500,
                                  signal_strength=7.5, base_logit=-2.0, seed=25)
         records, truth = generate_synthetic(config)
         ads = np.array([int(records.items[s][1:]) for s in records.starts.tolist()])
@@ -236,7 +236,7 @@ class TestDistributions:
             assert set(truth.true_probs) == {float(sigmoid(config.base_logit + config.signal_strength))}
 
 
-def dataset_bytes(config: SyntheticConfig, tmp_path) -> bytes:
+def dataset_bytes(config: RunConfig, tmp_path) -> bytes:
     """The dataset and metadata files ``ctr generate`` would write."""
     records, truth = generate_synthetic(config)
     save_jsonl(records, tmp_path / "data.jsonl")
@@ -246,17 +246,17 @@ def dataset_bytes(config: SyntheticConfig, tmp_path) -> bytes:
 
 class TestReproducibility:
     def test_same_seed_same_bytes_other_seed_other_data(self, tmp_path):
-        config = SyntheticConfig(num_users=20, num_items=30, impressions=300, seed=31)
+        config = RunConfig(num_users=20, num_items=30, impressions=300, seed=31)
         first = dataset_bytes(config, tmp_path)
         assert dataset_bytes(config, tmp_path) == first
         config.seed = 32
         assert dataset_bytes(config, tmp_path) != first
 
     @pytest.mark.parametrize("config, digest", [
-        (SyntheticConfig(num_users=8, num_items=13, num_clusters=3, behaviors_min=2, behaviors_max=6,
+        (RunConfig(num_users=8, num_items=13, num_clusters=3, behaviors_min=2, behaviors_max=6,
                          impressions=40, cluster_concentration=0.7, seed=41),
          "cc24fc0170c71b04cb1bf95a41e52e637962a60de768d77cb9059ff985100c10"),
-        (SyntheticConfig(num_users=5, num_items=6, num_clusters=1, behaviors_min=1, behaviors_max=3,
+        (RunConfig(num_users=5, num_items=6, num_clusters=1, behaviors_min=1, behaviors_max=3,
                          impressions=25, seed=42),
          "2d44a643dadec755823c6af0aff68cf2f31272349fc02905bb3c10890ff3fbb7"),
     ])

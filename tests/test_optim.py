@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dinctr.data import SyntheticConfig, build_vocab, encode, generate_synthetic, split
+from dinctr.config import RunConfig
+from dinctr.data import build_vocab, encode, generate_synthetic, split
 from dinctr.model import ModelConfig, init_model
 from dinctr.numerics import make_rng
 from dinctr.optim import (
@@ -13,7 +14,6 @@ from dinctr.optim import (
     ADAM_EPS,
     AdamState,
     Gradients,
-    TrainConfig,
     adam_step,
     bce_loss,
     l2_penalty,
@@ -232,7 +232,7 @@ class TestAdamStep:
 
 
 def small_dataset(seed=1, impressions=1500, alpha=4.0):
-    config = SyntheticConfig(
+    config = RunConfig(
         num_users=60, num_items=40, impressions=impressions, signal_strength=alpha, seed=seed
     )
     records, _ = generate_synthetic(config)
@@ -262,12 +262,12 @@ class TestTrainLoop:
             return original(cache, dprobs)
 
         model.backward = counting_backward
-        train(model, tb, vb, TrainConfig(epochs=1, batch_size=10**6, lr=1e-3, seed=1))
+        train(model, tb, vb, RunConfig(epochs=1, batch_size=10**6, lr=1e-3, seed=1))
         assert probe["steps"] == 1
 
     def test_bitwise_reproducible(self):
         tb, vb, items, users = small_dataset()
-        cfg = TrainConfig(epochs=2, batch_size=128, lr=5e-3, seed=7, timing=False)
+        cfg = RunConfig(epochs=2, batch_size=128, lr=5e-3, seed=7, timing=False)
         m1, h1 = train(self.make_model(items, users, seed=7), tb, vb, cfg)
         m2, h2 = train(self.make_model(items, users, seed=7), tb, vb, cfg)
         for key in m1.params:
@@ -276,13 +276,13 @@ class TestTrainLoop:
 
     def test_pad_row_stays_zero_through_training(self):
         tb, vb, items, users = small_dataset()
-        model, _ = train(self.make_model(items, users), tb, vb, TrainConfig(epochs=2, batch_size=64, lr=1e-2, seed=1))
+        model, _ = train(self.make_model(items, users), tb, vb, RunConfig(epochs=2, batch_size=64, lr=1e-2, seed=1))
         assert not model.params["item_emb"][0].any()
 
     def test_loss_decreases_on_learnable_signal(self):
         tb, vb, items, users = small_dataset(impressions=2500)
         model, history = train(
-            self.make_model(items, users), tb, vb, TrainConfig(epochs=5, batch_size=128, lr=1e-2, seed=1)
+            self.make_model(items, users), tb, vb, RunConfig(epochs=5, batch_size=128, lr=1e-2, seed=1)
         )
         assert history.epochs[-1].train_loss < history.epochs[0].train_loss
         assert len(history) == 5
@@ -291,7 +291,7 @@ class TestTrainLoop:
         from dinctr.metrics import gauc
 
         tb, vb, items, users = small_dataset(impressions=2500)
-        cfg = TrainConfig(epochs=12, batch_size=128, lr=2e-2, seed=3, patience=2)
+        cfg = RunConfig(epochs=12, batch_size=128, lr=2e-2, seed=3, patience=2)
         model, history = train(self.make_model(items, users, seed=3), tb, vb, cfg)
         assert len(history) <= 12
         returned = gauc(model.predict(vb), vb.labels, vb.user_idx, "impressions").value
@@ -302,7 +302,7 @@ class TestTrainLoop:
         tb, vb, items, users = small_dataset()
         _, history = train(
             self.make_model(items, users), tb, vb,
-            TrainConfig(epochs=3, batch_size=256, lr=1e-3, seed=1, timing=False),
+            RunConfig(epochs=3, batch_size=256, lr=1e-3, seed=1, timing=False),
         )
         path = tmp_path / "history.csv"
         save_history(history, path)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from dinctr import data as D
+from dinctr.config import RunConfig
 from dinctr.cli import main
 from dinctr.metrics import gauc, rank_ads
 from dinctr.model import ModelConfig, init_model, save_checkpoint
@@ -41,7 +42,7 @@ def resolve(module: str, path: str):
 
 
 def tiny_batch():
-    records, _ = D.generate_synthetic(D.SyntheticConfig(num_users=6, num_items=12, impressions=40, seed=1))
+    records, _ = D.generate_synthetic(RunConfig(num_users=6, num_items=12, impressions=40, seed=1))
     users, items = D.build_vocab(records)
     batch, stats = D.encode(records, users, items, 5)
     return batch, stats, users, items
@@ -110,7 +111,7 @@ def test_rank_hook_reads_the_candidate_count(tmp_path, capsys):
 def test_load_and_encode_hooks_read_what_the_program_returns(tmp_path):
     """``len(load_jsonl(path))`` is the record count and ``encode`` returns
     ``(EncodedBatch, EncodeStats)``: the ``len(ret)`` and ``ret[0]`` the hooks read."""
-    records, _ = D.generate_synthetic(D.SyntheticConfig(num_users=6, num_items=12, impressions=40, seed=1))
+    records, _ = D.generate_synthetic(RunConfig(num_users=6, num_items=12, impressions=40, seed=1))
     path = tmp_path / "data.jsonl"
     D.save_jsonl(records, path)
     lines = path.read_bytes().splitlines(keepends=True)
