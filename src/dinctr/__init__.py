@@ -35,7 +35,7 @@ from .model import (
     save_checkpoint,
 )
 from .numerics import grad_check, make_rng, sigmoid
-from .optim import AdamState, TrainHistory, adam_step, l2_penalty, train
+from .optim import AdamState, adam_step, l2_penalty, train
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "make_rng",
     "sigmoid",
     "AdamState",
-    "TrainHistory",
     "adam_step",
     "l2_penalty",
     "train",

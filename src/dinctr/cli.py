@@ -111,7 +111,7 @@ def cmd_train(cfg: RunConfig) -> int:
     model, history = train(model, train_batch, val_batch, cfg)
     save_checkpoint(model, user_vocab, item_vocab, cfg.checkpoint, run_config=cfg.to_dict())
     save_history(history, cfg.history)
-    last = history.epochs[-1]
+    last = history[-1]
     _emit(
         {
             "checkpoint": cfg.checkpoint,
@@ -274,7 +274,8 @@ def gradcheck_model(use_attention: bool, seed: int, eps: float = 1e-5, l2_lambda
     """Max relative error of the analytic gradients on a tiny random model."""
     rng = make_rng(seed, stream=3)
     config = ModelConfig(
-        item_vocab=20, user_vocab=6, dim=4, hidden=(8,), max_seq_len=6, temperature=1.0, use_attention=use_attention
+        item_vocab=20, user_vocab=6, dim=4, hidden=(8,), max_seq_len=6, temperature=1.0, use_attention=use_attention,
+        use_user_profile=False,
     )
     model = init_model(config, rng)
     B, T = 4, config.max_seq_len

@@ -82,7 +82,7 @@ class RunConfig:
             raise ValueError(f"l2_lambda must be a finite number >= 0, got {self.l2_lambda!r}")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
-        self.model_config(item_vocab=2, user_vocab=2).validate()  # the smallest vocabularies it accepts
+        self.model_config(item_vocab=2, user_vocab=2)  # checks the model keys on the smallest vocabularies
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -182,9 +182,6 @@ class Vocabulary:
         """All tokens including the two reserved ones, in index order."""
         return list(self._tokens)
 
-    def encode(self, token: str) -> int:
-        return self._index.get(token, OOV_INDEX)
-
     def lookup(self, tokens) -> np.ndarray:
         """Index of each token (a sequence or array); unknown and reserved tokens get OOV_INDEX.
 
@@ -288,7 +285,7 @@ def encode(
     behavior_idx = np.zeros((n, T), dtype=np.int64)
     behavior_idx[np.arange(T) < kept[:, None]] = tail_idx
     empty = kept == 0
-    behavior_idx[empty, 0] = item_vocab.encode(NO_HISTORY_TOKEN)
+    behavior_idx[empty, 0] = item_vocab.lookup((NO_HISTORY_TOKEN,))
     stats = EncodeStats(
         n_records=n,
         n_oov_tokens=sum(int(np.count_nonzero(idx == OOV_INDEX)) for idx in (user_idx, ad_idx, tail_idx)),
@@ -449,6 +446,8 @@ def read_json(path):
         line, column, what = head.count(b"\n") + 1, exc.start - head.rfind(b"\n"), f"not UTF-8 text: {exc.reason}"
     except json.JSONDecodeError as exc:
         line, column, what = exc.lineno, exc.colno, f"invalid JSON: {exc.msg}"
+    except (ValueError, RecursionError) as exc:  # an integer too long to convert, or nesting too deep
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     raise ValueError(f"{path}: line {line} column {column}: {what}")
 
 

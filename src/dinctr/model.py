@@ -33,16 +33,18 @@ PREDICT_CHUNK_ROWS = 4096
 
 @dataclass
 class ModelConfig:
+    """The checkpoint's model schema, checked when made; a run's comes from ``RunConfig.model_config``."""
+
     item_vocab: int
     user_vocab: int
-    dim: int = 8
-    hidden: tuple[int, ...] = (64, 32)
-    max_seq_len: int = 32
-    temperature: float = 1.0
-    use_attention: bool = True
-    use_user_profile: bool = False
+    dim: int
+    hidden: tuple[int, ...]
+    max_seq_len: int
+    temperature: float
+    use_attention: bool
+    use_user_profile: bool
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.item_vocab < 2 or self.user_vocab < 2:
             raise ValueError("vocab sizes must include the reserved indices (>= 2)")
         if self.dim < 1 or self.max_seq_len < 1:
@@ -67,13 +69,19 @@ class ModelConfig:
         return fields_dict(self)
 
     @classmethod
-    def from_dict(cls, obj: dict, where: str = "model config") -> "ModelConfig":
-        """The config ``to_dict`` gave: every field present, each read by its
-        declared type as ``parse_fields`` reads it; errors name ``where``."""
+    def from_dict(cls, obj, where: str = "model config") -> "ModelConfig":
+        """The config ``to_dict`` gave: an object with every field, each read
+        by its declared type as ``parse_fields`` reads it; errors name ``where``."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where}: checkpoint header has no config object")
         missing = [f.name for f in fields(cls) if f.name not in obj]
         if missing:
             raise ValueError(f"{where}: config lacks {', '.join(map(repr, missing))}")
-        return cls(**parse_fields(cls, obj, where))
+        values = parse_fields(cls, obj, where)
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 @dataclass
@@ -127,7 +135,6 @@ class DinModel:
     """Embedding tables plus MLP head; attention toggled by config."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
-        config.validate()
         self.config = config
         self.params = params
         self._check_params()
@@ -296,7 +303,6 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> DinModel:
     The draw order is ``param_shapes`` order (item table, user table, then
     layers front to back), so one seed yields bitwise-identical models.
     """
-    config.validate()
     params: dict[str, np.ndarray] = {}
     for name, shape in config.param_shapes().items():
         if name.endswith("_emb"):
@@ -353,18 +359,6 @@ def save_checkpoint(
             fh.write(model.params[key].astype("<f8", copy=False).tobytes(order="C"))
 
 
-def _checkpoint_config(path, header: dict) -> ModelConfig:
-    config = header.get("config")
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: checkpoint header has no config object")
-    config = ModelConfig.from_dict(config, str(path))
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return config
-
-
 def load_checkpoint(path) -> tuple[DinModel, Vocabulary, Vocabulary, Optional[dict]]:
     with open(path, "rb") as fh:
         magic = fh.read(len(_CKPT_MAGIC))
@@ -373,14 +367,14 @@ def load_checkpoint(path) -> tuple[DinModel, Vocabulary, Vocabulary, Optional[di
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or an integer too long to convert
             raise ValueError(f"{path}: corrupt checkpoint header") from exc
         if not isinstance(header, dict):
             raise ValueError(f"{path}: corrupt checkpoint header (not a JSON object)")
         version = header.get("version")
         if type(version) is not int or version != 1:  # true and 1.0 are not the integer 1
             raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
-        config = _checkpoint_config(path, header)
+        config = ModelConfig.from_dict(header.get("config"), str(path))
         shapes = config.param_shapes()
         # The payload is cut by the manifest, so it must name every parameter,
         # in save_checkpoint's order and shape: a reordered manifest would

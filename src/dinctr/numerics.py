@@ -20,7 +20,8 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Seeded PCG64 generator.
 
     ``stream`` separates independent uses of the same user-facing seed
-    (0 = data generation, 1 = parameter init, 2 = epoch shuffling).
+    (0 = data generation and random splits, 1 = parameter init, 2 = epoch
+    shuffling, 3 = the gradcheck command's model and batch).
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
 

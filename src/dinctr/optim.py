@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -143,28 +143,12 @@ class EpochStats:
     seconds: float
 
 
-@dataclass
-class TrainHistory:
-    epochs: list[EpochStats] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.epochs)
-
-    def rows(self) -> list[list]:
-        return [
-            [e.epoch, repr(e.train_loss), repr(e.val_loss), repr(e.val_gauc), repr(e.seconds)]
-            for e in self.epochs
-        ]
-
-
-HISTORY_HEADER = ["epoch", "train_loss", "val_loss", "val_gauc", "seconds"]
-
-
-def save_history(history: TrainHistory, path) -> None:
+def save_history(epochs: list[EpochStats], path) -> None:
+    """The history CSV: ``EpochStats``'s field names, then one row per epoch."""
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(HISTORY_HEADER)
-        writer.writerows(history.rows())
+        writer.writerow([f.name for f in fields(EpochStats)])
+        writer.writerows(map(astuple, epochs))
 
 
 def train(
@@ -172,7 +156,7 @@ def train(
     train_batch: EncodedBatch,
     val_batch: EncodedBatch,
     config: RunConfig,
-) -> tuple[DinModel, TrainHistory]:
+) -> tuple[DinModel, list[EpochStats]]:
     """Epoch/minibatch training with per-epoch validation tracking.
 
     Each epoch reshuffles with a seeded stream, walks minibatches through
@@ -190,7 +174,7 @@ def train(
     m, v = ({k: np.zeros_like(p) for k, p in model.params.items()} for _ in range(2))
     state = AdamState(m=m, v=v, lr=config.lr)
     shuffle_rng = make_rng(config.seed, stream=2)
-    history = TrainHistory()
+    history: list[EpochStats] = []
     best_gauc = -np.inf
     best_params: Optional[dict[str, np.ndarray]] = None
     stale = 0
@@ -208,7 +192,7 @@ def train(
         val_loss = metrics.log_loss(val_probs, val_batch.labels)
         val_gauc = metrics.gauc(val_probs, val_batch.labels, val_batch.user_idx, "impressions").value
         seconds = time.perf_counter() - tic if config.timing else 0.0
-        history.epochs.append(
+        history.append(
             EpochStats(
                 epoch=epoch,
                 train_loss=loss_sum / n,

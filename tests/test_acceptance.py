@@ -62,8 +62,8 @@ def _train_one(seed: int, use_attention: bool, signal_strength: float) -> Run:
     model, history = train(model, train_batch, val_batch, cfg)
     seconds = time.perf_counter() - tic
     return Run(
-        gauc=history.epochs[-1].val_gauc,
-        val_losses=[e.val_loss for e in history.epochs],
+        gauc=history[-1].val_gauc,
+        val_losses=[e.val_loss for e in history],
         seconds=seconds,
         pad_row_zero=not model.params["item_emb"][0].any(),
     )

@@ -229,6 +229,21 @@ class TestStrictConfigValues:
         assert (code, out, err) == (1, "", f"error: config.json: {message}\n")
         assert os.listdir(tmp_path) == ["config.json"]
 
+    @pytest.mark.parametrize(
+        "raw,message",
+        [(b'{"num_users": ' + b"1" * 5000 + b"}", "invalid JSON: Exceeds the limit (4300 digits)"),
+         (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded")],
+        ids=["5000-digits", "100000-nested"],
+    )
+    def test_undecodable_config_file_names_file(self, tmp_path, capsys, monkeypatch, raw, message):
+        """Valid JSON syntax that json cannot decode used to print its bare
+        ValueError or RecursionError, naming no file."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_bytes(raw)
+        code, out, err = run_cli(capsys, "generate", "--config", "config.json")
+        assert (code, out) == (1, "") and err.startswith(f"error: config.json: {message}")
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_integral_values_keep_their_echo(self, tmp_path, capsys):
         echoes = []
         for extra in ({"num_users": 40, "signal_strength": 4}, {"num_users": 40.0, "signal_strength": 4.0}):
@@ -860,10 +875,9 @@ class TestConfigSchema:
     checkpoint's model config all come from it."""
 
     def test_model_config_follows_model_flag(self):
-        assert RunConfig().model_config(40, 6) == ModelConfig(40, 6)  # ModelConfig keeps the same defaults
         cfg = RunConfig(model="base", dim=4, hidden=(8,), use_user_profile=True)
-        assert cfg.model_config(40, 6) == ModelConfig(40, 6, dim=4, hidden=(8,), use_attention=False,
-                                                       use_user_profile=True)
+        assert cfg.model_config(40, 6) == ModelConfig(40, 6, dim=4, hidden=(8,), max_seq_len=32, temperature=1.0,
+                                                       use_attention=False, use_user_profile=True)
 
     def test_echo_reads_back_as_the_same_config(self):
         """The checkpoint's run_config echo is to_dict(); read as a config

@@ -70,12 +70,10 @@ def rows_of(records: Records) -> list:
 class TestVocabulary:
     def test_construction_order_ad_before_behaviors(self):
         users, items = build_vocab(recs(rec(user="u9", ad="a", behaviors=("b", "a"))))
-        assert items.encode("a") == 2
-        assert items.encode("b") == 3
-        assert items.encode(Vocabulary.PAD) == 0
-        assert items.encode(Vocabulary.OOV) == 1
-        assert items.encode(NO_HISTORY_TOKEN) == 4  # reserved token appended last
-        assert users.encode("u9") == 2
+        assert items.lookup(["a", "b", NO_HISTORY_TOKEN]).tolist() == [2, 3, 4]  # reserved token appended last
+        assert items.tokens[:2] == [Vocabulary.PAD, Vocabulary.OOV]
+        assert items.lookup([Vocabulary.PAD, Vocabulary.OOV]).tolist() == [1, 1]  # spelled in data, not padding
+        assert users.lookup(["u9"]).tolist() == [2]
 
     def test_rebuild_is_identical(self):
         records = recs(*(rec(user=f"u{i % 3}", ad=f"a{i % 5}", behaviors=(f"b{i % 7}",)) for i in range(30)))
@@ -85,19 +83,19 @@ class TestVocabulary:
 
     def test_frozen_unknown_token_encodes_to_oov(self):
         _, items = build_vocab(recs(rec()))
-        assert items.encode("never-seen") == 1
+        assert items.lookup(["never-seen"]).tolist() == [1]
 
     def test_frozen_vocab_never_grows(self):
         _, items = build_vocab(recs(rec()))
         size = items.size
-        items.encode("never-seen")
+        items.lookup(["never-seen"])
         assert items.size == size
         assert "never-seen" not in items
 
     def test_index_token_round_trip(self):
         _, items = build_vocab(recs(rec(ad="x", behaviors=("y", "z"))))
         for tok in ("x", "y", "z"):
-            assert items.decode(items.encode(tok)) == tok
+            assert items.decode(items.lookup([tok])[0]) == tok
 
 
 class TestEncode:
@@ -107,7 +105,7 @@ class TestEncode:
 
     def test_padding_and_mask(self):
         batch, _ = encode(self.records, self.users, self.items, max_seq_len=4)
-        ix, iy = self.items.encode("x"), self.items.encode("y")
+        ix, iy = self.items.lookup(["x", "y"])
         np.testing.assert_array_equal(batch.behavior_idx[0], [ix, iy, 0, 0])
         np.testing.assert_array_equal(batch.mask[0], [True, True, False, False])
         assert batch.labels[0] == 1.0
@@ -124,7 +122,7 @@ class TestEncode:
         records = recs(rec(behaviors=()))
         users, items = build_vocab(records)
         batch, stats = encode(records, users, items, max_seq_len=3)
-        assert batch.behavior_idx[0, 0] == items.encode(NO_HISTORY_TOKEN)
+        assert batch.behavior_idx[0, 0] == items.tokens.index(NO_HISTORY_TOKEN)
         np.testing.assert_array_equal(batch.mask[0], [True, False, False])
         assert stats.n_empty_history == 1
 
@@ -175,7 +173,7 @@ def encode_oracle(rows, users, items, max_seq_len):
         if tok in RESERVED or tok not in vocab:
             stats.n_oov_tokens += 1
             return 1
-        return vocab.encode(tok)
+        return vocab.tokens.index(tok)
 
     ad_idx = np.zeros(n, dtype=np.int64)
     user_idx = np.zeros(n, dtype=np.int64)
@@ -189,7 +187,7 @@ def encode_oracle(rows, users, items, max_seq_len):
             seq = seq[-max_seq_len:]
             stats.n_truncated += 1
         if not seq:
-            behavior_idx[i, 0] = items.encode(NO_HISTORY_TOKEN)
+            behavior_idx[i, 0] = items.tokens.index(NO_HISTORY_TOKEN)
             stats.n_empty_history += 1
         for t, tok in enumerate(seq):
             behavior_idx[i, t] = look(items, tok)
@@ -230,7 +228,7 @@ class TestEncodeOracle:
         o_users, o_items = build_vocab_oracle(rows_of(records))
         assert users.tokens == o_users
         assert items.tokens == o_items
-        assert all(items.encode(t) == i for i, t in enumerate(o_items))
+        assert items.lookup(o_items[2:]).tolist() == list(range(2, len(o_items)))
 
     @pytest.mark.parametrize("max_seq_len", [1, 10, 40])
     def test_generated_data_with_oov_truncation_and_empty(self, max_seq_len):
@@ -249,7 +247,7 @@ class TestEncodeOracle:
         assert Vocabulary.PAD not in items.tokens[2:] and Vocabulary.OOV not in items.tokens[2:]
         batch, stats = encode(records, users, items, max_seq_len=4)
         np.testing.assert_array_equal(batch.behavior_idx[:, 0], [1, 1])
-        np.testing.assert_array_equal(batch.ad_idx, [1, items.encode("a")])
+        np.testing.assert_array_equal(batch.ad_idx, [1, items.tokens.index("a")])
         np.testing.assert_array_equal(batch.user_idx, [1, 1])
         np.testing.assert_array_equal(batch.mask.sum(axis=1), [1, 3])
         assert stats.n_oov_tokens == 2 + 1 + 3  # users, ads, behaviors

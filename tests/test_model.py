@@ -29,7 +29,9 @@ def tiny_config(use_attention=True, dim=3, hidden=(4,), item_vocab=12, max_seq_l
         dim=dim,
         hidden=hidden,
         max_seq_len=max_seq_len,
+        temperature=1.0,
         use_attention=use_attention,
+        use_user_profile=False,
     )
 
 
@@ -341,7 +343,7 @@ class TestBackward:
 
     def test_gradient_size_follows_batch_not_vocabulary(self):
         config = ModelConfig(item_vocab=1_000_000, user_vocab=1_000, dim=2, hidden=(4,), max_seq_len=6,
-                             use_user_profile=True)
+                             temperature=1.0, use_attention=True, use_user_profile=True)
         model = init_model(config, make_rng(32, stream=1))
         B = 5
         batch = random_batch(config, make_rng(33), B=B)
@@ -456,7 +458,8 @@ class TestInit:
     def test_embedding_sample_mean_within_three_sigma(self):
         # U(-0.05, 0.05): var = 0.1^2 / 12, so the mean of n draws has
         # sd = 0.1 / sqrt(12 n).
-        config = ModelConfig(item_vocab=12_502, user_vocab=2, dim=8)
+        config = ModelConfig(item_vocab=12_502, user_vocab=2, dim=8, hidden=(64, 32), max_seq_len=32,
+                             temperature=1.0, use_attention=True, use_user_profile=False)
         model = init_model(config, make_rng(44, stream=1))
         entries = model.params["item_emb"][1:].ravel()  # skip the pinned pad row
         n = entries.size
@@ -488,6 +491,11 @@ class TestInit:
 
 def without(obj: dict, key: str) -> dict:
     return {k: v for k, v in obj.items() if k != key}
+
+
+def with_config(**values):
+    """A header edit that sets these config values."""
+    return lambda header: {**header, "config": {**header["config"], **values}}
 
 
 def _strict_int(value):
@@ -534,11 +542,9 @@ def strict_model_config(obj: dict):
     if set(obj) != set(STRICT_FIELDS):
         return None
     try:
-        config = ModelConfig(**{key: STRICT_FIELDS[key](value) for key, value in obj.items()})
-        config.validate()
+        return ModelConfig(**{key: STRICT_FIELDS[key](value) for key, value in obj.items()})
     except (ValueError, OverflowError):
         return None
-    return config
 
 
 HEADER_VALUES = st.one_of(
@@ -671,19 +677,38 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "edit,message",
         [
-            (lambda h: without(h, "arrays"), "manifest"),
-            (lambda h: {**h, "config": without(h["config"], "dim")}, "'dim'"),
-            (lambda h: {**h, "config": []}, "no config object"),
-            (lambda h: without(h, "user_tokens"), "user_tokens"),
-            (lambda h: [h], "not a JSON object"),
+            (lambda h: without(h, "arrays"), "the array manifest"),
+            (lambda h: {**h, "config": without(h["config"], "dim")}, "config lacks 'dim'"),
+            (lambda h: {**h, "config": []}, "checkpoint header has no config object"),
+            (lambda h: without(h, "user_tokens"), "user_tokens must"),
+            (lambda h: [h], "corrupt checkpoint header (not a JSON object)"),
+            (with_config(temperature=0.0), "temperature must be a finite number > 0, got 0.0"),
+            (with_config(dim=0), "dim and max_seq_len must be positive"),
+            (with_config(hidden=[0]), "hidden widths must be positive"),
+            (with_config(item_vocab=1), "vocab sizes must include the reserved indices (>= 2)"),
         ],
-        ids=["no-manifest", "no-config-dim", "list-config", "no-user-tokens", "list-header"],
+        ids=["no-manifest", "no-config-dim", "list-config", "no-user-tokens", "list-header",
+             "temperature-0", "dim-0", "hidden-0", "item-vocab-1"],
     )
     def test_malformed_header_names_path(self, tmp_path, edit, message):
-        """Each of these used to raise a bare KeyError, TypeError or AttributeError."""
+        """The first five used to raise a bare KeyError, TypeError or
+        AttributeError; an out-of-range value gives the config's own message."""
         _, path = self.saved(tmp_path)
         self.rewrite_header(path, edit)
-        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize(
+        "header", [b'{"version": ' + b"1" * 5000 + b"}", b"[" * 100_000], ids=["5000-digits", "100000-nested"]
+    )
+    def test_undecodable_header_names_path(self, tmp_path, header):
+        """JSON that json cannot decode used to raise its bare ValueError or RecursionError."""
+        _, path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        magic_end = raw.index(b"\n") + 1
+        path.write_bytes(raw[:magic_end] + header + raw[raw.index(b"\n", magic_end) :])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: corrupt checkpoint header")):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(

@@ -62,7 +62,8 @@ class TestBceLoss:
 
 def one_weight_model():
     """d=1 toy model exposing a single scalar MLP weight for hand arithmetic."""
-    config = ModelConfig(item_vocab=4, user_vocab=2, dim=1, hidden=(), max_seq_len=2)
+    config = ModelConfig(item_vocab=4, user_vocab=2, dim=1, hidden=(), max_seq_len=2, temperature=1.0,
+                         use_attention=True, use_user_profile=False)
     model = init_model(config, make_rng(0, stream=1))
     return model
 
@@ -99,7 +100,8 @@ class TestL2Penalty:
         assert not grads.dense["b0"].any()  # biases never penalized
 
     def test_matches_brute_force_sum_over_touched(self):
-        config = ModelConfig(item_vocab=9, user_vocab=2, dim=3, hidden=(4,), max_seq_len=3)
+        config = ModelConfig(item_vocab=9, user_vocab=2, dim=3, hidden=(4,), max_seq_len=3, temperature=1.0,
+                             use_attention=True, use_user_profile=False)
         model = init_model(config, make_rng(1, stream=1))
         touched = np.array([2, 5, 7], dtype=np.int64)
         grads = zero_grads(model, touched)
@@ -246,8 +248,8 @@ def small_dataset(seed=1, impressions=1500, alpha=4.0):
 class TestTrainLoop:
     def make_model(self, items, users, seed=1, use_attention=True):
         config = ModelConfig(
-            item_vocab=items.size, user_vocab=users.size, dim=4, hidden=(8,), max_seq_len=32,
-            use_attention=use_attention,
+            item_vocab=items.size, user_vocab=users.size, dim=4, hidden=(8,), max_seq_len=32, temperature=1.0,
+            use_attention=use_attention, use_user_profile=False,
         )
         return init_model(config, make_rng(seed, stream=1))
 
@@ -272,7 +274,7 @@ class TestTrainLoop:
         m2, h2 = train(self.make_model(items, users, seed=7), tb, vb, cfg)
         for key in m1.params:
             np.testing.assert_array_equal(m1.params[key], m2.params[key])
-        assert h1.rows() == h2.rows()
+        assert h1 == h2
 
     def test_pad_row_stays_zero_through_training(self):
         tb, vb, items, users = small_dataset()
@@ -284,7 +286,7 @@ class TestTrainLoop:
         model, history = train(
             self.make_model(items, users), tb, vb, RunConfig(epochs=5, batch_size=128, lr=1e-2, seed=1)
         )
-        assert history.epochs[-1].train_loss < history.epochs[0].train_loss
+        assert history[-1].train_loss < history[0].train_loss
         assert len(history) == 5
 
     def test_early_stopping_returns_best_gauc_model(self):
@@ -295,7 +297,7 @@ class TestTrainLoop:
         model, history = train(self.make_model(items, users, seed=3), tb, vb, cfg)
         assert len(history) <= 12
         returned = gauc(model.predict(vb), vb.labels, vb.user_idx, "impressions").value
-        best = max(e.val_gauc for e in history.epochs)
+        best = max(e.val_gauc for e in history)
         assert abs(returned - best) < 1e-12
 
     def test_history_csv_format(self, tmp_path):

@@ -15,7 +15,7 @@ from dinctr import data as D
 from dinctr.config import RunConfig
 from dinctr.cli import main
 from dinctr.metrics import gauc, rank_ads
-from dinctr.model import ModelConfig, init_model, save_checkpoint
+from dinctr.model import init_model, save_checkpoint
 from dinctr.numerics import make_rng
 from dinctr.optim import bce_loss
 
@@ -65,7 +65,7 @@ def test_encode_hook_reads_the_batch():
 
 def test_forward_and_backward_hooks_read_the_batch_and_gradients():
     batch, _, users, items = tiny_batch()
-    model = init_model(ModelConfig(item_vocab=items.size, user_vocab=users.size, max_seq_len=5), make_rng(1, stream=1))
+    model = init_model(RunConfig(max_seq_len=5).model_config(items.size, users.size), make_rng(1, stream=1))
     probs, cache = model.forward(batch)
     grads = model.backward(cache, bce_loss(probs, batch.labels)[1])
     tracer = load_tracer().Tracer()
@@ -95,7 +95,7 @@ def test_rank_hook_reads_the_candidate_count(tmp_path, capsys):
     assert tracer.counts["metrics.candidates_ranked"] == 3
 
     _, _, users, items = tiny_batch()
-    model = init_model(ModelConfig(item_vocab=items.size, user_vocab=users.size, max_seq_len=5), make_rng(1, stream=1))
+    model = init_model(RunConfig(max_seq_len=5).model_config(items.size, users.size), make_rng(1, stream=1))
     checkpoint, candidates = tmp_path / "model.ckpt", tmp_path / "candidates.jsonl"
     save_checkpoint(model, users, items, checkpoint)
     candidates.write_text("".join(f'{{"ad_id": "{a}", "bid": {b}}}\n' for a, b in zip(ad_ids * 2, bids * 2)))
