@@ -35,16 +35,15 @@ _MODEL_KEYS = {"model": "use_attention"} | {
 }
 
 
-def resolve_config(config_path: str | None, overrides: dict) -> tuple[RunConfig, set]:
-    """defaults < file < flags; returns the config and explicitly-set keys."""
+def resolve_config(config_path: str | None, flags: dict) -> RunConfig:
+    """defaults < file < flags; ``flags`` holds the run keys given on the command line."""
     values = {}
     if config_path:
         file_values = D.read_json(config_path)
         if not isinstance(file_values, dict):
             raise ValueError(f"{config_path}: config file must hold a JSON object")
         values = D.parse_fields(RunConfig, file_values, config_path)
-    values |= D.parse_fields(RunConfig, {k: v for k, v in overrides.items() if v is not None})
-    return RunConfig(**values), set(values)
+    return RunConfig(**values | D.parse_fields(RunConfig, flags))
 
 
 def _open_output(path: str):
@@ -70,7 +69,7 @@ def _note(msg: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(cfg: RunConfig) -> int:
+def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
     records, truth = D.generate_synthetic(cfg)
     D.save_jsonl(records, cfg.dataset)
     D.save_ground_truth(truth, cfg.metadata)
@@ -89,15 +88,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_split(cfg: RunConfig, which: str) -> D.Records:
-    records = D.load_jsonl(cfg.dataset)
-    if which == "all":
-        return records
-    train_rows, val_rows = D.split(records, cfg.split_mode, cfg.val_fraction, cfg.seed)
-    return records.take(train_rows if which == "train" else val_rows)
-
-
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not os.path.exists(cfg.dataset):
         raise FileNotFoundError(f"dataset not found: {cfg.dataset}")
     records = D.load_jsonl(cfg.dataset)
@@ -128,11 +119,13 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _check_model_overrides(cfg: RunConfig, explicit: set, stored: ModelConfig) -> None:
-    """Explicit model hyperparameters must agree with the checkpoint."""
+def _check_model_flags(cfg: RunConfig, args: argparse.Namespace, stored: ModelConfig) -> None:
+    """Model keys given as flags must agree with the checkpoint. A config
+    file's model keys are settings for training, like its epochs, and the
+    checkpoint's own are used."""
     given = cfg.model_config(stored.item_vocab, stored.user_vocab)
     for key, name in _MODEL_KEYS.items():
-        if key in explicit and getattr(given, name) != getattr(stored, name):
+        if getattr(args, key, None) is not None and getattr(given, name) != getattr(stored, name):
             raise ValueError(
                 f"checkpoint/model-config mismatch on {key!r}: checkpoint has "
                 f"{name}={getattr(stored, name)!r}, config says {name}={getattr(given, name)!r}"
@@ -164,19 +157,8 @@ def _single_eval(cfg: RunConfig, checkpoint_path: str, which: str, model, user_v
 _COMPARE_METRICS = ("auc", "gauc_impressions", "gauc_clicks", "log_loss", "accuracy")
 
 
-def _metric_value(report: dict, name: str) -> float:
-    v = report[name]
-    return v["value"] if isinstance(v, dict) else v
-
-
-def cmd_eval(
-    cfg: RunConfig,
-    explicit: set,
-    checkpoints: list[str],
-    which: str,
-    report_path: str | None,
-    groups_csv: str | None = None,
-) -> int:
+def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
+    checkpoints, which = args.compare or [cfg.checkpoint], args.split
     for ck in checkpoints:
         if not os.path.exists(ck):
             raise FileNotFoundError(f"checkpoint not found: {ck}")
@@ -187,35 +169,35 @@ def cmd_eval(
     reports = []
     for ck in checkpoints:
         model, user_vocab, item_vocab, _ = load_checkpoint(ck)
-        _check_model_overrides(cfg, explicit, model.config)
+        _check_model_flags(cfg, args, model.config)
         if records is None:
-            records = _load_split(cfg, which)
+            records = D.load_jsonl(cfg.dataset)
+            if which != "all":
+                train_rows, val_rows = D.split(records, cfg.split_mode, cfg.val_fraction, cfg.seed)
+                records = records.take(train_rows if which == "train" else val_rows)
         if (user_vocab.tokens, item_vocab.tokens, model.config.max_seq_len) != encoding:
             encoding = (user_vocab.tokens, item_vocab.tokens, model.config.max_seq_len)
             batch, _ = D.encode(records, user_vocab, item_vocab, model.config.max_seq_len)
         reports.append(_single_eval(cfg, ck, which, model, user_vocab, batch))
-    if groups_csv:
-        with D.atomic_open(groups_csv, newline="") as fh:
+    if args.groups_csv:
+        with D.atomic_open(args.groups_csv, newline="") as fh:
             rows = [[r["group"], repr(r["weight"]), repr(r["auc"])] for r in reports[0]["per_group"]]
             csv.writer(fh, lineterminator="\n").writerows([["group", "weight", "auc"], *rows])
     if len(reports) == 1:
         payload = reports[0]
-        if report_path:
-            _write_report(report_path, payload)
+        if args.report:
+            _write_report(args.report, payload)
         _emit(payload)
         return 0
     names = []
     for ck in checkpoints:
         stem = os.path.splitext(os.path.basename(ck))[0]
         names.append(stem if stem not in names else f"{stem}_{len(names)}")
-    lines = ["metric," + ",".join(names)]
-    for metric in _COMPARE_METRICS:
-        row = [metric] + [repr(_metric_value(r, metric)) for r in reports]
-        lines.append(",".join(row))
-    table = "\n".join(lines) + "\n"
-    sys.stdout.write(table)
-    if report_path:
-        _write_report(report_path, {"models": dict(zip(names, reports)), "metrics": list(_COMPARE_METRICS)})
+    values = {m: [r[m]["value"] if isinstance(r[m], dict) else r[m] for r in reports] for m in _COMPARE_METRICS}
+    rows = [["metric", *names]] + [[m, *map(repr, v)] for m, v in values.items()]
+    sys.stdout.write("".join(",".join(row) + "\n" for row in rows))
+    if args.report:
+        _write_report(args.report, {"models": dict(zip(names, reports)), "metrics": list(_COMPARE_METRICS)})
     return 0
 
 
@@ -224,29 +206,29 @@ _PREDICT_LINE = '{"user_id": %s, "ad_id": %s, "p": %r}\n'
 _RANK_LINE = '{"ad_id": %s, "p": %r, "bid": %r, "ecpm": %r}\n'
 
 
-def cmd_predict(checkpoint_path: str, input_path: str, output_path: str) -> int:
-    model, user_vocab, item_vocab, _ = load_checkpoint(checkpoint_path)
-    records = D.load_jsonl(input_path, require_label=False)
+def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
+    model, user_vocab, item_vocab, _ = load_checkpoint(cfg.checkpoint)
+    records = D.load_jsonl(args.input, require_label=False)
     batch, _ = D.encode(records, user_vocab, item_vocab, model.config.max_seq_len)
     probs = model.predict(batch).tolist() if len(records) else []
     users, ads = map(D.json_str, records.users), map(D.json_str, records.items[records.starts])
-    with _open_output(output_path) as out:
+    with _open_output(args.output) as out:
         out.write("".join(map(_PREDICT_LINE.__mod__, zip(users, ads, probs))))
     return 0
 
 
-def cmd_rank(checkpoint_path: str, candidates_path: str, context_path: str | None, output_path: str) -> int:
-    model, user_vocab, item_vocab, _ = load_checkpoint(checkpoint_path)
+def cmd_rank(cfg: RunConfig, args: argparse.Namespace) -> int:
+    model, user_vocab, item_vocab, _ = load_checkpoint(cfg.checkpoint)
     user_id = ""
     behaviors: list[str] = []
-    if context_path:
-        ctx = D.read_json(context_path)
+    if args.context:
+        ctx = D.read_json(args.context)
         if not isinstance(ctx, dict):
-            raise ValueError(f"{context_path}: expected a JSON object")
-        user_id = D.parse_id(ctx.get("user_id", ""), context_path, "user_id")
-        behaviors = D.parse_behavior_ids(ctx.get("behavior_ids", []), context_path)
+            raise ValueError(f"{args.context}: expected a JSON object")
+        user_id = D.parse_id(ctx.get("user_id", ""), args.context, "user_id")
+        behaviors = D.parse_behavior_ids(ctx.get("behavior_ids", []), args.context)
     ads, bids = [], []
-    for line_no, obj in D.iter_jsonl(candidates_path):
+    for line_no, obj in D.iter_jsonl(args.candidates):
         if "ad_id" not in obj:
             raise ValueError(f"line {line_no}: candidate missing ad_id")
         if "bid" not in obj or obj["bid"] is None:
@@ -265,7 +247,7 @@ def cmd_rank(checkpoint_path: str, candidates_path: str, context_path: str | Non
     order, ecpm = M.rank_ads(ads, bids, probs)
     ids = map(D.json_str, map(ads.__getitem__, order.tolist()))
     columns = (probs[order].tolist(), bids[order].tolist(), ecpm[order].tolist())
-    with _open_output(output_path) as out:
+    with _open_output(args.output) as out:
         out.write("".join(map(_RANK_LINE.__mod__, zip(ids, *columns))))
     return 0
 
@@ -292,10 +274,11 @@ def gradcheck_model(use_attention: bool, seed: int, eps: float = 1e-5, l2_lambda
     return check_gradients(model, batch, l2_lambda, eps)
 
 
-def cmd_gradcheck(cfg: RunConfig, eps: float) -> int:
-    error = gradcheck_model(cfg.model == "din", cfg.seed, eps=eps, l2_lambda=cfg.l2_lambda)
+def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
+    error = gradcheck_model(cfg.model == "din", cfg.seed, eps=args.eps, l2_lambda=cfg.l2_lambda)
     passed = bool(error < GRADCHECK_THRESHOLD)
-    _emit({"model": cfg.model, "max_rel_error": error, "threshold": GRADCHECK_THRESHOLD, "eps": eps, "passed": passed})
+    _emit({"model": cfg.model, "max_rel_error": error, "threshold": GRADCHECK_THRESHOLD, "eps": args.eps,
+           "passed": passed})
     return 0 if passed else 1
 
 
@@ -303,22 +286,25 @@ def cmd_gradcheck(cfg: RunConfig, eps: float) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# seed (the last generator key) is a flag of every command, and timing is set by --no-timing.
-_GENERATOR_FLAGS = D.GENERATOR_KEYS[:-1]
 _TRAIN_FLAGS = (*_MODEL_KEYS, "epochs", "batch_size", "lr", "l2_lambda", "patience", "split_mode", "val_fraction")
+_CHOICES = {"model": ("din", "base"), "split_mode": ("temporal", "random")}
+_HELP = {  # by (command, key): generate's dataset is an output, the other commands' an input
+    ("generate", "dataset"): "output JSONL path",
+    ("generate", "metadata"): "output ground-truth JSON path",
+    ("train", "timing"): "write 0.0 in the history seconds column for byte-reproducible output",
+}
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, command: str, keys) -> None:
+    """A flag per run key; an absent flag is None, so the config file's value stands."""
     for key in keys:
-        flag = "--" + key.replace("_", "-")
-        if key == "model":
-            parser.add_argument(flag, choices=("din", "base"), default=None)
-        elif key == "split_mode":
-            parser.add_argument(flag, choices=("temporal", "random"), default=None)
+        flag, text = "--" + key.replace("_", "-"), _HELP.get((command, key))
+        if key == "timing":
+            parser.add_argument("--no-timing", dest="timing", action="store_const", const=False, help=text)
         elif key == "use_user_profile":
-            parser.add_argument(flag, action="store_const", const=True, default=None)
+            parser.add_argument(flag, action="store_const", const=True, help=text)
         else:
-            parser.add_argument(flag, default=None)
+            parser.add_argument(flag, choices=_CHOICES.get(key), help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,84 +314,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default=None, help="JSON config file (flat keys)")
-        p.add_argument("--seed", default=None)
+    def command(name: str, handler, help: str, keys) -> argparse.ArgumentParser:
+        """A subcommand that runs ``handler(cfg, args)``, with --config and the flags of ``("seed", *keys)``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=handler)
+        p.add_argument("--config", help="JSON config file (flat keys)")
+        _add_config_flags(p, name, ("seed", *keys))
+        return p
 
-    p_gen = sub.add_parser("generate", help="write a synthetic dataset plus ground-truth metadata")
-    common(p_gen)
-    p_gen.add_argument("--dataset", default=None, help="output JSONL path")
-    p_gen.add_argument("--metadata", default=None, help="output ground-truth JSON path")
-    _add_config_flags(p_gen, _GENERATOR_FLAGS)
+    command("generate", cmd_generate, "write a synthetic dataset plus ground-truth metadata",
+            ("dataset", "metadata", *D.GENERATOR_KEYS[:-1]))  # seed is the last generator key
+    command("train", cmd_train, "train a model and write checkpoint + history CSV",
+            ("dataset", "checkpoint", "history", "timing", *_TRAIN_FLAGS))
 
-    p_train = sub.add_parser("train", help="train a model and write checkpoint + history CSV")
-    common(p_train)
-    p_train.add_argument("--dataset", default=None)
-    p_train.add_argument("--checkpoint", default=None)
-    p_train.add_argument("--history", default=None)
-    p_train.add_argument("--no-timing", action="store_true", help="write 0.0 in the history seconds column for byte-reproducible output")
-    _add_config_flags(p_train, _TRAIN_FLAGS)
-
-    p_eval = sub.add_parser("eval", help="evaluate one checkpoint, or compare two side by side")
-    common(p_eval)
-    p_eval.add_argument("--dataset", default=None)
-    p_eval.add_argument("--checkpoint", default=None)
-    p_eval.add_argument("--compare", nargs=2, metavar=("CKPT_A", "CKPT_B"), default=None)
+    p_eval = command("eval", cmd_eval, "evaluate one checkpoint, or compare two side by side",
+                     ("dataset", "checkpoint"))
+    p_eval.add_argument("--compare", nargs=2, metavar=("CKPT_A", "CKPT_B"))
     p_eval.add_argument("--split", choices=("train", "val", "all"), default="val")
-    p_eval.add_argument("--report", default=None, help="also write the report to this path")
-    p_eval.add_argument(
-        "--groups-csv", default=None, help="write the per-group table as group,weight,auc CSV (CKPT_A's with --compare)"
-    )
-    _add_config_flags(p_eval, ("split_mode", "val_fraction", "dim", "hidden", "max_seq_len", "temperature", "model"))
+    p_eval.add_argument("--report", help="also write the report to this path")
+    p_eval.add_argument("--groups-csv",
+                        help="write the per-group table as group,weight,auc CSV (CKPT_A's with --compare)")
+    _add_config_flags(p_eval, "eval",
+                      ("split_mode", "val_fraction", "dim", "hidden", "max_seq_len", "temperature", "model"))
 
-    p_pred = sub.add_parser("predict", help="score impressions from a JSONL file")
-    common(p_pred)
-    p_pred.add_argument("--checkpoint", default=None)
+    p_pred = command("predict", cmd_predict, "score impressions from a JSONL file", ("checkpoint",))
     p_pred.add_argument("--input", required=True, help="JSONL with user_id, ad_id, behavior_ids")
     p_pred.add_argument("--output", default="-", help="output JSONL path, '-' for stdout")
 
-    p_rank = sub.add_parser("rank", help="rank bid-carrying candidates by eCPM for one user context")
-    common(p_rank)
-    p_rank.add_argument("--checkpoint", default=None)
+    p_rank = command("rank", cmd_rank, "rank bid-carrying candidates by eCPM for one user context", ("checkpoint",))
     p_rank.add_argument("--candidates", required=True, help="JSONL with ad_id and bid per line")
-    p_rank.add_argument("--context", default=None, help="JSON file with user_id and behavior_ids")
+    p_rank.add_argument("--context", help="JSON file with user_id and behavior_ids")
     p_rank.add_argument("--output", default="-", help="output JSONL path, '-' for stdout")
 
-    p_gc = sub.add_parser("gradcheck", help="finite-difference check of the analytic gradients")
-    common(p_gc)
-    p_gc.add_argument("--model", choices=("din", "base"), default=None)
+    p_gc = command("gradcheck", cmd_gradcheck, "finite-difference check of the analytic gradients", ("model",))
     p_gc.add_argument("--eps", type=float, default=1e-5)
-
     return parser
-
-
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    """The config keys given as flags."""
-    given = vars(args)
-    overrides = {f.name: given[f.name] for f in fields(RunConfig) if f.name in given}
-    if given.get("no_timing"):
-        overrides["timing"] = False
-    return overrides
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name, None) is not None}
     try:
-        cfg, explicit = resolve_config(args.config, _overrides_from_args(args))
-        if args.command == "generate":
-            return cmd_generate(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            checkpoints = list(args.compare) if args.compare else [cfg.checkpoint]
-            return cmd_eval(cfg, explicit, checkpoints, args.split, args.report, args.groups_csv)
-        if args.command == "predict":
-            return cmd_predict(cfg.checkpoint, args.input, args.output)
-        if args.command == "rank":
-            return cmd_rank(cfg.checkpoint, args.candidates, args.context, args.output)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg, args.eps)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(resolve_config(args.config, flags), args)
     except Exception as exc:  # deliberate: every failure becomes a nonzero exit
         _note(f"error: {exc}")
         return 1

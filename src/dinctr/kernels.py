@@ -1,8 +1,10 @@
 """Hot batch-level kernels for the attention/pooling path.
 
 Shapes: behaviors (B, T, d), ads (B, d), masks (B, T) bool, weights/scores
-(B, T). Every row of a mask must have at least one live slot; callers
-enforce that via batch encoding. Every result is bit-for-bit reproducible.
+(B, T). Every row of a mask must have at least one live slot;
+``DinModel.forward`` rejects a batch with an empty one. Scores at padded
+slots are left as computed: ``masked_softmax`` replaces them. Every result
+is bit-for-bit reproducible.
 
 The MLP matmuls are not here: NumPy already dispatches those to native
 BLAS.
@@ -13,10 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def attention_scores(behav, ad, mask, inv_temp):
-    scores = np.einsum("btd,bd->bt", behav, ad) * inv_temp
-    scores[~mask] = 0.0
-    return scores
+def attention_scores(behav, ad, inv_temp):
+    return np.einsum("btd,bd->bt", behav, ad) * inv_temp
 
 
 def masked_softmax(scores, mask):

@@ -189,7 +189,7 @@ class DinModel:
         behav = np.take(item, batch.behavior_idx, axis=0)  # (B, T, d) gather
         ad = np.take(item, batch.ad_idx, axis=0)  # (B, d)
         if c.use_attention:
-            scores = kernels.attention_scores(behav, ad, mask, 1.0 / c.temperature)
+            scores = kernels.attention_scores(behav, ad, 1.0 / c.temperature)
             weights = kernels.masked_softmax(scores, mask)
         else:
             weights = kernels.uniform_weights(mask)

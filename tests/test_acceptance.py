@@ -200,7 +200,7 @@ def test_criterion_4_attention_invariants(capsys):
         mask = np.zeros((B, T), dtype=bool)
         for b in range(B):
             mask[b, : int(rng.integers(1, T + 1))] = True
-        scores = kernels.attention_scores(behav, ad, mask, 1.0)
+        scores = kernels.attention_scores(behav, ad, 1.0)
         w = kernels.masked_softmax(scores, mask)
         sums_ok &= bool(np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12))
         pads_ok &= bool((w[~mask] == 0.0).all())

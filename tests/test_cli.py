@@ -345,7 +345,7 @@ class TestEval:
         from dinctr.model import init_model, save_checkpoint
         from dinctr.numerics import make_rng
 
-        cfg, _ = resolve_config(config, {"dataset": dataset})
+        cfg = resolve_config(config, {"dataset": dataset})
         records = D.load_jsonl(dataset)
         users, items = D.build_vocab(records)
         model = init_model(cfg.model_config(items.size, users.size), make_rng(cfg.seed, stream=1))
@@ -512,6 +512,44 @@ class TestEval:
         )
         assert code != 0
         assert "mismatch" in err
+
+    @pytest.fixture()
+    def odd_model(self, tmp_path, capsys):
+        """A config with max_seq_len 8, a model trained with it, and an odd
+        model trained with --max-seq-len 6 and other model flags."""
+        config = write_config(tmp_path, epochs=1, max_seq_len=8)
+        dataset = str(tmp_path / "d.jsonl")
+        assert run_cli(capsys, "generate", "--config", config, "--dataset", dataset,
+                       "--metadata", str(tmp_path / "m.json"))[0] == 0
+        checkpoints = {}
+        for name, flags in (("model", ()), ("odd", ("--model", "base", "--dim", "4", "--hidden", "5,3",
+                                                    "--max-seq-len", "6", "--temperature", "0.5"))):
+            checkpoints[name] = str(tmp_path / f"{name}.ckpt")
+            code, _, err = run_cli(capsys, "train", "--config", config, "--dataset", dataset, *flags,
+                                   "--checkpoint", checkpoints[name], "--history", str(tmp_path / f"{name}.csv"))
+            assert code == 0, err
+        return config, dataset, checkpoints
+
+    def test_config_model_keys_do_not_block_a_compare(self, odd_model, capsys):
+        """A config file's model keys are training settings: a compare of
+        checkpoints of other widths reads the same with and without it (it
+        used to exit 1 on the config's max_seq_len 8 against the odd 6)."""
+        config, dataset, cks = odd_model
+        compare = ("eval", "--dataset", dataset, "--compare", cks["odd"], cks["model"])
+        code, with_config, err = run_cli(capsys, *compare, "--config", config)
+        assert code == 0, err
+        assert (code, with_config) == run_cli(capsys, *compare)[:2]
+        assert with_config.splitlines()[0] == "metric,odd,model"
+
+    def test_config_model_keys_are_not_checked(self, odd_model, capsys):
+        config, dataset, cks = odd_model
+        code, out, err = run_cli(capsys, "eval", "--config", config, "--dataset", dataset, "--checkpoint", cks["odd"])
+        assert code == 0, err
+        code, plain, _ = run_cli(capsys, "eval", "--dataset", dataset, "--checkpoint", cks["odd"])
+        assert code == 0
+        # the config is echoed, but the data is encoded at the checkpoint's width
+        assert json.loads(out)["config"]["max_seq_len"] == 8
+        assert {**json.loads(out), "config": None} == {**json.loads(plain), "config": None}
 
 
 class TestPredict:
@@ -916,6 +954,37 @@ class TestConfigSchema:
             "rank": common + ["--checkpoint", "--candidates", "--context", "--output"],
             "gradcheck": common + ["--model", "--eps"],
         }
+
+    @pytest.mark.parametrize("command, argv, expected", [
+        *[("train", argv, expected) for argv, expected in (
+            ([], {}),
+            (["--hidden", "5,3"], {"hidden": (5, 3)}),
+            (["--seed", "4"], {"seed": 4}),
+            (["--model", "base"], {"model": "base"}),
+            (["--split-mode", "random"], {"split_mode": "random"}),
+            (["--use-user-profile"], {"use_user_profile": True}),
+            (["--no-timing"], {"timing": False}),
+        )],
+        *[("eval", argv, expected) for argv, expected in (
+            ([], {}),
+            (["--dim", "4"], {"dim": 4}),
+            (["--hidden", "5,3", "--max-seq-len", "6"], {"hidden": (5, 3), "max_seq_len": 6}),
+            (["--temperature", "0.5", "--model", "base"], {"temperature": 0.5, "model": "base"}),
+        )],
+    ])
+    def test_flag_sets_its_run_key(self, tmp_path, capsys, monkeypatch, command, argv, expected):
+        """A flag of each kind (text, choices, --use-user-profile, --no-timing)
+        sets the RunConfig field of its name; a key without a flag keeps the
+        config file's value."""
+        from dinctr import cli
+
+        file_values = {**TINY, "timing": True, "hidden": [7], "seed": 9, "dim": 6, "max_seq_len": 8}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(file_values))
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda cfg, args: seen.append(cfg) or 0)
+        assert run_cli(capsys, command, "--config", str(config), *argv) == (0, "", "")
+        assert seen == [RunConfig(**parse_fields(RunConfig, file_values, "file") | expected)]
 
     @pytest.mark.parametrize("command", ["generate", "eval"])
     def test_report_is_not_a_config_key(self, tmp_path, capsys, monkeypatch, command):

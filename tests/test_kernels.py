@@ -33,7 +33,7 @@ def random_case(seed, B=5, T=7, d=6):
 def test_batched_softmax_matches_single_row_reference():
     """The batch kernel must agree with the 1-D masked softmax row by row."""
     behav, ad, mask = random_case(3)
-    scores = kernels.attention_scores(behav, ad, mask, 1.0)
+    scores = kernels.attention_scores(behav, ad, 1.0)
     weights = kernels.masked_softmax(scores, mask)
     for b in range(scores.shape[0]):
         expect = softmax_oracle(scores[b], mask[b])

@@ -65,7 +65,7 @@ def attend(behav, ad, mask=None):
     """Attention weights for one record through the model's batch kernels."""
     behav = np.asarray(behav, dtype=np.float64)[None]
     mask = np.ones(behav.shape[:2], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)[None]
-    scores = kernels.attention_scores(behav, np.asarray(ad, dtype=np.float64)[None], mask, 1.0)
+    scores = kernels.attention_scores(behav, np.asarray(ad, dtype=np.float64)[None], 1.0)
     return kernels.masked_softmax(scores, mask)[0]
 
 
