@@ -2,9 +2,9 @@
 
 One executable, subcommand per stage, everything deterministic given
 (config file, flags, seed). Configuration precedence is defaults < config
-file < command-line flags, and every report echoes the resolved config.
-Machine-readable output (JSON/JSONL/CSV) goes to stdout; progress notes go
-to stderr.
+file < command-line flags; reports echo the resolved config, eval's with the
+scored checkpoint's model keys and path. JSON, JSONL and CSV output goes to
+stdout; progress notes go to stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -28,11 +28,8 @@ from .optim import check_gradients, save_history, train
 
 GRADCHECK_THRESHOLD = 1e-4
 
-# The model fields a run sets, by run key: the vocabulary sizes come from the
-# data, and use_attention from the run key `model`.
-_MODEL_KEYS = {"model": "use_attention"} | {
-    f.name: f.name for f in fields(ModelConfig) if f.name not in ("item_vocab", "user_vocab", "use_attention")
-}
+# The run keys a checkpoint's model fixes; `model` is its use_attention.
+_MODEL_KEYS = ("model", "dim", "hidden", "max_seq_len", "temperature", "use_user_profile")
 
 
 def resolve_config(config_path: str | None, flags: dict) -> RunConfig:
@@ -47,17 +44,18 @@ def resolve_config(config_path: str | None, flags: dict) -> RunConfig:
 
 
 def _open_output(path: str):
-    """``--output``: stdout for '-', else a file that is replaced whole or not at all."""
-    return contextlib.nullcontext(sys.stdout) if path == "-" else D.atomic_open(path)
+    """stdout for '-', else a file that is replaced whole or not at all."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else D.atomic_open(path, newline="")
 
 
-def _write_report(path: str, payload: dict) -> None:
-    with D.atomic_open(path) as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+def _write_json(path: str, obj: dict) -> None:
+    with _open_output(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _emit(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+def _write_csv(path: str, rows) -> None:
+    with _open_output(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _note(msg: str) -> None:
@@ -74,7 +72,8 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
     D.save_jsonl(records, cfg.dataset)
     D.save_ground_truth(truth, cfg.metadata)
     n_pos = int(records.labels.sum())
-    _emit(
+    _write_json(
+        "-",
         {
             "dataset": cfg.dataset,
             "metadata": cfg.metadata,
@@ -103,7 +102,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     save_checkpoint(model, user_vocab, item_vocab, cfg.checkpoint, run_config=cfg.to_dict())
     save_history(history, cfg.history)
     last = history[-1]
-    _emit(
+    _write_json(
+        "-",
         {
             "checkpoint": cfg.checkpoint,
             "history": cfg.history,
@@ -119,26 +119,28 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_model_flags(cfg: RunConfig, args: argparse.Namespace, stored: ModelConfig) -> None:
-    """Model keys given as flags must agree with the checkpoint. A config
+def _scored_config(cfg: RunConfig, args: argparse.Namespace, stored: ModelConfig) -> RunConfig:
+    """``cfg`` with the checkpoint's model keys, the config the report echoes.
+    Model keys given as flags must agree with the checkpoint. A config
     file's model keys are settings for training, like its epochs, and the
     checkpoint's own are used."""
-    given = cfg.model_config(stored.item_vocab, stored.user_vocab)
-    for key, name in _MODEL_KEYS.items():
-        if getattr(args, key, None) is not None and getattr(given, name) != getattr(stored, name):
+    given, scored = cfg.to_dict(), stored.to_dict() | {"model": "din" if stored.use_attention else "base"}
+    for key in _MODEL_KEYS:
+        if getattr(args, key, None) is not None and given[key] != scored[key]:
             raise ValueError(
                 f"checkpoint/model-config mismatch on {key!r}: checkpoint has "
-                f"{name}={getattr(stored, name)!r}, config says {name}={getattr(given, name)!r}"
+                f"{key}={scored[key]!r}, config says {key}={given[key]!r}"
             )
+    return replace(cfg, **{key: scored[key] for key in _MODEL_KEYS})
 
 
-def _single_eval(cfg: RunConfig, checkpoint_path: str, which: str, model, user_vocab, batch) -> dict:
+def _single_eval(cfg: RunConfig, which: str, model, user_vocab, batch) -> dict:
     probs = model.predict(batch)
     by_impressions = M.gauc(probs, batch.labels, batch.user_idx, "impressions")
     by_clicks = M.gauc(probs, batch.labels, batch.user_idx, "clicks")
     groups = zip(by_impressions.keys.tolist(), by_impressions.weights.tolist(), by_impressions.aucs.tolist())
     return {
-        "checkpoint": checkpoint_path,
+        "checkpoint": cfg.checkpoint,
         "dataset": cfg.dataset,
         "split": which,
         "n_records": len(batch),
@@ -169,7 +171,7 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     reports = []
     for ck in checkpoints:
         model, user_vocab, item_vocab, _ = load_checkpoint(ck)
-        _check_model_flags(cfg, args, model.config)
+        scored = _scored_config(replace(cfg, checkpoint=ck), args, model.config)
         if records is None:
             records = D.load_jsonl(cfg.dataset)
             if which != "all":
@@ -178,26 +180,23 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
         if (user_vocab.tokens, item_vocab.tokens, model.config.max_seq_len) != encoding:
             encoding = (user_vocab.tokens, item_vocab.tokens, model.config.max_seq_len)
             batch, _ = D.encode(records, user_vocab, item_vocab, model.config.max_seq_len)
-        reports.append(_single_eval(cfg, ck, which, model, user_vocab, batch))
+        reports.append(_single_eval(scored, which, model, user_vocab, batch))
     if args.groups_csv:
-        with D.atomic_open(args.groups_csv, newline="") as fh:
-            rows = [[r["group"], repr(r["weight"]), repr(r["auc"])] for r in reports[0]["per_group"]]
-            csv.writer(fh, lineterminator="\n").writerows([["group", "weight", "auc"], *rows])
+        rows = [[r["group"], repr(r["weight"]), repr(r["auc"])] for r in reports[0]["per_group"]]
+        _write_csv(args.groups_csv, [["group", "weight", "auc"], *rows])
     if len(reports) == 1:
-        payload = reports[0]
         if args.report:
-            _write_report(args.report, payload)
-        _emit(payload)
+            _write_json(args.report, reports[0])
+        _write_json("-", reports[0])
         return 0
     names = []
     for ck in checkpoints:
         stem = os.path.splitext(os.path.basename(ck))[0]
         names.append(stem if stem not in names else f"{stem}_{len(names)}")
-    values = {m: [r[m]["value"] if isinstance(r[m], dict) else r[m] for r in reports] for m in _COMPARE_METRICS}
-    rows = [["metric", *names]] + [[m, *map(repr, v)] for m, v in values.items()]
-    sys.stdout.write("".join(",".join(row) + "\n" for row in rows))
+    rows = [[m, *(repr(r[m]["value"] if isinstance(r[m], dict) else r[m]) for r in reports)] for m in _COMPARE_METRICS]
+    _write_csv("-", [["metric", *names], *rows])
     if args.report:
-        _write_report(args.report, {"models": dict(zip(names, reports)), "metrics": list(_COMPARE_METRICS)})
+        _write_json(args.report, {"models": dict(zip(names, reports)), "metrics": list(_COMPARE_METRICS)})
     return 0
 
 
@@ -277,8 +276,8 @@ def gradcheck_model(use_attention: bool, seed: int, eps: float = 1e-5, l2_lambda
 def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
     error = gradcheck_model(cfg.model == "din", cfg.seed, eps=args.eps, l2_lambda=cfg.l2_lambda)
     passed = bool(error < GRADCHECK_THRESHOLD)
-    _emit({"model": cfg.model, "max_rel_error": error, "threshold": GRADCHECK_THRESHOLD, "eps": args.eps,
-           "passed": passed})
+    _write_json("-", {"model": cfg.model, "max_rel_error": error, "threshold": GRADCHECK_THRESHOLD,
+                      "eps": args.eps, "passed": passed})
     return 0 if passed else 1
 
 

@@ -82,6 +82,7 @@ class RunConfig:
             raise ValueError(f"l2_lambda must be a finite number >= 0, got {self.l2_lambda!r}")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
+        self.hidden = tuple(self.hidden)
         self.model_config(item_vocab=2, user_vocab=2)  # checks the model keys on the smallest vocabularies
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -92,6 +93,6 @@ class RunConfig:
     def model_config(self, item_vocab: int, user_vocab: int) -> ModelConfig:
         """The checkpoint's model schema: this run's hyperparameters on the data's vocabularies."""
         return ModelConfig(
-            item_vocab, user_vocab, dim=self.dim, hidden=tuple(self.hidden), max_seq_len=self.max_seq_len,
+            item_vocab, user_vocab, dim=self.dim, hidden=self.hidden, max_seq_len=self.max_seq_len,
             temperature=self.temperature, use_attention=self.model == "din", use_user_profile=self.use_user_profile,
         )

@@ -10,7 +10,6 @@ click-count weights, renormalized over the usable groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -18,23 +17,20 @@ PROB_CLAMP = 1e-7
 WEIGHT_MODES = ("impressions", "clicks")
 
 
-def _midranks(scores: np.ndarray, groups: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """1-based ranks with ties averaged, restarting in every group.
+def _group_aucs(scores: np.ndarray, labels: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each group's first record, size, positive count and AUC, in ascending key order.
 
     One stable sort by (group, score), then segment reductions over the
     sorted order: group starts, and tie runs within a group, each of which
-    gets the mean of the ranks it spans. ``groups=None`` is one group.
-    Returns the sort order, each sorted record's group number (0, 1, ...
-    in ascending key order) and its rank. Ranks are half-integers, so sums
-    of them are exact in any order.
+    gets the mean of the 1-based ranks it spans. A group's AUC is its
+    Mann-Whitney U over n_pos * n_neg, NaN when it lacks a class. Ranks are
+    half-integers, so the rank sums are exact in any order.
     """
     n = scores.size
-    order = np.argsort(scores, kind="mergesort") if groups is None else np.lexsort((scores, groups))
-    new_group = np.zeros(n, dtype=bool)
-    if groups is not None:
-        g = groups[order]
-        new_group[1:] = g[1:] != g[:-1]
-    new_group[:1] = True
+    order = np.lexsort((scores, groups))
+    g = groups[order]
+    new_group = np.ones(n, dtype=bool)
+    new_group[1:] = g[1:] != g[:-1]
     new_run = new_group.copy()
     new_run[1:] |= np.diff(scores[order]) != 0
     run = np.cumsum(new_run) - 1
@@ -42,8 +38,14 @@ def _midranks(scores: np.ndarray, groups: Optional[np.ndarray] = None) -> tuple[
     run_start = np.flatnonzero(new_run)
     group_start = np.flatnonzero(new_group)
     counts = np.diff(run_start, append=n)
-    avg = run_start - group_start[group[run_start]] + (counts + 1) / 2.0
-    return order, group, avg[run]
+    ranks = (run_start - group_start[group[run_start]] + (counts + 1) / 2.0)[run]
+    pos = (labels == 1)[order]
+    n_records = np.bincount(group)
+    n_pos = np.bincount(group, weights=pos)
+    pos_rank_sum = np.bincount(group, weights=np.where(pos, ranks, 0.0))
+    with np.errstate(invalid="ignore", divide="ignore"):  # single-class groups
+        aucs = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n_records - n_pos))
+    return order[group_start], n_records, n_pos, aucs
 
 
 def auc(scores, labels) -> float:
@@ -56,14 +58,10 @@ def auc(scores, labels) -> float:
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError(f"shape mismatch: scores {s.shape} vs labels {y.shape}")
-    pos = y == 1
-    n_pos = int(pos.sum())
-    n_neg = s.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    n_pos = int((y == 1).sum())
+    if n_pos == 0 or n_pos == s.size:
         raise ValueError("undefined AUC: need at least one positive and one negative label")
-    order, _, ranks = _midranks(s)
-    u = ranks[pos[order]].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    return float(_group_aucs(s, y, np.zeros(s.size, dtype=np.intp))[3][0])
 
 
 @dataclass
@@ -98,26 +96,18 @@ def gauc(scores, labels, groups, weight_mode: str = "impressions") -> GaucResult
     k = np.asarray(groups)
     if not (s.shape == y.shape == k.shape) or s.ndim != 1:
         raise ValueError("scores, labels and groups must be equal-length vectors")
-    order, group, ranks = _midranks(s, k)
-    pos = (y == 1)[order]
-    n_records = np.bincount(group)
-    n_pos = np.bincount(group, weights=pos)
-    n_neg = n_records - n_pos
-    pos_rank_sum = np.bincount(group, weights=np.where(pos, ranks, 0.0))
-    with np.errstate(invalid="ignore", divide="ignore"):  # single-class groups, dropped below
-        group_auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    first, n_records, n_pos, group_auc = _group_aucs(s, y, k)
     weight = n_pos if weight_mode == "clicks" else n_records.astype(np.float64)
-    usable = (n_pos > 0) & (n_neg > 0)
+    usable = (n_pos > 0) & (n_pos < n_records)
     if not usable.any():
         raise ValueError("no usable groups: every group has a single class")
-    first = np.flatnonzero(np.diff(group, prepend=-1))
     weights, aucs = weight[usable], group_auc[usable]
     # Python's left-to-right sums, so the value does not depend on NumPy's
     # pairwise summation order.
     w, a = weights.tolist(), aucs.tolist()
     return GaucResult(
         value=sum(wi * ai for wi, ai in zip(w, a)) / sum(w),
-        keys=k[order[first[usable]]],
+        keys=k[first[usable]],
         weights=weights,
         aucs=aucs,
         n_groups_skipped=int(usable.size - usable.sum()),

@@ -516,14 +516,15 @@ class TestEval:
     @pytest.fixture()
     def odd_model(self, tmp_path, capsys):
         """A config with max_seq_len 8, a model trained with it, and an odd
-        model trained with --max-seq-len 6 and other model flags."""
+        model trained with --max-seq-len 6 and every other model flag."""
         config = write_config(tmp_path, epochs=1, max_seq_len=8)
         dataset = str(tmp_path / "d.jsonl")
         assert run_cli(capsys, "generate", "--config", config, "--dataset", dataset,
                        "--metadata", str(tmp_path / "m.json"))[0] == 0
         checkpoints = {}
         for name, flags in (("model", ()), ("odd", ("--model", "base", "--dim", "4", "--hidden", "5,3",
-                                                    "--max-seq-len", "6", "--temperature", "0.5"))):
+                                                    "--max-seq-len", "6", "--temperature", "0.5",
+                                                    "--use-user-profile"))):
             checkpoints[name] = str(tmp_path / f"{name}.ckpt")
             code, _, err = run_cli(capsys, "train", "--config", config, "--dataset", dataset, *flags,
                                    "--checkpoint", checkpoints[name], "--history", str(tmp_path / f"{name}.csv"))
@@ -547,9 +548,63 @@ class TestEval:
         assert code == 0, err
         code, plain, _ = run_cli(capsys, "eval", "--dataset", dataset, "--checkpoint", cks["odd"])
         assert code == 0
-        # the config is echoed, but the data is encoded at the checkpoint's width
-        assert json.loads(out)["config"]["max_seq_len"] == 8
+        # the echo holds the checkpoint's model keys, and the data is encoded at its width
+        assert json.loads(out)["config"]["max_seq_len"] == 6
         assert {**json.loads(out), "config": None} == {**json.loads(plain), "config": None}
+
+    def test_compare_report_echoes_each_scored_model(self, pipeline, capsys):
+        """Each compare entry echoes its own checkpoint's model keys and path;
+        the base entry used to echo the run config's model, din."""
+        din, _ = pipeline["checkpoints"]["din"]
+        base, _ = pipeline["checkpoints"]["base"]
+        report = pipeline["tmp_path"] / "compare.json"
+        code, _, err = run_cli(capsys, "eval", "--config", pipeline["config"], "--dataset", pipeline["dataset"],
+                               "--compare", din, base, "--report", str(report))
+        assert code == 0, err
+        models = json.loads(report.read_text())["models"]
+        assert models["base"]["config"]["model"] == "base" and models["din"]["config"]["model"] == "din"
+        assert (models["din"]["config"]["checkpoint"], models["base"]["config"]["checkpoint"]) == (din, base)
+
+    def test_compare_report_echoes_the_odd_models_training_flags(self, odd_model, capsys, tmp_path):
+        config, dataset, cks = odd_model
+        report = tmp_path / "compare.json"
+        code, _, err = run_cli(capsys, "eval", "--config", config, "--dataset", dataset,
+                               "--compare", cks["odd"], cks["model"], "--report", str(report))
+        assert code == 0, err
+        echo = json.loads(report.read_text())["models"]["odd"]["config"]
+        trained = {"model": "base", "dim": 4, "hidden": [5, 3], "max_seq_len": 6, "temperature": 0.5,
+                   "use_user_profile": True, "checkpoint": cks["odd"]}
+        assert {key: echo[key] for key in trained} == trained
+
+    def test_mismatch_message_names_run_keys(self, pipeline, capsys):
+        ck, _ = pipeline["checkpoints"]["din"]
+        code, _, err = run_cli(capsys, "eval", "--config", pipeline["config"], "--dataset", pipeline["dataset"],
+                               "--checkpoint", ck, "--model", "base")
+        assert code == 1
+        assert "mismatch on 'model': checkpoint has model='din', config says model='base'" in err
+
+    def test_model_flags_that_agree_pass(self, odd_model, capsys):
+        """Flags equal to the checkpoint's model keys pass, `hidden` among
+        them: a list in the checkpoint, a tuple from the flag."""
+        _, dataset, cks = odd_model
+        common = ("eval", "--dataset", dataset, "--checkpoint", cks["model"])
+        code, out, err = run_cli(capsys, *common, "--hidden", "64,32", "--max-seq-len", "8", "--model", "din")
+        assert code == 0, err
+        assert {**json.loads(out), "config": None} == {**json.loads(run_cli(capsys, *common)[1]), "config": None}
+
+    def test_compare_table_quotes_stems(self, pipeline, capsys):
+        """Stems holding a comma or a quote are CSV-quoted; the table used to
+        split them into extra columns."""
+        tmp_path = pipeline["tmp_path"]
+        a, b = tmp_path / "a,b.ckpt", tmp_path / 'q"x.ckpt'
+        a.write_bytes(Path(pipeline["checkpoints"]["din"][0]).read_bytes())
+        b.write_bytes(Path(pipeline["checkpoints"]["base"][0]).read_bytes())
+        code, out, err = run_cli(capsys, "eval", "--config", pipeline["config"], "--dataset", pipeline["dataset"],
+                                 "--compare", str(a), str(b))
+        assert code == 0, err
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["metric", "a,b", 'q"x']
+        assert {len(row) for row in rows} == {3}
 
 
 class TestPredict:

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dinctr.metrics import (
@@ -99,7 +99,9 @@ def brute_force_gauc(scores, labels, keys, mode):
 
 def gauc_oracle(scores, labels, keys, weight_mode="impressions"):
     """The per-group loop GAUC used to be: one boolean mask and one AUC per
-    group, O(N * G). The sort-based gauc must give exactly this result."""
+    group, O(N * G), each AUC by exhaustive pair counting (``auc`` shares
+    gauc's code, so it is no oracle). Both AUCs divide an exact count by
+    the same product, so the sort-based gauc must give exactly this result."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     k = np.asarray(keys)
@@ -114,7 +116,7 @@ def gauc_oracle(scores, labels, keys, weight_mode="impressions"):
             continue
         keys.append(int(key))
         weights.append(float(n_pos if weight_mode == "clicks" else y_g.size))
-        aucs.append(auc(s[sel], y_g))
+        aucs.append(brute_force_auc(s[sel], y_g))
     if not keys:
         raise ValueError("no usable groups: every group has a single class")
     value = sum(w * a for w, a in zip(weights, aucs)) / sum(weights)
@@ -144,6 +146,14 @@ class TestGauc:
         result = gauc(scores, labels, keys)
         assert result.value == auc(scores, labels)
         assert result.n_groups_used == 1
+
+    @given(grouped_instances())
+    @settings(deadline=None, max_examples=200)
+    def test_auc_is_the_one_group_gauc_bit_for_bit(self, instance):
+        scores, labels, _ = instance
+        assume(labels.min() != labels.max())
+        one_group = gauc(scores, labels, np.zeros(labels.size, dtype=np.int64)).aucs[0]
+        assert np.float64(auc(scores, labels)).tobytes() == one_group.tobytes()
 
     def test_two_group_weighted_mean_example(self):
         # group A: 3 records, AUC 1.0; group B: 1 usable pair is impossible with
