@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+import os
+from dataclasses import dataclass, fields
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -65,6 +67,9 @@ class ModelConfig:
             shapes[f"b{i}"] = (dims[i + 1],)
         return shapes
 
+    def param_count(self) -> int:
+        return sum(math.prod(shape) for shape in self.param_shapes().values())
+
     def to_dict(self) -> dict:
         return fields_dict(self)
 
@@ -103,57 +108,60 @@ class ForwardCache:
 class Gradients:
     """Parameter gradients for one batch.
 
-    ``dense`` holds the MLP blocks at their parameter shapes. Embedding
-    tables are stored as what the batch touched: ``rows[name]`` is the
-    sorted, PAD-free array of row indices and ``row_grads[name]`` their
+    ``mlp`` is the MLP tail of ``DinModel.flat``'s layout. The embedding
+    matrix ``DinModel.emb`` is stored as what the batch touched: ``rows``
+    holds its sorted, padding-free row indices and ``row_grads`` their
     gradients, shape (len(rows), d). Every other row's gradient is zero and
     the optimizer leaves it alone (lazy/sparse semantics).
     """
 
-    dense: dict[str, np.ndarray]
-    rows: dict[str, np.ndarray] = field(default_factory=dict)
-    row_grads: dict[str, np.ndarray] = field(default_factory=dict)
+    mlp: np.ndarray
+    rows: np.ndarray
+    row_grads: np.ndarray
 
 
-def _sum_rows(idx: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sum_rows(idx: np.ndarray, cols: np.ndarray, pads: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Sum the rows that share an index in ``idx``; ``cols`` holds the rows
     column-major, shape (d, len(idx)).
 
-    Returns the sorted distinct indices without PAD_INDEX and their sums,
+    Returns the sorted distinct indices without the two ``pads`` and their sums,
     shape (rows, d). ``bincount`` adds each cell's contributions in input
     order, starting from 0.0, exactly as ``np.add.at`` into a zeroed table
     does, so the sums are bit-identical to that dense scatter.
     """
     rows, inv = np.unique(idx, return_inverse=True)
     sums = np.stack([np.bincount(inv, weights=col, minlength=rows.size) for col in cols], axis=1)
-    if rows.size and rows[0] == PAD_INDEX:
-        return rows[1:], sums[1:]
-    return rows, sums
+    keep = (rows != pads[0]) & (rows != pads[1])
+    return (rows, sums) if keep.all() else (rows[keep], sums[keep])
 
 
 class DinModel:
-    """Embedding tables plus MLP head; attention toggled by config."""
+    """Embedding tables plus MLP head; attention toggled by config. Every
+    parameter lives in ``flat``, one float64 vector in ``param_shapes``
+    order; ``params`` holds read-only named views of it, and ``emb`` views
+    its head as one matrix: the item rows, then the user rows."""
 
-    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
-        self.config = config
-        self.params = params
-        self._check_params()
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
+        c = self.config = config
+        blocks, start = [], 0
+        for name, shape in c.param_shapes().items():
+            blocks.append((name, slice(start, start + math.prod(shape)), shape))
+            start = blocks[-1][1].stop
+        if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64 and flat.flags.c_contiguous):
+            got = (f"{flat.dtype}, contiguous={flat.flags.c_contiguous}" if isinstance(flat, np.ndarray)
+                   else type(flat).__name__)
+            raise TypeError(f"parameters must be a C-contiguous float64 array, got {got}")
+        if flat.shape != (start,):
+            raise ValueError(f"parameter vector has shape {flat.shape}, expected ({start},)")
+        self.flat, self.params = flat, MappingProxyType({name: flat[s].reshape(shape) for name, s, shape in blocks})
+        head = (c.item_vocab + c.user_vocab * c.use_user_profile) * c.dim
+        self.emb = flat[:head].reshape(-1, c.dim)
+        self._mlp = [(name, slice(s.start - head, s.stop - head), shape)
+                     for name, s, shape in blocks if s.start >= head]
 
-    # -- construction -----------------------------------------------------
-
-    def _check_params(self) -> None:
-        """Every parameter is a C-contiguous float64 array of its config's
-        shape: the in-place updates and the checkpoint payload rely on it."""
-        expect = self.config.param_shapes()
-        if set(expect) != set(self.params):
-            raise ValueError(f"parameter keys {sorted(self.params)} != expected {sorted(expect)}")
-        for name, shape in expect.items():
-            p = self.params[name]
-            if not (isinstance(p, np.ndarray) and p.dtype == np.float64 and p.flags.c_contiguous):
-                got = f"{p.dtype}, contiguous={p.flags.c_contiguous}" if isinstance(p, np.ndarray) else type(p).__name__
-                raise TypeError(f"parameter {name} must be a C-contiguous float64 array, got {got}")
-            if p.shape != shape:
-                raise ValueError(f"parameter {name} has shape {p.shape}, expected {shape}")
+    def mlp_views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of a vector laid out as the MLP tail, named as ``params``."""
+        return {name: vec[s].reshape(shape) for name, s, shape in self._mlp}
 
     @property
     def n_layers(self) -> int:
@@ -224,10 +232,11 @@ class DinModel:
         return probs, cache
 
     def predict(self, batch: EncodedBatch) -> np.ndarray:
-        """Click probabilities, scored in views of PREDICT_CHUNK_ROWS rows.
-
-        Each record's probability depends on its own row only, so the result
-        equals ``forward(batch)[0]`` while the intermediates stay bounded.
+        """Click probabilities, scored in views of PREDICT_CHUNK_ROWS rows, so
+        the intermediates stay bounded. A record's probability depends on its
+        own row only in exact arithmetic: the MLP's matrix products can round
+        a row differently with its chunk's row count (on OpenBLAS, in chunks
+        under 4 rows), so this equals ``forward(batch)[0]`` to the last bits.
         """
         self._validate_batch(batch)  # errors name rows of the whole batch
         return np.concatenate(
@@ -243,9 +252,9 @@ class DinModel:
         """Analytic gradients for every parameter touched by the batch.
 
         ``dprobs`` is dLoss/dProb per record. The attention path carries the
-        softmax Jacobian into both the behavior and the ad embeddings. Each
-        embedding table's gradient covers only the rows the batch looked up,
-        never the padding row, so its size follows the batch, not the
+        softmax Jacobian into both the behavior and the ad embeddings. The
+        embedding gradient covers only the rows of ``emb`` the batch looked
+        up, never a padding row, so its size follows the batch, not the
         vocabulary.
         """
         if cache is None:
@@ -258,14 +267,14 @@ class DinModel:
         if dprobs.shape != (B,):
             raise ValueError(f"upstream gradient shape {dprobs.shape} != ({B},)")
 
-        dense: dict[str, np.ndarray] = {}
-
+        mlp = np.empty(self.flat.size - self.emb.size)
+        views = self.mlp_views(mlp)
         p = cache.probs
         dlogit = dprobs * p * (1.0 - p)
         g = dlogit[:, None]
         for i in range(self.n_layers - 1, -1, -1):
-            dense[f"w{i}"] = cache.post_acts[i].T @ g
-            dense[f"b{i}"] = g.sum(axis=0)
+            np.matmul(cache.post_acts[i].T, g, out=views[f"w{i}"])
+            g.sum(axis=0, out=views[f"b{i}"])
             g = g @ self.params[f"w{i}"].T
             if i > 0:
                 g = g * (cache.pre_acts[i - 1] > 0.0)
@@ -287,13 +296,13 @@ class DinModel:
             dbehav += np.take(cache.ad_emb.T, row, axis=1) * np.take(ds, live)
             dad = dad + dad_att
 
-        grads = Gradients(dense=dense)
-        grads.rows["item_emb"], grads.row_grads["item_emb"] = _sum_rows(
-            np.concatenate([np.take(batch.behavior_idx, live), batch.ad_idx]), np.concatenate([dbehav, dad.T], axis=1)
-        )
+        # One row space: a user's row in ``emb`` is item_vocab + its index.
+        idx, cols = [np.take(batch.behavior_idx, live), batch.ad_idx], [dbehav, dad.T]
         if c.use_user_profile:
-            grads.rows["user_emb"], grads.row_grads["user_emb"] = _sum_rows(batch.user_idx, dx[:, 3 * d :].T)
-        return grads
+            idx.append(batch.user_idx + c.item_vocab)
+            cols.append(dx[:, 3 * d :].T)
+        pads = (PAD_INDEX, c.item_vocab + PAD_INDEX)
+        return Gradients(mlp, *_sum_rows(np.concatenate(idx), np.concatenate(cols, axis=1), pads))
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator) -> DinModel:
@@ -303,17 +312,15 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> DinModel:
     The draw order is ``param_shapes`` order (item table, user table, then
     layers front to back), so one seed yields bitwise-identical models.
     """
-    params: dict[str, np.ndarray] = {}
-    for name, shape in config.param_shapes().items():
+    model = DinModel(config, np.zeros(config.param_count()))
+    for name, p in model.params.items():
         if name.endswith("_emb"):
-            params[name] = rng.uniform(-0.05, 0.05, size=shape)
-            params[name][PAD_INDEX, :] = 0.0
+            p[...] = rng.uniform(-0.05, 0.05, size=p.shape)
+            p[PAD_INDEX, :] = 0.0
         elif name.startswith("w"):
-            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            params[name] = rng.uniform(-limit, limit, size=shape)
-        else:
-            params[name] = np.zeros(shape)
-    return DinModel(config, params)
+            limit = np.sqrt(6.0 / (p.shape[0] + p.shape[1]))
+            p[...] = rng.uniform(-limit, limit, size=p.shape)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +332,8 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> DinModel:
 #   header line: canonical JSON (sorted keys, compact separators) + b"\n"
 #                with config, vocab token lists, optional run metadata, and
 #                an array manifest (name + shape, in parameter order)
-#   payload:     the manifest's arrays as little-endian float64, C order
+#   payload:     the manifest's arrays as little-endian float64, C order:
+#                DinModel.flat, written and read whole
 #
 # Canonical JSON plus a fixed payload order makes save -> load -> save
 # byte-identical.
@@ -333,14 +341,8 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> DinModel:
 _CKPT_MAGIC = b"DINCTR-CKPT v1\n"
 
 
-def save_checkpoint(
-    model: DinModel,
-    user_vocab: Vocabulary,
-    item_vocab: Vocabulary,
-    path,
-    run_config: Optional[dict] = None,
-) -> None:
-    names = list(model.config.param_shapes())
+def save_checkpoint(model: DinModel, user_vocab: Vocabulary, item_vocab: Vocabulary, path,
+                    run_config: Optional[dict] = None) -> None:
     header = {
         "format": "dinctr-checkpoint",
         "version": 1,
@@ -348,15 +350,14 @@ def save_checkpoint(
         "user_tokens": user_vocab.tokens[2:],
         "item_tokens": item_vocab.tokens[2:],
         "run_config": run_config,
-        "arrays": [{"name": k, "shape": list(model.params[k].shape)} for k in names],
+        "arrays": [{"name": k, "shape": list(v.shape)} for k, v in model.params.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(blob)
         fh.write(b"\n")
-        for key in names:
-            fh.write(model.params[key].astype("<f8", copy=False).tobytes(order="C"))
+        fh.write(model.flat.astype("<f8", copy=False))
 
 
 def load_checkpoint(path) -> tuple[DinModel, Vocabulary, Vocabulary, Optional[dict]]:
@@ -382,17 +383,19 @@ def load_checkpoint(path) -> tuple[DinModel, Vocabulary, Vocabulary, Optional[di
         if header.get("arrays") != [{"name": k, "shape": list(v)} for k, v in shapes.items()]:
             listed = ", ".join(f"{k} {v}" for k, v in shapes.items())
             raise ValueError(f"{path}: the array manifest must list exactly {listed}, in this order")
-        params: dict[str, np.ndarray] = {}
-        for name, shape in shapes.items():
-            # Read straight into the array: a transient bytes copy of a large
-            # table would stay in the process's heap for the rest of the run.
-            arr = np.empty(shape, dtype="<f8")
-            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-                raise ValueError(f"{path}: truncated checkpoint payload")
-            params[name] = arr
-        if fh.read(1):
+        # The payload's size is checked in Python ints before allocating: a
+        # header can imply more bytes than NumPy can allocate or index.
+        nbytes, left = 8 * config.param_count(), os.fstat(fh.fileno()).st_size - fh.tell()
+        if nbytes > left:
+            raise ValueError(f"{path}: truncated checkpoint payload")
+        if nbytes < left:
             raise ValueError(f"{path}: unexpected bytes after the checkpoint payload")
-    model = DinModel(config, params)
+        # Read straight into the vector: a transient bytes copy of a large
+        # table would stay in the process's heap for the rest of the run.
+        flat = np.empty(nbytes // 8, dtype="<f8")
+        if fh.readinto(flat.view(np.uint8)) != nbytes:
+            raise ValueError(f"{path}: truncated checkpoint payload")
+    model = DinModel(config, flat)
     user_vocab = _checkpoint_vocab(path, header, "user", config.user_vocab)
     item_vocab = _checkpoint_vocab(path, header, "item", config.item_vocab)
     return model, user_vocab, item_vocab, header.get("run_config")

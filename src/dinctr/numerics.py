@@ -40,46 +40,40 @@ def sigmoid(x):
     return out
 
 
-def grad_check(
-    loss_fn: Callable[[], float],
-    params: dict[str, np.ndarray],
-    analytic: dict[str, np.ndarray],
-    eps: float = 1e-5,
-) -> float:
+def grad_check(loss_fn: Callable[[], float], params: np.ndarray, analytic: np.ndarray, eps: float = 1e-5) -> float:
     """Compare analytic gradients against central finite differences.
 
-    ``params`` maps block names to float64 arrays, ``analytic`` each name to
-    a same-shape gradient, and ``loss_fn()`` reads the ``params`` arrays.
-    Block by block, in C order, each entry x is set to x + eps, then x - eps,
-    then back to x in place, also when ``loss_fn`` raises. The numeric gradient
-    is (loss(x+eps) - loss(x-eps)) / (2*eps); the result is the maximum of
+    ``params`` is a float64 array that ``loss_fn()`` reads, and ``analytic``
+    its same-shape gradient. In C order, each entry x is set to x + eps, then
+    x - eps, then back to x in place, also when ``loss_fn`` raises. The
+    numeric gradient is (loss(x+eps) - loss(x-eps)) / (2*eps); the result is
+    the maximum of
 
         |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
 
     ``loss_fn`` must be deterministic. Raises on non-finite losses, on
-    non-positive ``eps`` and on a block whose shape or dtype does not fit.
+    non-positive ``eps`` and on arrays whose shape or dtype does not fit.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    g = np.asarray(analytic, dtype=np.float64)
+    if g.shape != params.shape:
+        raise ValueError(f"gradient shape {g.shape} != params shape {params.shape}")
+    if params.dtype != np.float64:
+        raise TypeError(f"params must be float64 to be perturbed in place, got {params.dtype}")
     worst = 0.0
-    for name, p in params.items():
-        g = np.asarray(analytic[name], dtype=np.float64)
-        if g.shape != p.shape:
-            raise ValueError(f"block {name!r}: gradient shape {g.shape} != params shape {p.shape}")
-        if p.dtype != np.float64:
-            raise TypeError(f"block {name!r}: params must be float64 to be perturbed in place, got {p.dtype}")
-        for idx in np.ndindex(p.shape):
-            orig = p[idx]
-            try:
-                p[idx] = orig + eps
-                f_plus = float(loss_fn())
-                p[idx] = orig - eps
-                f_minus = float(loss_fn())
-            finally:
-                p[idx] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise FloatingPointError(f"non-finite loss while perturbing block {name!r} at index {idx}")
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            rel = abs(g[idx] - numeric) / max(1e-8, abs(g[idx]) + abs(numeric))
-            worst = max(worst, float(rel))
+    for idx in np.ndindex(params.shape):
+        orig = params[idx]
+        try:
+            params[idx] = orig + eps
+            f_plus = float(loss_fn())
+            params[idx] = orig - eps
+            f_minus = float(loss_fn())
+        finally:
+            params[idx] = orig
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise FloatingPointError(f"non-finite loss while perturbing index {idx}")
+        numeric = (f_plus - f_minus) / (2.0 * eps)
+        rel = abs(g[idx] - numeric) / max(1e-8, abs(g[idx]) + abs(numeric))
+        worst = max(worst, float(rel))
     return worst

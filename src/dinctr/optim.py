@@ -1,13 +1,13 @@
 """The step's objective (cross-entropy plus L2), its gradient check, Adam, and the training loop.
 
-Embedding tables get lazy (sparse) Adam semantics: the optimizer reads
-their gradients as the compact rows the batch touched (``Gradients.rows``
-and ``Gradients.row_grads``), and a row's moment accumulators move only
-when that row appears in the batch, so untouched rows stay perfectly
-stationary and a step costs what the batch touched, not the vocabulary.
-The L2 penalty covers all MLP weight matrices plus the embedding rows
-touched by the current batch; biases and the padding row are never
-penalized.
+Adam's moments share ``DinModel.flat``'s layout. The embedding matrix gets
+lazy (sparse) Adam semantics: the optimizer reads its gradient as the
+compact rows the batch touched (``Gradients.rows`` and ``row_grads``), and
+a row's moment accumulators move only when that row appears in the batch,
+so untouched rows stay perfectly stationary and a step costs what the
+batch touched, not the vocabulary. The L2 penalty covers all MLP weight
+matrices plus the embedding rows touched by the current batch; biases and
+the padding rows are never penalized.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import astuple, dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -42,15 +41,15 @@ def l2_penalty(model: DinModel, lam: float, grads: Gradients) -> float:
     if lam == 0.0:
         return 0.0
     penalty = 0.0
+    dense = model.mlp_views(grads.mlp)
     for i in range(model.n_layers):
         w = model.params[f"w{i}"]
         penalty += float(np.sum(w * w))
-        grads.dense[f"w{i}"] += 2.0 * lam * w
-    for name, rows in grads.rows.items():
-        if rows.size:
-            sub = np.take(model.params[name], rows, axis=0)
-            penalty += float(np.sum(sub * sub))
-            grads.row_grads[name] += 2.0 * lam * sub
+        dense[f"w{i}"] += 2.0 * lam * w
+    if grads.rows.size:
+        sub = np.take(model.emb, grads.rows, axis=0)
+        penalty += float(np.sum(sub * sub))
+        grads.row_grads += 2.0 * lam * sub
     return lam * penalty
 
 
@@ -66,55 +65,48 @@ def objective(model: DinModel, batch: EncodedBatch, l2_lambda: float) -> tuple[f
 def check_gradients(model: DinModel, batch: EncodedBatch, l2_lambda: float = 0.0, eps: float = 1e-5) -> float:
     """Max relative error of ``objective``'s gradients against central
     differences of bce + penalty (``numerics.grad_check``, which perturbs
-    the model's own arrays in place and restores them). Embedding gradients
-    are compared as full tables, zero in the rows the batch did not touch."""
+    ``model.flat`` in place and restores it). The embedding gradient is
+    compared as the full matrix, zero in the rows the batch did not touch."""
     _, _, grads = objective(model, batch, l2_lambda)
-    analytic = dict(grads.dense)
-    for name, rows in grads.rows.items():
-        analytic[name] = np.zeros_like(model.params[name])
-        analytic[name][rows] = grads.row_grads[name]
+    emb = np.zeros_like(model.emb)
+    emb[grads.rows] = grads.row_grads
 
     def loss() -> float:
         bce, penalty, _ = objective(model, batch, l2_lambda)
         return bce + penalty
 
-    return grad_check(loss, model.params, analytic, eps)
+    return grad_check(loss, model.flat, np.concatenate([emb.ravel(), grads.mlp]), eps)
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one step counter for all blocks."""
+    """First/second moment accumulators, laid out as ``DinModel.flat``, and one step counter."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     lr: float = 1e-3
 
 
-def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: Gradients) -> None:
-    """One in-place Adam update with bias correction.
-
-    Embedding parameters update lazily: only the rows in ``grads.rows``
-    move, by their ``grads.row_grads``; the padding row is never among
-    them. Every other block updates densely.
-    """
-    for block in (grads.dense, grads.row_grads):
-        for name, g in block.items():
-            if not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient in parameter block {name!r}")
+def adam_step(state: AdamState, flat: np.ndarray, grads: Gradients) -> None:
+    """One in-place Adam update of the parameter vector ``flat``, with bias
+    correction. Its MLP tail (the last ``grads.mlp.size`` entries) updates
+    densely; in its head, the embedding matrix, only the rows in
+    ``grads.rows`` move, and no padding row is ever among them."""
+    for block, g in (("MLP", grads.mlp), ("embedding rows", grads.row_grads)):
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient in the {block}")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for name, p in params.items():
-        m, v = state.m[name], state.v[name]
-        rows = grads.rows.get(name)
-        if rows is None:
-            _adam_update(p, m, v, grads.dense[name], state.lr, bc1, bc2)
-        elif rows.size:
-            # np.take gathers rows far faster than fancy indexing on a large table.
-            p_rows, m_rows, v_rows = (np.take(a, rows, axis=0) for a in (p, m, v))
-            _adam_update(p_rows, m_rows, v_rows, grads.row_grads[name], state.lr, bc1, bc2)
-            p[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
+    head = flat.size - grads.mlp.size
+    _adam_update(flat[head:], state.m[head:], state.v[head:], grads.mlp, state.lr, bc1, bc2)
+    if grads.rows.size:
+        p, m, v = (a[:head].reshape(-1, grads.row_grads.shape[1]) for a in (flat, state.m, state.v))
+        # np.take gathers rows far faster than fancy indexing on a large matrix.
+        p_rows, m_rows, v_rows = (np.take(a, grads.rows, axis=0) for a in (p, m, v))
+        _adam_update(p_rows, m_rows, v_rows, grads.row_grads, state.lr, bc1, bc2)
+        p[grads.rows], m[grads.rows], v[grads.rows] = p_rows, m_rows, v_rows
 
 
 def _adam_update(p, m, v, g, lr, bc1, bc2) -> None:
@@ -171,12 +163,11 @@ def train(
         raise ValueError("empty training set")
     if len(val_batch) == 0:
         raise ValueError("empty validation set")
-    m, v = ({k: np.zeros_like(p) for k, p in model.params.items()} for _ in range(2))
-    state = AdamState(m=m, v=v, lr=config.lr)
+    state = AdamState(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat), lr=config.lr)
     shuffle_rng = make_rng(config.seed, stream=2)
     history: list[EpochStats] = []
     best_gauc = -np.inf
-    best_params: Optional[dict[str, np.ndarray]] = None
+    best_flat = None
     stale = 0
 
     for epoch in range(1, config.epochs + 1):
@@ -186,7 +177,7 @@ def train(
         for start in range(0, n, config.batch_size):
             mb = train_batch.take(order[start : start + config.batch_size])
             loss, _, grads = objective(model, mb, config.l2_lambda)
-            adam_step(state, model.params, grads)
+            adam_step(state, model.flat, grads)
             loss_sum += loss * len(mb)
         val_probs = model.predict(val_batch)
         val_loss = metrics.log_loss(val_probs, val_batch.labels)
@@ -204,13 +195,13 @@ def train(
         if config.patience > 0:
             if val_gauc > best_gauc:
                 best_gauc = val_gauc
-                best_params = {k: p.copy() for k, p in model.params.items()}
+                best_flat = model.flat.copy()
                 stale = 0
             else:
                 stale += 1
                 if stale >= config.patience:
                     break
 
-    if config.patience > 0 and best_params is not None:
-        model.params = best_params
+    if best_flat is not None:
+        model.flat[...] = best_flat
     return model, history

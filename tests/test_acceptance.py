@@ -329,17 +329,20 @@ def test_criterion_9_adam_recurrence(capsys):
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         p_ref -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
-    params = {"w": np.array([1.0])}
-    state = AdamState(m={"w": np.zeros(1)}, v={"w": np.zeros(1)}, lr=lr)
-    adam_step(state, params, Gradients(dense={"w": np.array([1.0])}))
-    adam_step(state, params, Gradients(dense={"w": np.array([1.0])}))
-    trace_ok = abs(params["w"][0] - p_ref) < 1e-12
+    def one_weight(g):  # the gradient of a parameter vector that is one MLP weight
+        return Gradients(mlp=np.array([g]), rows=np.zeros(0, dtype=np.int64), row_grads=np.zeros((0, 1)))
 
-    params0 = {"w": np.array([1.0])}
-    state0 = AdamState(m={"w": np.zeros(1)}, v={"w": np.zeros(1)}, lr=0.0)
+    flat = np.array([1.0])
+    state = AdamState(m=np.zeros(1), v=np.zeros(1), lr=lr)
+    adam_step(state, flat, one_weight(1.0))
+    adam_step(state, flat, one_weight(1.0))
+    trace_ok = abs(flat[0] - p_ref) < 1e-12
+
+    flat0 = np.array([1.0])
+    state0 = AdamState(m=np.zeros(1), v=np.zeros(1), lr=0.0)
     for g in (1.0, -3.0, 0.5):
-        adam_step(state0, params0, Gradients(dense={"w": np.array([g])}))
-    noop_ok = params0["w"][0] == 1.0
+        adam_step(state0, flat0, one_weight(g))
+    noop_ok = flat0[0] == 1.0
 
     # pad row pinned through a real training run
     cfg = RunConfig(num_users=30, num_items=25, impressions=800, epochs=2, batch_size=64, lr=0.01)

@@ -439,7 +439,7 @@ class TestEval:
         model, user_vocab, item_vocab, run_config = load_checkpoint(din_ck)
         last = model.n_layers - 1
         for name in (f"w{last}", f"b{last}"):
-            model.params[name] = -model.params[name]
+            np.negative(model.params[name], out=model.params[name])
         save_checkpoint(model, user_vocab, item_vocab, tmp_path / "flipped.ckpt", run_config)
         cks = {"din": din_ck, "flipped": str(tmp_path / "flipped.ckpt")}
         common = ("eval", "--config", pipeline["config"], "--dataset", pipeline["dataset"])

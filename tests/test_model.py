@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import re
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dinctr import kernels
+from dinctr import model as model_module
 from dinctr.data import EncodedBatch
 from dinctr.model import (
     PREDICT_CHUNK_ROWS,
@@ -19,7 +21,7 @@ from dinctr.model import (
 )
 from dinctr.data import Vocabulary
 from dinctr.numerics import make_rng
-from dinctr.optim import bce_loss, check_gradients, objective
+from dinctr.optim import AdamState, adam_step, bce_loss, check_gradients, objective
 
 
 def tiny_config(use_attention=True, dim=3, hidden=(4,), item_vocab=12, max_seq_len=5):
@@ -172,7 +174,7 @@ class TestForward:
         model_att = init_model(config, make_rng(1, stream=1))
         model_uni = DinModel(
             ModelConfig(**{**config.to_dict(), "use_attention": False, "hidden": tuple(config.hidden)}),
-            {k: v.copy() for k, v in model_att.params.items()},
+            model_att.flat.copy(),
         )
         behavior_idx = np.array([[7, 7, 7, 0, 0]], dtype=np.int64)
         batch = EncodedBatch(
@@ -269,14 +271,15 @@ class TestUserProfile:
         model = init_model(config, make_rng(62, stream=1))
         batch = random_batch(config, make_rng(63), B=3)
         assert check_gradients(model, batch, eps=1e-5) < 1e-4
-        grads = objective(model, batch, 0.0)[2]
-        assert grads.rows["user_emb"].size and 0 not in grads.rows["user_emb"]
+        user_rows = objective(model, batch, 0.0)[2].rows - config.item_vocab  # user rows follow the item rows
+        assert (user_rows >= 0).any() and 0 not in user_rows
 
 
 def dense_backward_oracle(model, cache, dprobs):
-    """The embedding gradients as full tables: every lookup's contribution
-    added into a zeroed V x d table with ``np.add.at``, the padding row
-    zeroed afterwards. Each behavior slot's contribution, w * dpooled plus
+    """The embedding gradient as the full ``emb`` matrix (item rows, then
+    user rows): every lookup's contribution added into a zeroed matrix with
+    ``np.add.at``, both padding rows zeroed afterwards. Each behavior slot's
+    contribution, w * dpooled plus
     (with attention) ds * ad, is built here on the whole (B, T, d) grid,
     apart from the live-slot path of ``DinModel.backward``, so the compact
     rows must reproduce these tables exactly."""
@@ -298,29 +301,30 @@ def dense_backward_oracle(model, cache, dprobs):
         dbehav = dbehav + (dscores * inv_temp)[:, :, None] * cache.ad_emb[:, None, :]
         dad = dad + kernels.scores_backward(cache.behav_emb, dscores, inv_temp)[1]
     live = batch.mask.reshape(-1)
-    tables = {"item_emb": np.zeros_like(model.params["item_emb"])}
-    np.add.at(tables["item_emb"], batch.behavior_idx.reshape(-1)[live], dbehav.reshape(-1, d)[live])
-    np.add.at(tables["item_emb"], batch.ad_idx, dad)
+    item_table = np.zeros((c.item_vocab, d))
+    np.add.at(item_table, batch.behavior_idx.reshape(-1)[live], dbehav.reshape(-1, d)[live])
+    np.add.at(item_table, batch.ad_idx, dad)
+    item_table[0] = 0.0
+    user_table = np.zeros((c.user_vocab if c.use_user_profile else 0, d))
     if c.use_user_profile:
-        tables["user_emb"] = np.zeros_like(model.params["user_emb"])
-        np.add.at(tables["user_emb"], batch.user_idx, g[:, 3 * d :])
-    for table in tables.values():
-        table[0] = 0.0
-    return tables
+        np.add.at(user_table, batch.user_idx, g[:, 3 * d :])
+        user_table[0] = 0.0
+    return np.concatenate([item_table, user_table])
 
 
 def assert_matches_dense_oracle(model, cache, dprobs, grads):
-    tables = dense_backward_oracle(model, cache, dprobs)
-    assert set(grads.rows) == set(grads.row_grads) == set(tables)
-    for name, table in tables.items():
-        batch = cache.batch
-        looked_up = {"item_emb": np.concatenate([batch.behavior_idx[batch.mask], batch.ad_idx]),
-                     "user_emb": batch.user_idx}[name]
-        expect_rows = np.unique(looked_up)
-        np.testing.assert_array_equal(grads.rows[name], expect_rows[expect_rows != 0])
-        np.testing.assert_array_equal(grads.row_grads[name], table[grads.rows[name]])
-        assert not np.delete(table, grads.rows[name], axis=0).any()
-    assert set(grads.dense) == set(model.params) - set(tables)
+    table = dense_backward_oracle(model, cache, dprobs)
+    assert table.shape == model.emb.shape
+    batch = cache.batch
+    looked_up = [batch.behavior_idx[batch.mask], batch.ad_idx]
+    if model.config.use_user_profile:
+        looked_up.append(batch.user_idx + model.config.item_vocab)
+    expect_rows = np.unique(np.concatenate(looked_up))
+    pad_rows = [0, model.config.item_vocab]  # the item table's and the user table's padding rows
+    np.testing.assert_array_equal(grads.rows, expect_rows[~np.isin(expect_rows, pad_rows)])
+    np.testing.assert_array_equal(grads.row_grads, table[grads.rows])
+    assert not np.delete(table, grads.rows, axis=0).any()
+    assert grads.mlp.shape == (model.flat.size - model.emb.size,)
 
 
 class TestBackward:
@@ -335,7 +339,7 @@ class TestBackward:
         config = tiny_config(use_attention=use_attention, dim=4, hidden=(6,), item_vocab=9, max_seq_len=7)
         config.use_user_profile = use_user_profile
         model = init_model(config, make_rng(30, stream=1))
-        model.params["item_emb"] *= item_scale
+        model.params["item_emb"][...] *= item_scale
         batch = random_batch(config, make_rng(31), B=16)  # 9 items: many repeated rows
         probs, cache = model.forward(batch)
         _, dprobs = bce_loss(probs, batch.labels)
@@ -350,10 +354,9 @@ class TestBackward:
         probs, cache = model.forward(batch)
         _, dprobs = bce_loss(probs, batch.labels)
         grads = model.backward(cache, dprobs)
-        limit = B * (config.max_seq_len + 1)
-        arrays = [*grads.dense.values(), *grads.rows.values(), *grads.row_grads.values()]
-        assert all(a.shape[0] <= limit for a in arrays)
-        assert grads.row_grads["item_emb"].any()
+        assert grads.rows.size <= B * (config.max_seq_len + 2)  # behaviors, the ad and the user
+        assert grads.row_grads.shape == (grads.rows.size, config.dim) and grads.row_grads.any()
+        assert grads.mlp.size == sum(p.size for name, p in model.params.items() if not name.endswith("_emb"))
 
     @pytest.mark.parametrize("use_attention", [True, False])
     def test_gradients_match_finite_differences(self, use_attention):
@@ -369,9 +372,9 @@ class TestBackward:
         config = tiny_config(use_attention=use_attention, dim=3, hidden=(4,), item_vocab=10)
         config.use_user_profile = use_user_profile
         model = init_model(config, make_rng(64, stream=1))
-        before = {k: p.tobytes() for k, p in model.params.items()}
+        before = model.flat.tobytes()
         check_gradients(model, random_batch(config, make_rng(65), B=3), l2_lambda=1e-3)
-        assert {k: p.tobytes() for k, p in model.params.items()} == before
+        assert model.flat.tobytes() == before
 
     def test_zero_upstream_zero_gradients(self):
         config = tiny_config()
@@ -379,8 +382,8 @@ class TestBackward:
         batch = random_batch(config, make_rng(23), B=3)
         _, cache = model.forward(batch)
         grads = model.backward(cache, np.zeros(3))
-        assert len(grads.dense) == 4 and set(grads.row_grads) == {"item_emb"}  # every block is looked at below
-        assert not any(g.any() for g in (*grads.dense.values(), *grads.row_grads.values()))
+        assert grads.mlp.size == model.flat.size - model.emb.size and grads.rows.size  # every entry is looked at below
+        assert not grads.mlp.any() and not grads.row_grads.any()
 
     def test_singleton_sequence_reduces_to_dot_product_gradient(self):
         """One behavior: the softmax is constant 1, so only the direct
@@ -400,18 +403,15 @@ class TestBackward:
 
         uniform = DinModel(
             ModelConfig(**{**config.to_dict(), "use_attention": False, "hidden": tuple(config.hidden)}),
-            {k: v.copy() for k, v in model.params.items()},
+            model.flat.copy(),
         )
         probs_u, cache_u = uniform.forward(batch)
         _, dprobs_u = bce_loss(probs_u, batch.labels)
         grads_uni = uniform.backward(cache_u, dprobs_u)
 
-        assert grads_att.rows.keys() == grads_uni.rows.keys() and grads_att.dense.keys() == grads_uni.dense.keys()
-        for name, rows in grads_att.rows.items():
-            np.testing.assert_array_equal(rows, grads_uni.rows[name])
-            np.testing.assert_allclose(grads_att.row_grads[name], grads_uni.row_grads[name], atol=1e-12)
-        for name, g in grads_att.dense.items():
-            np.testing.assert_allclose(g, grads_uni.dense[name], atol=1e-12)
+        np.testing.assert_array_equal(grads_att.rows, grads_uni.rows)
+        np.testing.assert_allclose(grads_att.row_grads, grads_uni.row_grads, atol=1e-12)
+        np.testing.assert_allclose(grads_att.mlp, grads_uni.mlp, atol=1e-12)
 
     def test_pad_row_gradient_forced_zero(self):
         config = tiny_config()
@@ -420,21 +420,37 @@ class TestBackward:
         probs, cache = model.forward(batch)
         _, dprobs = bce_loss(probs, batch.labels)
         grads = model.backward(cache, dprobs)
-        assert 0 not in grads.rows["item_emb"]
+        assert 0 not in grads.rows
 
-    def test_pad_lookups_leave_no_pad_row(self):
-        """PAD indices in the ad and user columns are dropped from the rows."""
+    def pad_lookup_batch(self):
+        """A profile model and a batch whose ad and user columns each hold PAD."""
         config = tiny_config()
         config.use_user_profile = True
         model = init_model(config, make_rng(28, stream=1))
         batch = random_batch(config, make_rng(29), B=3)
         batch.ad_idx[0] = 0
         batch.user_idx[1] = 0
+        return model, batch
+
+    def test_pad_lookups_leave_no_pad_row(self):
+        """PAD indices in the ad and user columns are dropped from the rows:
+        row 0 of ``emb`` (the item table's) and row item_vocab (the user table's)."""
+        model, batch = self.pad_lookup_batch()
         probs, cache = model.forward(batch)
         _, dprobs = bce_loss(probs, batch.labels)
         grads = model.backward(cache, dprobs)
         assert_matches_dense_oracle(model, cache, dprobs, grads)
-        assert 0 not in grads.rows["item_emb"] and 0 not in grads.rows["user_emb"]
+        assert 0 not in grads.rows and model.config.item_vocab not in grads.rows
+        assert (grads.rows > model.config.item_vocab).any()  # the batch's other users are there
+
+    def test_adam_step_leaves_both_pad_rows(self):
+        model, batch = self.pad_lookup_batch()
+        pads = model.emb[[0, model.config.item_vocab]].tobytes()
+        state = AdamState(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat), lr=0.1)
+        before = model.flat.copy()
+        adam_step(state, model.flat, objective(model, batch, 1e-3)[2])
+        assert model.emb[[0, model.config.item_vocab]].tobytes() == pads == bytes(2 * 8 * model.config.dim)
+        assert (model.flat != before).any()
 
     def test_backward_requires_cache(self):
         config = tiny_config()
@@ -482,11 +498,35 @@ class TestInit:
         lambda p: p.tolist(),
     ], ids=["float32", "int64", "big-endian", "non-contiguous", "list"])
     def test_rejects_a_block_that_is_not_c_contiguous_float64(self, block, bad):
+        """Every block is a C-contiguous float64 view of the parameter vector,
+        which the in-place updates and the checkpoint payload rely on; a
+        vector that is not C-contiguous float64 is rejected."""
         model = init_model(tiny_config(), make_rng(46, stream=1))
-        params = dict(model.params)
-        params[block] = bad(params[block])
-        with pytest.raises(TypeError, match=f"parameter {block} must be a C-contiguous float64 array"):
-            DinModel(model.config, params)
+        view = model.params[block]
+        assert view.dtype == np.float64 and view.flags.c_contiguous and np.shares_memory(view, model.flat)
+        with pytest.raises(TypeError, match="parameters must be a C-contiguous float64 array"):
+            DinModel(model.config, bad(model.flat))
+
+    @pytest.mark.parametrize("size_change", [-1, 1])
+    def test_rejects_a_vector_of_another_size(self, size_change):
+        model = init_model(tiny_config(), make_rng(47, stream=1))
+        flat = np.zeros(model.flat.size + size_change)
+        with pytest.raises(ValueError, match=re.escape(f"shape ({flat.size},), expected ({model.flat.size},)")):
+            DinModel(model.config, flat)
+
+    def test_params_are_read_only_views_of_the_vector(self, tmp_path):
+        """A write through a named view reaches ``flat`` and the saved payload;
+        rebinding a name, which would detach it from ``flat``, raises."""
+        model = init_model(tiny_config(), make_rng(48, stream=1))
+        model.params["w0"][1, 2] = 7.5
+        assert 7.5 in model.flat
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, Vocabulary(["u1", "u2", "u3"]), Vocabulary([f"i{k}" for k in range(10)]), path)
+        payload = np.frombuffer(path.read_bytes()[-model.flat.nbytes :], dtype="<f8")
+        assert payload.tobytes() == model.flat.tobytes() and 7.5 in payload
+        with pytest.raises(TypeError):
+            model.params["w0"] = np.zeros_like(model.params["w0"])
+        assert np.shares_memory(model.params["w0"], model.flat)
 
 
 def without(obj: dict, key: str) -> dict:
@@ -556,6 +596,7 @@ HEADER_VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=3),
     st.lists(st.one_of(st.integers(-1, 8), st.floats(0, 8), st.booleans()), max_size=3),
+    st.sampled_from([10**11, 2**70]),  # sizes no payload can have, nor NumPy allocate or index
 )
 
 
@@ -597,15 +638,26 @@ class TestCheckpoint:
         save_checkpoint(model, users, items, path)
         before = path.read_bytes()
 
-        class FailingWrite(np.ndarray):
-            def tobytes(self, order="C"):
+        class FailingPayload(np.ndarray):
+            def astype(self, *args, **kwargs):
                 raise OSError("disk full")
 
-        model.params["item_emb"] += 1.0  # a new checkpoint would differ
-        # w0 is written after item_emb, so the failure comes mid-payload.
-        monkeypatch.setitem(model.params, "w0", model.params["w0"].view(FailingWrite))
+        model.params["item_emb"][...] += 1.0  # a new checkpoint would differ
+        written, real_open = [], model_module.atomic_open
+
+        @contextlib.contextmanager
+        def watched_open(*args, **kwargs):
+            with real_open(*args, **kwargs) as fh:
+                try:
+                    yield fh
+                finally:
+                    written.append(fh.tell())
+
+        monkeypatch.setattr(model_module, "atomic_open", watched_open)
+        monkeypatch.setattr(model, "flat", model.flat.view(FailingPayload))
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(model, users, items, path)
+        assert written == [len(before) - model.flat.nbytes]  # it failed right after the header
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
@@ -748,15 +800,19 @@ class TestCheckpoint:
             | st.tuples(st.just("payload"), st.none(), st.sampled_from([-8, -1, 1, 8])),
             max_size=2,
         ),
+        match_manifest=st.booleans(),
     )
-    def test_fuzzed_checkpoint_loads_strictly_or_names_path(self, tmp_path, value, mutations):
+    def test_fuzzed_checkpoint_loads_strictly_or_names_path(self, tmp_path, value, mutations, match_manifest):
         """A checkpoint with mutated config values or payload length loads as
-        the model its config, read strictly, describes, with the saved
-        weights; else it is a ValueError naming the file. Never another
-        exception type, and never other weights. ``value`` goes to each
-        config key in turn, then ``mutations`` apply."""
+        the model its config, read strictly, describes, with the payload's
+        bytes as its parameters; else it is a ValueError naming the file.
+        Never another exception type, and never other weights. ``value`` goes
+        to each config key in turn, then ``mutations`` apply. With
+        ``match_manifest``, a valid config gets the manifest it implies, so
+        the payload's size is what rejects a config of other shapes."""
         model, path = self.saved(tmp_path)
         saved = path.read_bytes()
+        saved_shapes = model.config.param_shapes()
         for key in [*STRICT_FIELDS, "extra"]:
             path.write_bytes(saved)
             config, payload_delta = {**model.config.to_dict(), key: value}, 0
@@ -767,35 +823,43 @@ class TestCheckpoint:
                     config.pop(name, None)
                 else:
                     payload_delta += new
-            self.rewrite_header(path, lambda h: {**h, "config": config})
+            expect = strict_model_config(config)
+            shapes = expect.param_shapes() if expect is not None and match_manifest else saved_shapes
+            manifest = [{"name": k, "shape": list(v)} for k, v in shapes.items()]
+            self.rewrite_header(path, lambda h: {**h, "config": config, "arrays": manifest})
             raw = path.read_bytes()
             path.write_bytes(raw[: len(raw) + min(payload_delta, 0)] + b"\0" * max(payload_delta, 0))
-            expect = strict_model_config(config)
+            payload = model.flat.tobytes()
+            payload = payload[: len(payload) + min(payload_delta, 0)] + b"\0" * max(payload_delta, 0)
             if (
-                payload_delta == 0
-                and expect is not None
-                and expect.param_shapes() == model.config.param_shapes()
+                expect is not None
+                and expect.param_shapes() == shapes
+                and 8 * expect.param_count() == len(payload)
                 and (expect.item_vocab, expect.user_vocab) == (model.config.item_vocab, model.config.user_vocab)
             ):
                 loaded, _, _, _ = load_checkpoint(path)
                 assert loaded.config == expect
                 assert list(map(type, vars(loaded.config).values())) == list(map(type, vars(expect).values()))
-                for name in model.params:
-                    np.testing.assert_array_equal(loaded.params[name], model.params[name])
+                assert loaded.flat.tobytes() == payload
             else:
                 with pytest.raises(ValueError, match=re.escape(str(path))):
                     load_checkpoint(path)
 
     def test_payload_follows_parameter_order(self, tmp_path):
-        """A model whose parameter dict is in another order saves in the
-        model's order, so it loads back equal."""
+        """The payload is the parameter vector: each manifest entry's bytes,
+        in manifest order, hold that named block, and it loads back equal."""
         model, path = self.saved(tmp_path)
-        shuffled = DinModel(model.config, dict(reversed(list(model.params.items()))))
-        save_checkpoint(shuffled, Vocabulary(["u1", "u2", "u3"]), Vocabulary([f"i{k}" for k in range(10)]), path)
+        raw = path.read_bytes()
+        header = json.loads(raw[raw.index(b"\n") + 1 : raw.index(b"\n", raw.index(b"\n") + 1)])
+        payload, start = raw[-model.flat.nbytes :], 0
+        assert [e["name"] for e in header["arrays"]] == list(model.config.param_shapes()) == list(model.params)
+        for entry in header["arrays"]:
+            block = np.frombuffer(payload, dtype="<f8", count=math.prod(entry["shape"]), offset=start)
+            np.testing.assert_array_equal(block.reshape(entry["shape"]), model.params[entry["name"]])
+            start += block.nbytes
+        assert start == len(payload)
         loaded, _, _, _ = load_checkpoint(path)
-        assert list(loaded.params) == list(model.params)
-        for name in model.params:
-            np.testing.assert_array_equal(loaded.params[name], model.params[name])
+        assert list(loaded.params) == list(model.params) and loaded.flat.tobytes() == model.flat.tobytes()
 
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -69,24 +69,26 @@ def one_weight_model():
 
 
 def zero_grads(model, touched):
-    """Zero gradients for every block, with ``touched`` as the item rows."""
+    """Zero gradients for every parameter, with ``touched`` as the embedding rows."""
     rows = np.asarray(touched, dtype=np.int64)
     return Gradients(
-        dense={k: np.zeros_like(v) for k, v in model.params.items() if k != "item_emb"},
-        rows={"item_emb": rows},
-        row_grads={"item_emb": np.zeros((rows.size, model.config.dim))},
+        mlp=np.zeros(model.flat.size - model.emb.size), rows=rows, row_grads=np.zeros((rows.size, model.config.dim))
     )
+
+
+def mlp_grads(values):
+    """Gradients of a parameter vector that is all MLP tail (no embedding rows)."""
+    return Gradients(mlp=np.array(values, dtype=np.float64), rows=np.zeros(0, dtype=np.int64), row_grads=np.zeros((0, 1)))
 
 
 class TestL2Penalty:
     def test_zero_lambda_is_noop(self):
         model = one_weight_model()
         grads = zero_grads(model, [2])
-        before = {k: g.copy() for k, g in grads.dense.items()}
+        before = grads.mlp.copy()
         assert l2_penalty(model, 0.0, grads) == 0.0
-        for k in before:
-            np.testing.assert_array_equal(grads.dense[k], before[k])
-        np.testing.assert_array_equal(grads.row_grads["item_emb"], np.zeros((1, 1)))
+        np.testing.assert_array_equal(grads.mlp, before)
+        np.testing.assert_array_equal(grads.row_grads, np.zeros((1, 1)))
 
     def test_single_weight_hand_example(self):
         model = one_weight_model()
@@ -96,8 +98,9 @@ class TestL2Penalty:
         grads = zero_grads(model, [])
         penalty = l2_penalty(model, 0.1, grads)
         assert abs(penalty - 0.9) < 1e-15
-        assert abs(grads.dense["w0"][0, 0] - 0.6) < 1e-15
-        assert not grads.dense["b0"].any()  # biases never penalized
+        dense = model.mlp_views(grads.mlp)
+        assert abs(dense["w0"][0, 0] - 0.6) < 1e-15 and np.count_nonzero(grads.mlp) == 1
+        assert not dense["b0"].any()  # biases never penalized
 
     def test_matches_brute_force_sum_over_touched(self):
         config = ModelConfig(item_vocab=9, user_vocab=2, dim=3, hidden=(4,), max_seq_len=3, temperature=1.0,
@@ -110,7 +113,21 @@ class TestL2Penalty:
         brute = sum(float(np.sum(model.params[f"w{i}"] ** 2)) for i in range(model.n_layers))
         brute += float(np.sum(model.params["item_emb"][touched] ** 2))
         assert abs(penalty - lam * brute) < 1e-12
-        np.testing.assert_array_equal(grads.row_grads["item_emb"], 2.0 * lam * model.params["item_emb"][touched])
+        np.testing.assert_array_equal(grads.row_grads, 2.0 * lam * model.params["item_emb"][touched])
+        for name, g in model.mlp_views(grads.mlp).items():
+            np.testing.assert_array_equal(g, 2.0 * lam * model.params[name] if name.startswith("w") else 0.0)
+
+    def test_user_rows_follow_the_item_rows(self):
+        """With a user profile, row item_vocab + u of ``emb`` is user u's."""
+        config = ModelConfig(item_vocab=9, user_vocab=4, dim=2, hidden=(3,), max_seq_len=3, temperature=1.0,
+                             use_attention=True, use_user_profile=True)
+        model = init_model(config, make_rng(2, stream=1))
+        grads = zero_grads(model, [3, 9 + 2])
+        penalty = l2_penalty(model, 0.5, grads)
+        touched = np.concatenate([model.params["item_emb"][3], model.params["user_emb"][2]])
+        brute = sum(float(np.sum(model.params[f"w{i}"] ** 2)) for i in range(model.n_layers)) + float(np.sum(touched**2))
+        assert abs(penalty - 0.5 * brute) < 1e-12
+        np.testing.assert_array_equal(grads.row_grads.ravel(), touched)
 
     def test_positive_lambda_strictly_increases_loss(self):
         model = one_weight_model()
@@ -127,23 +144,21 @@ def adam_oracle(p, m, v, g, t, lr):
 
 class TestAdamStep:
     def scalar_setup(self, lr=0.1):
-        params = {"w": np.array([1.0])}
-        state = AdamState(m={"w": np.zeros(1)}, v={"w": np.zeros(1)}, lr=lr)
-        return params, state
+        return np.array([1.0]), AdamState(m=np.zeros(1), v=np.zeros(1), lr=lr)
 
     def test_first_step_is_signed_lr(self):
-        params, state = self.scalar_setup(lr=0.1)
+        flat, state = self.scalar_setup(lr=0.1)
         g = 0.3
-        adam_step(state, params, Gradients(dense={"w": np.array([g])}))
+        adam_step(state, flat, mlp_grads([g]))
         expect = 1.0 - 0.1 * g / (abs(g) + ADAM_EPS)
-        assert abs(params["w"][0] - expect) < 1e-15
-        assert abs(params["w"][0] - 0.9) < 1e-7  # approximately -lr * sign(g)
+        assert abs(flat[0] - expect) < 1e-15
+        assert abs(flat[0] - 0.9) < 1e-7  # approximately -lr * sign(g)
 
     def test_zero_gradient_never_moves(self):
-        params, state = self.scalar_setup()
+        flat, state = self.scalar_setup()
         for _ in range(25):
-            adam_step(state, params, Gradients(dense={"w": np.zeros(1)}))
-        assert params["w"][0] == 1.0
+            adam_step(state, flat, mlp_grads([0.0]))
+        assert flat[0] == 1.0
         assert state.t == 25
 
     def test_two_step_hand_trace(self):
@@ -159,78 +174,75 @@ class TestAdamStep:
             v_hat = v / (1 - b2**t)
             p -= lr * m_hat / (math.sqrt(v_hat) + eps)
 
-        params, state = self.scalar_setup(lr=lr)
-        adam_step(state, params, Gradients(dense={"w": np.array([1.0])}))
-        adam_step(state, params, Gradients(dense={"w": np.array([1.0])}))
-        assert abs(params["w"][0] - p) < 1e-12
+        flat, state = self.scalar_setup(lr=lr)
+        adam_step(state, flat, mlp_grads([1.0]))
+        adam_step(state, flat, mlp_grads([1.0]))
+        assert abs(flat[0] - p) < 1e-12
         # both steps apply nearly the full lr (bias-corrected first moments)
-        assert abs(params["w"][0] - 0.8) < 1e-7
+        assert abs(flat[0] - 0.8) < 1e-7
 
     def test_lr_zero_is_identity(self):
-        params, state = self.scalar_setup(lr=0.0)
+        flat, state = self.scalar_setup(lr=0.0)
         for g in (0.5, -2.0, 3.0):
-            adam_step(state, params, Gradients(dense={"w": np.array([g])}))
-        assert params["w"][0] == 1.0
+            adam_step(state, flat, mlp_grads([g]))
+        assert flat[0] == 1.0
 
     def test_lazy_rows_only_touched_move(self):
-        table = np.ones((5, 2))
-        params = {"emb": table}
-        state = AdamState(m={"emb": np.zeros((5, 2))}, v={"emb": np.zeros((5, 2))}, lr=0.1)
-        grads = Gradients(
-            dense={}, rows={"emb": np.array([2, 4])}, row_grads={"emb": np.array([[1.0, 1.0], [-1.0, -1.0]])}
-        )
-        adam_step(state, params, grads)
-        assert (params["emb"][[0, 1, 3]] == 1.0).all()
-        assert (params["emb"][2] != 1.0).all() and (params["emb"][4] != 1.0).all()
-        assert not state.m["emb"][[0, 1, 3]].any()
-        assert (state.v["emb"] >= 0).all()
+        """A 5 x 2 embedding head before a one-entry MLP tail."""
+        flat = np.ones(11)
+        state = AdamState(m=np.zeros(11), v=np.zeros(11), lr=0.1)
+        grads = Gradients(mlp=np.zeros(1), rows=np.array([2, 4]), row_grads=np.array([[1.0, 1.0], [-1.0, -1.0]]))
+        adam_step(state, flat, grads)
+        table, m, v = (a[:10].reshape(5, 2) for a in (flat, state.m, state.v))
+        assert (table[[0, 1, 3]] == 1.0).all() and flat[10] == 1.0
+        assert (table[2] != 1.0).all() and (table[4] != 1.0).all()
+        assert not m[[0, 1, 3]].any()
+        assert (v >= 0).all()
 
     def test_lazy_rows_follow_the_dense_recurrence(self):
         """A touched row moves exactly as a dense block with the same gradient."""
-        lazy = {"emb": np.ones((4, 2))}
-        dense = {"emb": np.ones((1, 2))}
-        s_lazy = AdamState(m={"emb": np.zeros((4, 2))}, v={"emb": np.zeros((4, 2))}, lr=0.1)
-        s_dense = AdamState(m={"emb": np.zeros((1, 2))}, v={"emb": np.zeros((1, 2))}, lr=0.1)
+        lazy, dense = np.ones(8), np.ones(2)  # a 4 x 2 embedding head; a 2-entry MLP tail
+        s_lazy = AdamState(m=np.zeros(8), v=np.zeros(8), lr=0.1)
+        s_dense = AdamState(m=np.zeros(2), v=np.zeros(2), lr=0.1)
         for g in ([0.5, -2.0], [3.0, 0.25]):
             row = np.array([g])
-            adam_step(s_lazy, lazy, Gradients(dense={}, rows={"emb": np.array([3])}, row_grads={"emb": row}))
-            adam_step(s_dense, dense, Gradients(dense={"emb": row}))
-        np.testing.assert_array_equal(lazy["emb"][3], dense["emb"][0])
-        np.testing.assert_array_equal(s_lazy.v["emb"][3], s_dense.v["emb"][0])
-        assert (lazy["emb"][:3] == 1.0).all()
+            adam_step(s_lazy, lazy, Gradients(mlp=np.zeros(0), rows=np.array([3]), row_grads=row))
+            adam_step(s_dense, dense, Gradients(mlp=row[0], rows=np.zeros(0, dtype=np.int64), row_grads=np.zeros((0, 2))))
+        np.testing.assert_array_equal(lazy[6:], dense)
+        np.testing.assert_array_equal(s_lazy.v[6:], s_dense.v)
+        assert (lazy[:6] == 1.0).all()
 
     def test_in_place_update_equals_the_out_of_place_formula(self):
-        """Dense and row blocks, over several steps, bit for bit."""
+        """The dense tail and the embedding rows, over several steps, bit for bit."""
         rng = make_rng(17)
-        shapes = {"emb": (9, 3), "w": (4, 5), "b": (5,)}
-        params = {k: rng.normal(size=s) for k, s in shapes.items()}
-        state = AdamState(m={k: np.zeros(s) for k, s in shapes.items()}, v={k: np.zeros(s) for k, s in shapes.items()})
-        state.lr = 0.05
-        expect = {k: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
+        head, tail = 9 * 3, 4 * 5 + 5  # a 9 x 3 embedding matrix, then an MLP tail
+        flat = rng.normal(size=head + tail)
+        state = AdamState(m=np.zeros_like(flat), v=np.zeros_like(flat), lr=0.05)
+        p, m, v = flat.copy(), np.zeros_like(flat), np.zeros_like(flat)
         for t in range(1, 7):
             rows = np.unique(rng.integers(1, 9, size=5))
-            dense = {k: rng.normal(scale=10.0**t, size=shapes[k]) for k in ("w", "b")}
+            mlp = rng.normal(scale=10.0**t, size=tail)
             row_grads = rng.normal(size=(rows.size, 3))
-            adam_step(state, params, Gradients(dense=dense, rows={"emb": rows}, row_grads={"emb": row_grads}))
-            for name, sel, g in (("w", ..., dense["w"]), ("b", ..., dense["b"]), ("emb", rows, row_grads)):
-                p, m, v = expect[name]
-                p[sel], m[sel], v[sel] = adam_oracle(p[sel], m[sel], v[sel], g, t, state.lr)
-            for name, (p, m, v) in expect.items():
-                for got, want in ((params[name], p), (state.m[name], m), (state.v[name], v)):
-                    assert got.tobytes() == want.tobytes(), (name, t)
+            adam_step(state, flat, Gradients(mlp=mlp, rows=rows, row_grads=row_grads))
+            p[head:], m[head:], v[head:] = adam_oracle(p[head:], m[head:], v[head:], mlp, t, state.lr)
+            pe, me, ve = (a[:head].reshape(9, 3) for a in (p, m, v))
+            pe[rows], me[rows], ve[rows] = adam_oracle(pe[rows], me[rows], ve[rows], row_grads, t, state.lr)
+            for got, want in ((flat, p), (state.m, m), (state.v, v)):
+                assert got.tobytes() == want.tobytes(), t
 
     def test_non_finite_gradient_names_block(self):
-        params, state = self.scalar_setup()
-        with pytest.raises(FloatingPointError, match="'w'"):
-            adam_step(state, params, Gradients(dense={"w": np.array([float("inf")])}))
+        flat, state = self.scalar_setup()
+        with pytest.raises(FloatingPointError, match="in the MLP"):
+            adam_step(state, flat, mlp_grads([float("inf")]))
+        assert flat[0] == 1.0 and state.t == 0
 
     def test_non_finite_row_gradient_names_block(self):
-        params = {"emb": np.ones((3, 1))}
-        state = AdamState(m={"emb": np.zeros((3, 1))}, v={"emb": np.zeros((3, 1))}, lr=0.1)
-        grads = Gradients(dense={}, rows={"emb": np.array([1])}, row_grads={"emb": np.array([[np.nan]])})
-        with pytest.raises(FloatingPointError, match="'emb'"):
-            adam_step(state, params, grads)
-        assert (params["emb"] == 1.0).all() and state.t == 0
+        flat = np.ones(4)
+        state = AdamState(m=np.zeros(4), v=np.zeros(4), lr=0.1)
+        grads = Gradients(mlp=np.zeros(1), rows=np.array([1]), row_grads=np.array([[np.nan]]))
+        with pytest.raises(FloatingPointError, match="in the embedding rows"):
+            adam_step(state, flat, grads)
+        assert (flat == 1.0).all() and state.t == 0
 
 
 def small_dataset(seed=1, impressions=1500, alpha=4.0):
