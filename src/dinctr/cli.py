@@ -286,7 +286,6 @@ def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 _TRAIN_FLAGS = (*_MODEL_KEYS, "epochs", "batch_size", "lr", "l2_lambda", "patience", "split_mode", "val_fraction")
-_CHOICES = {"model": ("din", "base"), "split_mode": ("temporal", "random")}
 _HELP = {  # by (command, key): generate's dataset is an output, the other commands' an input
     ("generate", "dataset"): "output JSONL path",
     ("generate", "metadata"): "output ground-truth JSON path",
@@ -295,7 +294,9 @@ _HELP = {  # by (command, key): generate's dataset is an output, the other comma
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, command: str, keys) -> None:
-    """A flag per run key; an absent flag is None, so the config file's value stands."""
+    """A flag per run key; an absent flag is None, so the config file's value stands.
+    A key that declares its accepted values as choices gets them as the flag's."""
+    choices = {f.name: f.metadata["accepts"] for f in fields(RunConfig) if type(f.metadata.get("accepts")) is tuple}
     for key in keys:
         flag, text = "--" + key.replace("_", "-"), _HELP.get((command, key))
         if key == "timing":
@@ -303,7 +304,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, command: str, keys) -> No
         elif key == "use_user_profile":
             parser.add_argument(flag, action="store_const", const=True, help=text)
         else:
-            parser.add_argument(flag, choices=_CHOICES.get(key), help=text)
+            parser.add_argument(flag, choices=choices.get(key), help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:

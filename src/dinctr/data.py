@@ -15,7 +15,7 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional
 
@@ -104,6 +104,32 @@ def parse_fields(cls, values: dict, where: Optional[str] = None) -> dict:
     return parsed
 
 
+def accepts(spec, default=MISSING):
+    """A dataclass field whose accepted values are declared as ``spec``: a
+    tuple of choices, or an interval such as "[1, 4096]" or "(0, inf)" that
+    a number, or each number of a tuple, must lie in. ``check_fields`` checks it."""
+    return field(default=default, metadata={"accepts": spec})
+
+
+def check_value(key: str, value, spec) -> None:
+    """Raise ValueError naming ``key`` and ``spec`` unless ``value`` is accepted (NaN never is)."""
+    if isinstance(spec, tuple):
+        bad = [] if value in spec else [value]
+    else:
+        lo, hi = (float(end) for end in spec[1:-1].split(","))
+        bad = [v for v in (value if isinstance(value, (tuple, list)) else (value,))
+               if not (lo < v < hi or (v == lo and spec[0] == "[") or (v == hi and spec[-1] == "]"))]
+    if bad:
+        raise ValueError(f"{key} must be in {spec}, got {bad[0]!r}")
+
+
+def check_fields(obj) -> None:
+    """Check each field of dataclass ``obj`` that declares its accepted values with ``accepts``."""
+    for f in fields(obj):
+        if "accepts" in f.metadata:
+            check_value(f.name, getattr(obj, f.name), f.metadata["accepts"])
+
+
 def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``first[r], first[r] + 1, ..., first[r] + counts[r] - 1`` for every row r, concatenated."""
     ends = np.cumsum(counts)
@@ -142,12 +168,6 @@ class Records:
 
     def __len__(self) -> int:
         return int(self.users.shape[0])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Records) and all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name), equal_nan=f.name == "bids")
-            for f in fields(self)
-        )
 
     def take(self, rows) -> "Records":
         """The rows at ``rows`` (an index array or a slice), with their tokens."""
@@ -193,9 +213,6 @@ class Vocabulary:
 
     def decode(self, index: int) -> str:
         return self._tokens[index]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
 
 
 def build_vocab(records: Records) -> tuple[Vocabulary, Vocabulary]:
@@ -295,12 +312,8 @@ def encode(
     return EncodedBatch(ad_idx, behavior_idx, records.labels.astype(np.float64), user_idx), stats
 
 
-def check_split(mode: str, fraction: float) -> None:
-    """Raise ValueError unless ``split`` accepts ``mode`` and ``fraction``."""
-    if mode not in ("temporal", "random"):
-        raise ValueError(f"split_mode must be 'temporal' or 'random', got {mode!r}")
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"validation fraction must be in (0, 1), got {fraction}")
+# split()'s accepted modes and validation fractions, RunConfig's split_mode and val_fraction.
+SPLIT_MODES, VAL_FRACTIONS = ("temporal", "random"), "(0, 1)"
 
 
 def split(records: Records, mode: str, fraction: float, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +323,8 @@ def split(records: Records, mode: str, fraction: float, seed: int = 0) -> tuple[
     validation. random: seeded shuffle, then the same tail split. Each
     record lands on exactly one side.
     """
-    check_split(mode, fraction)
+    check_value("split_mode", mode, SPLIT_MODES)
+    check_value("val_fraction", fraction, VAL_FRACTIONS)
     n = len(records)
     n_val = int(round(n * fraction))
     if n_val < 1 or n_val >= n:

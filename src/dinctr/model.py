@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .data import PAD_INDEX, EncodedBatch, Vocabulary, atomic_open, fields_dict, parse_fields
+from .data import PAD_INDEX, EncodedBatch, Vocabulary, accepts, atomic_open, check_fields, fields_dict, parse_fields
 from .numerics import sigmoid
 
 # predict() scores at most this many rows per forward pass, so the memory
@@ -37,24 +37,17 @@ PREDICT_CHUNK_ROWS = 4096
 class ModelConfig:
     """The checkpoint's model schema, checked when made; a run's comes from ``RunConfig.model_config``."""
 
-    item_vocab: int
-    user_vocab: int
-    dim: int
-    hidden: tuple[int, ...]
-    max_seq_len: int
-    temperature: float
+    item_vocab: int = accepts("[2, 16777216]")  # the two reserved indices included
+    user_vocab: int = accepts("[2, 16777216]")
+    dim: int = accepts("[1, 1024]")
+    hidden: tuple[int, ...] = accepts("[1, 32768]")  # each layer's width
+    max_seq_len: int = accepts("[1, 4096]")
+    temperature: float = accepts("(0, inf)")
     use_attention: bool
     use_user_profile: bool
 
     def __post_init__(self) -> None:
-        if self.item_vocab < 2 or self.user_vocab < 2:
-            raise ValueError("vocab sizes must include the reserved indices (>= 2)")
-        if self.dim < 1 or self.max_seq_len < 1:
-            raise ValueError("dim and max_seq_len must be positive")
-        if any(h < 1 for h in self.hidden):
-            raise ValueError("hidden widths must be positive")
-        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
-            raise ValueError(f"temperature must be a finite number > 0, got {self.temperature!r}")
+        check_fields(self)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Each parameter's shape, in the model's parameter order."""

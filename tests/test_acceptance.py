@@ -25,6 +25,7 @@ from dinctr.config import RunConfig
 from dinctr.model import init_model, load_checkpoint, save_checkpoint
 from dinctr.numerics import make_rng
 from dinctr.optim import AdamState, Gradients, adam_step, train
+from helpers import same_records
 
 SEEDS = (1, 2, 3)
 EXPERIMENT = {
@@ -364,7 +365,7 @@ def test_criterion_10_round_trips(tmp_path, capsys):
     records, _ = D.generate_synthetic(RunConfig(num_users=20, num_items=15, impressions=300, seed=13))
     path = tmp_path / "roundtrip.jsonl"
     D.save_jsonl(records, path)
-    jsonl_ok = D.load_jsonl(path) == records
+    jsonl_ok = same_records(D.load_jsonl(path), records)
 
     cfg = RunConfig(num_users=20, num_items=15)
     users, items = D.build_vocab(records)

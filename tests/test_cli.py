@@ -20,8 +20,9 @@ import pytest
 
 from dinctr.cli import build_parser, main
 from dinctr.config import RunConfig
-from dinctr.data import Records, encode, parse_fields
-from dinctr.model import DinModel, ModelConfig, load_checkpoint, save_checkpoint
+from dinctr.data import Records, Vocabulary, encode, parse_fields
+from dinctr.model import DinModel, ModelConfig, init_model, load_checkpoint, save_checkpoint
+from dinctr.numerics import make_rng
 
 TINY = {
     "num_users": 40,
@@ -114,7 +115,7 @@ class TestGenerate:
         code, out, err = run_cli(capsys, "generate", "--config", config, "--dataset", str(tmp_path / "d.jsonl"),
                                  "--metadata", str(metadata))
         assert code != 0 and out == ""
-        assert key in err and "must be finite" in err
+        assert f"{key} must be in " in err
         assert not metadata.exists()
 
 
@@ -170,7 +171,7 @@ class TestStrictConfigValues:
         config = write_config(tmp_path, **{key: value})
         code, out, err = run_cli(capsys, "train", "--config", config, "--dataset", str(tmp_path / "absent.jsonl"))
         assert code != 0 and out == ""
-        assert f"{key} must be a finite number" in err
+        assert f"{key} must be in " in err
 
     @pytest.mark.parametrize("value", [None, ["a"], 7])
     def test_non_string_path_rejected(self, tmp_path, capsys, monkeypatch, value):
@@ -198,7 +199,7 @@ class TestStrictConfigValues:
         code, out, err = run_cli(capsys, "train", "--config", write_config(tmp_path), "--val-fraction", value,
                                  "--dataset", str(tmp_path / "missing.jsonl"))
         assert code != 0 and out == ""
-        assert err == f"error: validation fraction must be in (0, 1), got {float(value)}\n"
+        assert err == f"error: val_fraction must be in (0, 1), got {float(value)}\n"
 
     @pytest.mark.parametrize("command", ["generate", "train"])
     @pytest.mark.parametrize("source", ["flag", "file"])
@@ -213,7 +214,7 @@ class TestStrictConfigValues:
                  "train": ("--dataset", "d.jsonl", "--checkpoint", "m.ckpt", "--history", "h.csv")}[command]
         flag = ("--seed", "-2") if source == "flag" else ()
         code, out, err = run_cli(capsys, command, "--config", config, *flag, *paths)
-        assert (code, out, err) == (1, "", "error: seed must be >= 0, got -2\n")
+        assert (code, out, err) == (1, "", "error: seed must be in [0, inf), got -2\n")
         assert sorted(os.listdir(tmp_path)) == ["config.json", "d.jsonl", "m.json"]
 
     @pytest.mark.parametrize(
@@ -254,6 +255,37 @@ class TestStrictConfigValues:
             echoes.append(json.loads(out)["config"])
         assert echoes[0] == echoes[1]
         assert json.dumps(echoes[0]["num_users"]) == "40" and json.dumps(echoes[0]["signal_strength"]) == "4.0"
+
+
+class TestSizeCaps:
+    """A size key past its cap used to end in NumPy's own message, naming
+    neither the key nor the file, or (epochs) loop without end."""
+
+    @pytest.mark.parametrize("key", ["num_users", "num_items", "num_clusters", "behaviors_min", "behaviors_max",
+                                     "impressions", "epochs", "dim", "hidden", "max_seq_len"])
+    def test_size_key_of_2_to_the_70_names_key(self, tmp_path, capsys, key):
+        # The missing dataset ends an accepted config's run before anything is allocated.
+        config = write_config(tmp_path, **{key: [2**70] if key == "hidden" else 2**70})
+        code, out, err = run_cli(capsys, "train", "--config", config, "--dataset", str(tmp_path / "missing.jsonl"))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {key} must be in [1, ") and err.endswith(f"], got {2**70}\n")
+
+    @pytest.mark.parametrize("command", [["predict", "--input"], ["rank", "--candidates"], ["eval", "--dataset"]])
+    def test_header_max_seq_len_of_2_to_the_70_names_path_and_key(self, tmp_path, capsys, command):
+        """max_seq_len sets no array shape, so the header used to load."""
+        config = ModelConfig(item_vocab=12, user_vocab=5, dim=3, hidden=(4,), max_seq_len=5, temperature=1.0,
+                             use_attention=True, use_user_profile=False)
+        path = tmp_path / "long.ckpt"
+        save_checkpoint(init_model(config, make_rng(5, stream=1)), Vocabulary(["u1", "u2", "u3"]),
+                        Vocabulary([f"i{k}" for k in range(10)]), path)
+        raw = path.read_bytes()
+        start = raw.index(b"\n") + 1
+        end = raw.index(b"\n", start)
+        header = json.loads(raw[start:end])
+        header["config"]["max_seq_len"] = 2**70
+        path.write_bytes(raw[:start] + json.dumps(header).encode() + raw[end:])
+        code, out, err = run_cli(capsys, command[0], "--checkpoint", str(path), command[1], str(tmp_path / "in.jsonl"))
+        assert (code, out, err) == (1, "", f"error: {path}: max_seq_len must be in [1, 4096], got {2**70}\n")
 
 
 class TestTrain:

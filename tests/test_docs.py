@@ -2,7 +2,11 @@
 leave it stale."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from dinctr.config import RunConfig
+from dinctr.model import ModelConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +21,10 @@ def test_library_use_block_runs(capsys):
     exec(compile(python_block("Library use"), "README.md", "exec"), {})
     out = capsys.readouterr().out.split()
     assert len(out) == 2 and all(0.0 <= float(v) <= 1.0 for v in out)
+
+
+def test_accepted_values_table_matches_the_declarations():
+    table = dict(re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", README.read_text(encoding="utf-8"), re.M))
+    declared = {f.name: str(f.metadata["accepts"]) for cls in (RunConfig, ModelConfig) for f in fields(cls)
+                if "accepts" in f.metadata}
+    assert table == declared

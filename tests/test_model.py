@@ -734,10 +734,10 @@ class TestCheckpoint:
             (lambda h: {**h, "config": []}, "checkpoint header has no config object"),
             (lambda h: without(h, "user_tokens"), "user_tokens must"),
             (lambda h: [h], "corrupt checkpoint header (not a JSON object)"),
-            (with_config(temperature=0.0), "temperature must be a finite number > 0, got 0.0"),
-            (with_config(dim=0), "dim and max_seq_len must be positive"),
-            (with_config(hidden=[0]), "hidden widths must be positive"),
-            (with_config(item_vocab=1), "vocab sizes must include the reserved indices (>= 2)"),
+            (with_config(temperature=0.0), "temperature must be in (0, inf), got 0.0"),
+            (with_config(dim=0), "dim must be in [1, 1024], got 0"),
+            (with_config(hidden=[0]), "hidden must be in [1, 32768], got 0"),
+            (with_config(item_vocab=1), "item_vocab must be in [2, 16777216], got 1"),
         ],
         ids=["no-manifest", "no-config-dim", "list-config", "no-user-tokens", "list-header",
              "temperature-0", "dim-0", "hidden-0", "item-vocab-1"],
