@@ -49,8 +49,9 @@ def _open_output(path: str):
 
 
 def _write_json(path: str, obj: dict) -> None:
+    """JSON has no NaN or infinity (RFC 8259), so ``obj`` holding one raises before anything is written."""
     with _open_output(path) as fh:
-        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        fh.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: str, rows) -> None:
@@ -60,6 +61,14 @@ def _write_csv(path: str, rows) -> None:
 
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _predict(model, batch: D.EncodedBatch, checkpoint: str) -> np.ndarray:
+    """``model.predict``, with a non-finite probability blamed on the checkpoint."""
+    try:
+        return model.predict(batch)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{checkpoint}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +144,7 @@ def _scored_config(cfg: RunConfig, args: argparse.Namespace, stored: ModelConfig
 
 
 def _single_eval(cfg: RunConfig, which: str, model, user_vocab, batch) -> dict:
-    probs = model.predict(batch)
+    probs = _predict(model, batch, cfg.checkpoint)
     by_impressions = M.gauc(probs, batch.labels, batch.user_idx, "impressions")
     by_clicks = M.gauc(probs, batch.labels, batch.user_idx, "clicks")
     groups = zip(by_impressions.keys.tolist(), by_impressions.weights.tolist(), by_impressions.aucs.tolist())
@@ -209,7 +218,7 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     model, user_vocab, item_vocab, _ = load_checkpoint(cfg.checkpoint)
     records = D.load_jsonl(args.input, require_label=False)
     batch, _ = D.encode(records, user_vocab, item_vocab, model.config.max_seq_len)
-    probs = model.predict(batch).tolist() if len(records) else []
+    probs = _predict(model, batch, cfg.checkpoint).tolist() if len(records) else []
     users, ads = map(D.json_str, records.users), map(D.json_str, records.items[records.starts])
     with _open_output(args.output) as out:
         out.write("".join(map(_PREDICT_LINE.__mod__, zip(users, ads, probs))))
@@ -241,7 +250,7 @@ def cmd_rank(cfg: RunConfig, args: argparse.Namespace) -> int:
     context = D.Records.of([user_id], ["", *behaviors], [len(behaviors)], [0], [0], [np.nan])
     batch = D.encode(context, user_vocab, item_vocab, model.config.max_seq_len)[0].take(np.zeros(len(ads), dtype=int))
     batch.ad_idx = item_vocab.lookup(ads)
-    probs, bids = model.predict(batch), np.array(bids)
+    probs, bids = _predict(model, batch, cfg.checkpoint), np.array(bids)
     # Positional, ad ids first: the benchmark's tracer counts candidates as len(args[0]).
     order, ecpm = M.rank_ads(ads, bids, probs)
     ids = map(D.json_str, map(ads.__getitem__, order.tolist()))

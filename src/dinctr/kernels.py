@@ -6,8 +6,11 @@ Shapes: behaviors (B, T, d), ads (B, d), masks (B, T) bool, weights/scores
 slots are left as computed: ``masked_softmax`` replaces them. Every result
 is bit-for-bit reproducible.
 
-The MLP matmuls are not here: NumPy already dispatches those to native
-BLAS.
+The four contractions over T or d are batched ``matmul`` calls, one
+matrix-vector product per row, so a row's result does not depend on the
+other rows of its batch: a row scored alone has the bits it has inside a
+4,096-row batch. The MLP matmuls are not here: NumPy already dispatches
+those to native BLAS.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 
 def attention_scores(behav, ad, inv_temp):
-    return np.einsum("btd,bd->bt", behav, ad) * inv_temp
+    return (behav @ ad[:, :, None])[:, :, 0] * inv_temp
 
 
 def masked_softmax(scores, mask):
@@ -32,13 +35,13 @@ def uniform_weights(mask):
 
 
 def weighted_pool(behav, weights):
-    return np.einsum("bt,btd->bd", weights, behav)
+    return (weights[:, None, :] @ behav)[:, 0, :]
 
 
 def pool_backward(behav, dpooled):
     """dLoss/dweights; the behavior gradient, weights * dpooled, is built by
     the caller on the live slots only."""
-    return np.einsum("bd,btd->bt", dpooled, behav)
+    return (behav @ dpooled[:, :, None])[:, :, 0]
 
 
 def softmax_backward(weights, dweights):
@@ -51,4 +54,4 @@ def scores_backward(behav, dscores, inv_temp):
     and dLoss/dad; the caller builds the behavior gradient ds * ad on the
     live slots only."""
     ds = dscores * inv_temp
-    return ds, np.einsum("bt,btd->bd", ds, behav)
+    return ds, (ds[:, None, :] @ behav)[:, 0, :]

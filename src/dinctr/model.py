@@ -42,7 +42,7 @@ class ModelConfig:
     dim: int = accepts("[1, 1024]")
     hidden: tuple[int, ...] = accepts("[1, 32768]")  # each layer's width
     max_seq_len: int = accepts("[1, 4096]")
-    temperature: float = accepts("(0, inf)")
+    temperature: float = accepts("[1e-308, inf)")  # 1 / temperature, the attention's scale, stays finite
     use_attention: bool
     use_user_profile: bool
 
@@ -113,16 +113,24 @@ class Gradients:
     row_grads: np.ndarray
 
 
-def _sum_rows(idx: np.ndarray, cols: np.ndarray, pads: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the rows that share an index in ``idx``; ``cols`` holds the rows
-    column-major, shape (d, len(idx)).
+def _sum_rows(idx: np.ndarray, cols: np.ndarray, pads: tuple[int, int], n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the rows that share an index in ``idx``, each in [0, ``n_rows``);
+    ``cols`` holds the rows column-major, shape (d, len(idx)).
 
     Returns the sorted distinct indices without the two ``pads`` and their sums,
-    shape (rows, d). ``bincount`` adds each cell's contributions in input
+    shape (rows, d). A table with no more rows than ``idx`` has entries is
+    read by one presence pass over its ``n_rows`` flags, O(n_rows); a larger
+    one by the sort in ``np.unique``, O(len(idx) log len(idx)), which does
+    not touch the table. ``bincount`` adds each cell's contributions in input
     order, starting from 0.0, exactly as ``np.add.at`` into a zeroed table
-    does, so the sums are bit-identical to that dense scatter.
+    does, so either way the sums are bit-identical to that dense scatter.
     """
-    rows, inv = np.unique(idx, return_inverse=True)
+    if n_rows <= idx.size:
+        present = np.zeros(n_rows, dtype=bool)
+        present[idx] = True
+        rows, inv = present.nonzero()[0], (present.cumsum() - 1).take(idx)
+    else:
+        rows, inv = np.unique(idx, return_inverse=True)
     sums = np.stack([np.bincount(inv, weights=col, minlength=rows.size) for col in cols], axis=1)
     keep = (rows != pads[0]) & (rows != pads[1])
     return (rows, sums) if keep.all() else (rows[keep], sums[keep])
@@ -131,8 +139,11 @@ def _sum_rows(idx: np.ndarray, cols: np.ndarray, pads: tuple[int, int]) -> tuple
 class DinModel:
     """Embedding tables plus MLP head; attention toggled by config. Every
     parameter lives in ``flat``, one float64 vector in ``param_shapes``
-    order; ``params`` holds read-only named views of it, and ``emb`` views
-    its head as one matrix: the item rows, then the user rows."""
+    order; ``params`` holds named views of it, and ``emb`` views its head as
+    one matrix: the item rows, then the user rows. The views are writable,
+    so ``params["w0"] *= 2`` scales the weights in ``flat``; only rebinding
+    a name (``params["w0"] = x``) raises, and it raises after an augmented
+    assignment has already written the view in place."""
 
     def __init__(self, config: ModelConfig, flat: np.ndarray):
         c = self.config = config
@@ -162,7 +173,7 @@ class DinModel:
 
     # -- forward ----------------------------------------------------------
 
-    def _validate_batch(self, batch: EncodedBatch) -> np.ndarray:
+    def validate_batch(self, batch: EncodedBatch) -> np.ndarray:
         """Check ``batch`` against this model and return its mask."""
         c = self.config
         width = batch.behavior_idx.shape[1]
@@ -182,13 +193,16 @@ class DinModel:
             raise ValueError(f"batch row {int(np.argmin(live))} has no live behavior slot in its mask")
         return mask
 
-    def forward(self, batch: EncodedBatch) -> tuple[np.ndarray, ForwardCache]:
-        """Per-record click probabilities plus cached intermediates."""
-        mask = self._validate_batch(batch)
+    def forward(self, batch: EncodedBatch, *, checked: bool = False) -> tuple[np.ndarray, ForwardCache]:
+        """Per-record click probabilities plus cached intermediates.
+        ``checked`` skips ``validate_batch``: its callers (``predict`` and
+        ``optim.train``) have run it on the whole batch this one is cut from."""
+        mask = batch.mask if checked else self.validate_batch(batch)
         c = self.config
+        n_layers = self.n_layers
         item = self.params["item_emb"]
-        behav = np.take(item, batch.behavior_idx, axis=0)  # (B, T, d) gather
-        ad = np.take(item, batch.ad_idx, axis=0)  # (B, d)
+        behav = item.take(batch.behavior_idx, axis=0)  # (B, T, d) gather
+        ad = item.take(batch.ad_idx, axis=0)  # (B, d)
         if c.use_attention:
             scores = kernels.attention_scores(behav, ad, 1.0 / c.temperature)
             weights = kernels.masked_softmax(scores, mask)
@@ -198,16 +212,16 @@ class DinModel:
 
         blocks = [pooled, ad, pooled * ad]
         if c.use_user_profile:
-            blocks.append(np.take(self.params["user_emb"], batch.user_idx, axis=0))
+            blocks.append(self.params["user_emb"].take(batch.user_idx, axis=0))
         h = np.concatenate(blocks, axis=1)  # the MLP input
 
         pre_acts: list[np.ndarray] = []
         post_acts: list[np.ndarray] = []
-        for i in range(self.n_layers):
+        for i in range(n_layers):
             post_acts.append(h)
             z = h @ self.params[f"w{i}"] + self.params[f"b{i}"]
             pre_acts.append(z)
-            if i < self.n_layers - 1:
+            if i < n_layers - 1:
                 h = np.maximum(z, 0.0)
         logits = pre_acts[-1][:, 0]
         probs = sigmoid(logits)
@@ -230,14 +244,26 @@ class DinModel:
         own row only in exact arithmetic: the MLP's matrix products can round
         a row differently with its chunk's row count (on OpenBLAS, in chunks
         under 4 rows), so this equals ``forward(batch)[0]`` to the last bits.
+
+        Raises FloatingPointError on a non-finite probability. Finite
+        parameters large enough to overflow the attention scores or the MLP
+        make one: that error, not a NaN score, is the contract, and the
+        overflow raises no RuntimeWarning of its own.
         """
-        self._validate_batch(batch)  # errors name rows of the whole batch
-        return np.concatenate(
-            [
-                self.forward(batch.take(slice(start, start + PREDICT_CHUNK_ROWS)))[0]
-                for start in range(0, max(len(batch), 1), PREDICT_CHUNK_ROWS)
-            ]
-        )
+        self.validate_batch(batch)  # errors name rows of the whole batch
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
+            probs = np.concatenate(
+                [
+                    self.forward(batch.take(slice(start, start + PREDICT_CHUNK_ROWS)), checked=True)[0]
+                    for start in range(0, max(len(batch), 1), PREDICT_CHUNK_ROWS)
+                ]
+            )
+        finite = np.isfinite(probs)
+        if not finite.all():
+            row = int(finite.argmin())
+            raise FloatingPointError(f"non-finite click probability {probs[row]} at batch row {row}: the "
+                                     "parameters are not finite or overflow the forward pass")
+        return probs
 
     # -- backward ---------------------------------------------------------
 
@@ -261,13 +287,13 @@ class DinModel:
             raise ValueError(f"upstream gradient shape {dprobs.shape} != ({B},)")
 
         mlp = np.empty(self.flat.size - self.emb.size)
-        views = self.mlp_views(mlp)
         p = cache.probs
         dlogit = dprobs * p * (1.0 - p)
         g = dlogit[:, None]
         for i in range(self.n_layers - 1, -1, -1):
-            np.matmul(cache.post_acts[i].T, g, out=views[f"w{i}"])
-            g.sum(axis=0, out=views[f"b{i}"])
+            (_, w, shape), (_, b, _) = self._mlp[2 * i : 2 * i + 2]
+            np.matmul(cache.post_acts[i].T, g, out=mlp[w].reshape(shape))
+            g.sum(axis=0, out=mlp[b])
             g = g @ self.params[f"w{i}"].T
             if i > 0:
                 g = g * (cache.pre_acts[i - 1] > 0.0)
@@ -279,23 +305,24 @@ class DinModel:
         # Each live slot's behavior gradient, w * dpooled (+ ds * ad), is
         # built on the live slots only (padded slots are never looked up),
         # column-major, so every product runs along the slots.
-        live = np.flatnonzero(cache.mask)
+        live = cache.mask.ravel().nonzero()[0]
         row = live // cache.mask.shape[1]
-        dbehav = np.take(dpooled.T, row, axis=1) * np.take(cache.weights, live)
+        dbehav = dpooled.T.take(row, axis=1) * cache.weights.take(live)
         if c.use_attention:
             dweights = kernels.pool_backward(cache.behav_emb, dpooled)
             dscores = kernels.softmax_backward(cache.weights, dweights)
             ds, dad_att = kernels.scores_backward(cache.behav_emb, dscores, 1.0 / c.temperature)
-            dbehav += np.take(cache.ad_emb.T, row, axis=1) * np.take(ds, live)
+            dbehav += cache.ad_emb.T.take(row, axis=1) * ds.take(live)
             dad = dad + dad_att
 
         # One row space: a user's row in ``emb`` is item_vocab + its index.
-        idx, cols = [np.take(batch.behavior_idx, live), batch.ad_idx], [dbehav, dad.T]
+        idx, cols = [batch.behavior_idx.take(live), batch.ad_idx], [dbehav, dad.T]
         if c.use_user_profile:
             idx.append(batch.user_idx + c.item_vocab)
             cols.append(dx[:, 3 * d :].T)
         pads = (PAD_INDEX, c.item_vocab + PAD_INDEX)
-        return Gradients(mlp, *_sum_rows(np.concatenate(idx), np.concatenate(cols, axis=1), pads))
+        rows = _sum_rows(np.concatenate(idx), np.concatenate(cols, axis=1), pads, self.emb.shape[0])
+        return Gradients(mlp, *rows)
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator) -> DinModel:
@@ -388,6 +415,13 @@ def load_checkpoint(path) -> tuple[DinModel, Vocabulary, Vocabulary, Optional[di
         flat = np.empty(nbytes // 8, dtype="<f8")
         if fh.readinto(flat.view(np.uint8)) != nbytes:
             raise ValueError(f"{path}: truncated checkpoint payload")
+    finite = np.isfinite(flat)
+    if not finite.all():
+        at, end = int(finite.argmin()), 0
+        for name, shape in shapes.items():
+            end += math.prod(shape)
+            if at < end:
+                raise ValueError(f"{path}: non-finite value {flat[at]} in {name} of the checkpoint payload")
     model = DinModel(config, flat)
     user_vocab = _checkpoint_vocab(path, header, "user", config.user_vocab)
     item_vocab = _checkpoint_vocab(path, header, "item", config.item_vocab)

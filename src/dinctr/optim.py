@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import astuple, dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -30,11 +31,12 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def l2_penalty(model: DinModel, lam: float, grads: Gradients) -> float:
+def l2_penalty(model: DinModel, lam: float, grads: Gradients, *, value: bool = True) -> Optional[float]:
     """lam * sum(w^2) over MLP weights and batch-touched embedding rows.
 
     The matching contribution 2*lam*w is added to ``grads`` in place;
-    touched rows come from ``grads.rows``.
+    touched rows come from ``grads.rows``. With ``value=False`` only the
+    gradient is folded in, the sums are skipped and None is returned.
     """
     if lam < 0.0:
         raise ValueError("l2 lambda must be >= 0")
@@ -44,22 +46,29 @@ def l2_penalty(model: DinModel, lam: float, grads: Gradients) -> float:
     dense = model.mlp_views(grads.mlp)
     for i in range(model.n_layers):
         w = model.params[f"w{i}"]
-        penalty += float(np.sum(w * w))
+        if value:
+            penalty += float((w * w).sum())
         dense[f"w{i}"] += 2.0 * lam * w
     if grads.rows.size:
-        sub = np.take(model.emb, grads.rows, axis=0)
-        penalty += float(np.sum(sub * sub))
+        sub = model.emb.take(grads.rows, axis=0)
+        if value:
+            penalty += float((sub * sub).sum())
         grads.row_grads += 2.0 * lam * sub
-    return lam * penalty
+    return lam * penalty if value else None
 
 
-def objective(model: DinModel, batch: EncodedBatch, l2_lambda: float) -> tuple[float, float, Gradients]:
+def objective(model: DinModel, batch: EncodedBatch, l2_lambda: float, *,
+              training: bool = False) -> tuple[float, Optional[float], Gradients]:
     """A training step's (bce, penalty, grads): forward, mean BCE, backward,
-    then ``l2_penalty``, whose gradient is folded into ``grads``."""
-    probs, cache = model.forward(batch)
+    then ``l2_penalty``, whose gradient is folded into ``grads``.
+
+    ``training=True`` is ``train``'s call on a minibatch of the training set
+    it has checked whole: the forward pass skips the batch checks, and the
+    penalty, which ``train`` does not report, is not summed (None)."""
+    probs, cache = model.forward(batch, checked=training)
     loss, dprobs = bce_loss(probs, batch.labels)
     grads = model.backward(cache, dprobs)
-    return loss, l2_penalty(model, l2_lambda, grads), grads
+    return loss, l2_penalty(model, l2_lambda, grads, value=not training), grads
 
 
 def check_gradients(model: DinModel, batch: EncodedBatch, l2_lambda: float = 0.0, eps: float = 1e-5) -> float:
@@ -102,10 +111,14 @@ def adam_step(state: AdamState, flat: np.ndarray, grads: Gradients) -> None:
     head = flat.size - grads.mlp.size
     _adam_update(flat[head:], state.m[head:], state.v[head:], grads.mlp, state.lr, bc1, bc2)
     if grads.rows.size:
-        p, m, v = (a[:head].reshape(-1, grads.row_grads.shape[1]) for a in (flat, state.m, state.v))
-        # np.take gathers rows far faster than fancy indexing on a large matrix.
-        p_rows, m_rows, v_rows = (np.take(a, grads.rows, axis=0) for a in (p, m, v))
-        _adam_update(p_rows, m_rows, v_rows, grads.row_grads, state.lr, bc1, bc2)
+        # Each embedding row is viewed as one np.void element, so a row is
+        # gathered and scattered as one copy, not as d float copies.
+        g = grads.row_grads
+        row = np.dtype((np.void, g.itemsize * g.shape[1]))
+        p, m, v = flat[:head].view(row), state.m[:head].view(row), state.v[:head].view(row)
+        p_rows, m_rows, v_rows = p.take(grads.rows), m.take(grads.rows), v.take(grads.rows)
+        _adam_update(p_rows.view(np.float64), m_rows.view(np.float64), v_rows.view(np.float64), g.ravel(),
+                     state.lr, bc1, bc2)
         p[grads.rows], m[grads.rows], v[grads.rows] = p_rows, m_rows, v_rows
 
 
@@ -163,6 +176,7 @@ def train(
         raise ValueError("empty training set")
     if len(val_batch) == 0:
         raise ValueError("empty validation set")
+    model.validate_batch(train_batch)  # once, so each minibatch skips it
     state = AdamState(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat), lr=config.lr)
     shuffle_rng = make_rng(config.seed, stream=2)
     history: list[EpochStats] = []
@@ -176,7 +190,7 @@ def train(
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             mb = train_batch.take(order[start : start + config.batch_size])
-            loss, _, grads = objective(model, mb, config.l2_lambda)
+            loss, _, grads = objective(model, mb, config.l2_lambda, training=True)
             adam_step(state, model.flat, grads)
             loss_sum += loss * len(mb)
         val_probs = model.predict(val_batch)

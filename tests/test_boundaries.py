@@ -6,9 +6,10 @@ exactly one ``error:`` line on stderr and nothing on stdout, and that line
 names the key exactly when the table below rejects the value; otherwise it
 reports the missing dataset, which ends every accepted run before any data
 is read, so no case allocates or loops on the value it checks. Each
-numeric model key goes through a checkpoint header: ``ctr predict`` exits 0,
-or exits 1 with one error line naming the file, and the key too when the
-table rejects the value.
+numeric model key goes through a checkpoint header: ``ctr predict`` exits 0
+with lines that strict JSON reads and probabilities in [0, 1], or exits 1
+with one error line naming the file, and the key too when the table
+rejects the value.
 
 The table is written out here, not read from the declarations in
 ``config.py`` and ``model.py``, so a declaration that drifts fails.
@@ -56,7 +57,7 @@ FLOAT_KEYS = {
     "cluster_concentration": (0.0, 1.0, False, True),
     "lr": (0.0, INF, False, False),
     "l2_lambda": (0.0, INF, True, False),
-    "temperature": (0.0, INF, False, False),
+    "temperature": (1e-308, INF, True, False),
 }
 RUN_KEYS = INTEGER_KEYS | FLOAT_KEYS
 HEADER_KEYS = {
@@ -166,6 +167,10 @@ def checkpoint(workdir):
     return raw[:start], json.loads(raw[start:end]), raw[end:], str(inputs)
 
 
+def reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 def check_header(workdir, checkpoint, key: str, value) -> None:
     magic, header, payload, inputs = checkpoint
     path = workdir / "edited.ckpt"
@@ -174,6 +179,8 @@ def check_header(workdir, checkpoint, key: str, value) -> None:
     code, out, err = run(["predict", "--checkpoint", str(path), "--input", inputs])
     if code == 0:
         assert err == "" and len(out.splitlines()) == 2
+        for line in out.splitlines():
+            assert 0.0 <= json.loads(line, parse_constant=reject_constant)["p"] <= 1.0, line
         return
     assert (code, out) == (1, "") and err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1, err
     if not accepted(key, value):

@@ -288,6 +288,73 @@ class TestSizeCaps:
         assert (code, out, err) == (1, "", f"error: {path}: max_seq_len must be in [1, 4096], got {2**70}\n")
 
 
+class TestNonFiniteOutput:
+    """JSON has no NaN. Three checkpoints used to make predict and eval exit
+    0 with NaN probabilities and scores in their output, and rank blamed a
+    candidate for the checkpoint's NaN."""
+
+    COMMANDS = ("predict", "eval", "rank")
+
+    def run(self, pipeline, capsys, command, ck):
+        if command == "predict":
+            return run_cli(capsys, "predict", "--checkpoint", ck, "--input", pipeline["dataset"])
+        if command == "eval":
+            return run_cli(capsys, "eval", "--config", pipeline["config"], "--dataset", pipeline["dataset"],
+                           "--checkpoint", ck)
+        candidates = pipeline["tmp_path"] / "cands.jsonl"
+        candidates.write_text('{"ad_id": "i1", "bid": 1.0}\n{"ad_id": "i2", "bid": 2.0}\n')
+        return run_cli(capsys, "rank", "--checkpoint", ck, "--candidates", str(candidates))
+
+    def edited(self, pipeline, name, edit):
+        """din.ckpt with ``edit(model)`` applied, saved as ``name``."""
+        model, users, items, run_config = load_checkpoint(pipeline["checkpoints"]["din"][0])
+        edit(model)
+        path = str(pipeline["tmp_path"] / name)
+        save_checkpoint(model, users, items, path, run_config=run_config)
+        return path
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_nan_output_bias_does_not_load(self, pipeline, capsys, command):
+        def nan_bias(model):
+            model.flat[-1] = np.nan  # the payload's last value
+
+        path = self.edited(pipeline, "nan.ckpt", nan_bias)
+        code, out, err = self.run(pipeline, capsys, command, path)
+        assert (code, out, err) == (1, "", f"error: {path}: non-finite value nan in b2 of the checkpoint payload\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_overflowing_attention_names_the_checkpoint(self, pipeline, capsys, command):
+        """Item rows x 1e160 are finite, but the attention scores overflow."""
+        def scale(model):
+            model.params["item_emb"][...] *= 1e160
+
+        path = self.edited(pipeline, "huge_rows.ckpt", scale)
+        code, out, err = self.run(pipeline, capsys, command, path)
+        assert (code, out) == (1, "") and len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: {path}: non-finite click probability nan at batch row 0"), err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_temperature_below_its_end_names_the_file_and_key(self, pipeline, capsys, command):
+        """temperature 5e-324 made 1 / temperature infinite, and every probability NaN."""
+        path = pipeline["tmp_path"] / "cold.ckpt"
+        raw = Path(pipeline["checkpoints"]["din"][0]).read_bytes()
+        start = raw.index(b"\n") + 1
+        end = raw.index(b"\n", start)
+        header = json.loads(raw[start:end])
+        header["config"]["temperature"] = 5e-324
+        path.write_bytes(raw[:start] + json.dumps(header).encode() + raw[end:])
+        code, out, err = self.run(pipeline, capsys, command, str(path))
+        assert (code, out, err) == (1, "", f"error: {path}: temperature must be in [1e-308, inf), got 5e-324\n")
+
+    def test_json_writer_rejects_nan_and_writes_nothing(self, tmp_path):
+        from dinctr.cli import _write_json
+
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_json(str(path), {"log_loss": float("nan")})
+        assert not path.exists()
+
+
 class TestTrain:
     def test_history_has_one_row_per_epoch(self, pipeline):
         _, hist = pipeline["checkpoints"]["din"]

@@ -128,9 +128,9 @@ class TestPredict:
         sizes = []
         forward = DinModel.forward
 
-        def spy(self, b):
+        def spy(self, b, **kwargs):
             sizes.append(len(b))
-            return forward(self, b)
+            return forward(self, b, **kwargs)
 
         monkeypatch.setattr(DinModel, "forward", spy)
         got = model.predict(batch)
@@ -344,6 +344,33 @@ class TestBackward:
         probs, cache = model.forward(batch)
         _, dprobs = bce_loss(probs, batch.labels)
         assert_matches_dense_oracle(model, cache, dprobs, model.backward(cache, dprobs))
+
+    @pytest.mark.parametrize("use_attention", [True, False])
+    def test_row_sums_are_the_same_on_either_side_of_the_presence_threshold(self, use_attention):
+        """``_sum_rows`` finds the looked-up rows of a table with no more rows
+        than lookups by presence flags, and of a larger table by a sort. The
+        same model with 1,000 more item rows, never looked up, takes the sort:
+        its gradients hold the same bytes, the user rows 1,000 further on."""
+        small = tiny_config(use_attention=use_attention, dim=4, hidden=(6,), item_vocab=9, max_seq_len=7)
+        small.use_user_profile = True
+        model = init_model(small, make_rng(34, stream=1))
+        big = DinModel(
+            ModelConfig(**{**small.to_dict(), "item_vocab": 1009, "hidden": tuple(small.hidden)}),
+            np.concatenate([model.flat[: 9 * 4], np.zeros(1000 * 4), model.flat[9 * 4 :]]),
+        )
+        batch = random_batch(small, make_rng(35), B=16)
+        lookups = int(batch.mask.sum()) + 2 * len(batch)  # behaviors, ads and users
+        assert model.emb.shape[0] <= lookups < big.emb.shape[0]
+        grads = []
+        for m in (model, big):
+            probs, cache = m.forward(batch)
+            _, dprobs = bce_loss(probs, batch.labels)
+            grads.append(m.backward(cache, dprobs))
+            assert_matches_dense_oracle(m, cache, dprobs, grads[-1])
+        (rows, *arrays), (big_rows, *big_arrays) = ((g.rows, g.row_grads, g.mlp) for g in grads)
+        assert (rows >= 9).any()  # user rows are among them
+        np.testing.assert_array_equal(np.where(big_rows >= 1009, big_rows - 1000, big_rows), rows)
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in big_arrays]
 
     def test_gradient_size_follows_batch_not_vocabulary(self):
         config = ModelConfig(item_vocab=1_000_000, user_vocab=1_000, dim=2, hidden=(4,), max_seq_len=6,
@@ -734,7 +761,7 @@ class TestCheckpoint:
             (lambda h: {**h, "config": []}, "checkpoint header has no config object"),
             (lambda h: without(h, "user_tokens"), "user_tokens must"),
             (lambda h: [h], "corrupt checkpoint header (not a JSON object)"),
-            (with_config(temperature=0.0), "temperature must be in (0, inf), got 0.0"),
+            (with_config(temperature=0.0), "temperature must be in [1e-308, inf), got 0.0"),
             (with_config(dim=0), "dim must be in [1, 1024], got 0"),
             (with_config(hidden=[0]), "hidden must be in [1, 32768], got 0"),
             (with_config(item_vocab=1), "item_vocab must be in [2, 16777216], got 1"),
@@ -860,6 +887,17 @@ class TestCheckpoint:
         assert start == len(payload)
         loaded, _, _, _ = load_checkpoint(path)
         assert list(loaded.params) == list(model.params) and loaded.flat.tobytes() == model.flat.tobytes()
+
+    @pytest.mark.parametrize("block,at,value", [("item_emb", 7, math.nan), ("w0", 0, math.inf), ("b1", -1, -math.inf)])
+    def test_non_finite_payload_names_path_and_block(self, tmp_path, block, at, value):
+        """A NaN or an infinity in the payload used to load, and every score
+        it reached came out NaN."""
+        model, path = self.saved(tmp_path)
+        model.params[block].reshape(-1)[at] = value
+        save_checkpoint(model, Vocabulary(["u1", "u2", "u3"]), Vocabulary([f"i{k}" for k in range(10)]), path)
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: non-finite value {value} in {block} of the checkpoint payload"
 
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -142,6 +142,26 @@ def adam_oracle(p, m, v, g, t, lr):
     return p, m, v
 
 
+def adam_matches_oracle(n_rows, d, touched):
+    """Adam on an n_rows x d embedding head and an MLP tail, over several
+    steps, bit for bit against ``adam_oracle`` applied with fancy indexing."""
+    rng = make_rng(17)
+    head, tail = n_rows * d, 4 * 5 + 5  # an n_rows x d embedding matrix, then an MLP tail
+    flat = rng.normal(size=head + tail)
+    state = AdamState(m=np.zeros_like(flat), v=np.zeros_like(flat), lr=0.05)
+    p, m, v = flat.copy(), np.zeros_like(flat), np.zeros_like(flat)
+    for t in range(1, 7):
+        rows = np.unique(rng.integers(1, n_rows, size=touched))
+        mlp = rng.normal(scale=10.0**t, size=tail)
+        row_grads = rng.normal(size=(rows.size, d))
+        adam_step(state, flat, Gradients(mlp=mlp, rows=rows, row_grads=row_grads))
+        p[head:], m[head:], v[head:] = adam_oracle(p[head:], m[head:], v[head:], mlp, t, state.lr)
+        pe, me, ve = (a[:head].reshape(n_rows, d) for a in (p, m, v))
+        pe[rows], me[rows], ve[rows] = adam_oracle(pe[rows], me[rows], ve[rows], row_grads, t, state.lr)
+        for got, want in ((flat, p), (state.m, m), (state.v, v)):
+            assert got.tobytes() == want.tobytes(), t
+
+
 class TestAdamStep:
     def scalar_setup(self, lr=0.1):
         return np.array([1.0]), AdamState(m=np.zeros(1), v=np.zeros(1), lr=lr)
@@ -214,21 +234,13 @@ class TestAdamStep:
 
     def test_in_place_update_equals_the_out_of_place_formula(self):
         """The dense tail and the embedding rows, over several steps, bit for bit."""
-        rng = make_rng(17)
-        head, tail = 9 * 3, 4 * 5 + 5  # a 9 x 3 embedding matrix, then an MLP tail
-        flat = rng.normal(size=head + tail)
-        state = AdamState(m=np.zeros_like(flat), v=np.zeros_like(flat), lr=0.05)
-        p, m, v = flat.copy(), np.zeros_like(flat), np.zeros_like(flat)
-        for t in range(1, 7):
-            rows = np.unique(rng.integers(1, 9, size=5))
-            mlp = rng.normal(scale=10.0**t, size=tail)
-            row_grads = rng.normal(size=(rows.size, 3))
-            adam_step(state, flat, Gradients(mlp=mlp, rows=rows, row_grads=row_grads))
-            p[head:], m[head:], v[head:] = adam_oracle(p[head:], m[head:], v[head:], mlp, t, state.lr)
-            pe, me, ve = (a[:head].reshape(9, 3) for a in (p, m, v))
-            pe[rows], me[rows], ve[rows] = adam_oracle(pe[rows], me[rows], ve[rows], row_grads, t, state.lr)
-            for got, want in ((flat, p), (state.m, m), (state.v, v)):
-                assert got.tobytes() == want.tobytes(), t
+        adam_matches_oracle(n_rows=9, d=3, touched=5)
+
+    @pytest.mark.parametrize("n_rows,d,touched", [(2000, 8, 300), (6, 1, 4)])
+    def test_row_elements_move_as_fancy_indexing_moves_them(self, n_rows, d, touched):
+        """adam_step gathers and scatters each row as one element; the rows
+        of a large table, and rows one float wide, move as the formula says."""
+        adam_matches_oracle(n_rows, d, touched)
 
     def test_non_finite_gradient_names_block(self):
         flat, state = self.scalar_setup()
