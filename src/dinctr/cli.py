@@ -34,12 +34,7 @@ _MODEL_KEYS = ("model", "dim", "hidden", "max_seq_len", "temperature", "use_user
 
 def resolve_config(config_path: str | None, flags: dict) -> RunConfig:
     """defaults < file < flags; ``flags`` holds the run keys given on the command line."""
-    values = {}
-    if config_path:
-        file_values = D.read_json(config_path)
-        if not isinstance(file_values, dict):
-            raise ValueError(f"{config_path}: config file must hold a JSON object")
-        values = D.parse_fields(RunConfig, file_values, config_path)
+    values = D.parse_fields(RunConfig, D.read_json(config_path), config_path) if config_path else {}
     return RunConfig(**values | D.parse_fields(RunConfig, flags))
 
 
@@ -227,22 +222,15 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_rank(cfg: RunConfig, args: argparse.Namespace) -> int:
     model, user_vocab, item_vocab, _ = load_checkpoint(cfg.checkpoint)
-    user_id = ""
-    behaviors: list[str] = []
-    if args.context:
-        ctx = D.read_json(args.context)
-        if not isinstance(ctx, dict):
-            raise ValueError(f"{args.context}: expected a JSON object")
-        user_id = D.parse_id(ctx.get("user_id", ""), args.context, "user_id")
-        behaviors = D.parse_behavior_ids(ctx.get("behavior_ids", []), args.context)
+    ctx = D.read_json(args.context) if args.context else {}  # no context: an unknown user with no history
+    user_id = D.parse_id(ctx.get("user_id", ""), args.context, "user_id")
+    behaviors = D.parse_behavior_ids(ctx.get("behavior_ids", []), args.context)
     ads, bids = [], []
-    for line_no, obj in D.iter_jsonl(args.candidates):
-        if "ad_id" not in obj:
-            raise ValueError(f"line {line_no}: candidate missing ad_id")
-        if "bid" not in obj or obj["bid"] is None:
-            raise ValueError(f"candidate {obj['ad_id']!r} missing bid (line {line_no})")
-        ads.append(D.parse_id(obj["ad_id"], f"line {line_no}", "ad_id"))
-        bids.append(D.parse_bid(obj["bid"], f"line {line_no} (candidate {ads[-1]!r})"))
+    for where, obj in D.iter_jsonl(args.candidates):
+        if "ad_id" not in obj or "bid" not in obj:
+            raise ValueError(f"{where}: missing required field {'bid' if 'ad_id' in obj else 'ad_id'!r}")
+        ads.append(D.parse_id(obj["ad_id"], where, "ad_id"))
+        bids.append(D.parse_bid(obj["bid"], where))
     if not ads:
         raise ValueError("no candidates to rank")
     # The context is encoded once (its ad slot is unused); each candidate's

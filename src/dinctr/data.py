@@ -421,61 +421,72 @@ def save_jsonl(records: Records, path) -> None:
             fh.write(with_bid % (*row, bid) if bid == bid else without_bid % row)  # NaN: no bid
 
 
-_decode_json = json.JSONDecoder().raw_decode
+_JSON_WS = " \t\r\n"  # JSON's whitespace; str.strip() would also take Unicode spaces
+_decode_json = json.JSONDecoder().raw_decode  # decode_object's scanner: json.loads without its per-call wrapper
 
 
-def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
-    """(1-based line number, object) per non-blank line.
+def decode_object(raw: bytes, path, line: int = 1) -> dict:
+    """The JSON object in ``raw``, the bytes of file ``path`` from the start of its line ``line``.
 
-    Lines end at a newline byte. A line that is not UTF-8 text holding one
-    JSON object, with only JSON whitespace (space, tab, CR, LF) around it,
-    raises ValueError naming its number.
+    ``raw`` must be UTF-8 text holding one JSON object with only JSON
+    whitespace around it. Anything else raises ValueError("<path>: line L
+    column C: <what>"), counted in the file as written, where <what> is
+    "not UTF-8 text: ...", "invalid JSON: ..." or "expected a JSON object".
+    An error json gives no place for (an integer too long to convert,
+    nesting too deep) is placed at the start of the value.
     """
+    text = ""
+    try:
+        text = raw.decode("utf-8")
+        body = text.strip(_JSON_WS)
+        obj, end = _decode_json(body)
+        if end == len(body) and type(obj) is dict:
+            return obj
+        if end != len(body):  # placed where json.loads places it, after the whitespace
+            raise json.JSONDecodeError("Extra data", body, len(body) - len(body[end:].lstrip(_JSON_WS)))
+        pos, what = 0, "expected a JSON object"
+    except UnicodeDecodeError as exc:
+        text = raw[: exc.start].decode("utf-8")
+        pos, what = len(text.lstrip(_JSON_WS)), f"not UTF-8 text: {exc.reason}"
+    except json.JSONDecodeError as exc:
+        pos, what = exc.pos, f"invalid JSON: {exc.msg}"
+    except (ValueError, RecursionError) as exc:  # an integer too long to convert, or nesting too deep
+        pos, what = 0, f"invalid JSON: {exc}"
+    pos += len(text) - len(text.lstrip(_JSON_WS))  # pos counted from the first non-whitespace character
+    head = text[:pos]
+    line, column = line + head.count("\n"), pos - head.rfind("\n")
+    raise ValueError(f"{path}: line {line} column {column}: {what}") from None
+
+
+def iter_jsonl(path) -> Iterator[tuple[str, dict]]:
+    """("<path>: line N", object) per non-blank line, N counted from 1.
+
+    Lines end at a newline byte, and a line of JSON whitespace is blank;
+    every other line is read by ``decode_object``.
+    """
+    name = str(path)
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip(" \t\r\n")
-                if not line:
-                    continue
-                obj, end = _decode_json(line)  # json.loads without its per-call wrapper
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"line {line_no}: not UTF-8 text: {exc.reason}") from exc
-            except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an integer too long to convert
-                raise ValueError(f"line {line_no}: invalid JSON: {getattr(exc, 'msg', exc)}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"line {line_no}: expected a JSON object")
-            yield line_no, obj
+            if not raw.isspace() or raw.strip(b" \t\r\n"):  # isspace() is cheap, but takes \f and \v too
+                yield f"{name}: line {line_no}", decode_object(raw, name, line_no)
 
 
-def read_json(path):
-    """The JSON value in file ``path``; ValueError names the path, line and column if it is not UTF-8 JSON."""
+def read_json(path) -> dict:
+    """The JSON object that file ``path`` holds, read by ``decode_object``."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return json.loads(raw.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        head = raw[: exc.start]
-        line, column, what = head.count(b"\n") + 1, exc.start - head.rfind(b"\n"), f"not UTF-8 text: {exc.reason}"
-    except json.JSONDecodeError as exc:
-        line, column, what = exc.lineno, exc.colno, f"invalid JSON: {exc.msg}"
-    except (ValueError, RecursionError) as exc:  # an integer too long to convert, or nesting too deep
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    raise ValueError(f"{path}: line {line} column {column}: {what}")
+        return decode_object(fh.read(), path)
 
 
 def load_jsonl(path, require_label: bool = True) -> Records:
     """Read one record per line into columns; unknown keys are ignored.
 
     With ``require_label=False`` (prediction input) label and ts may be
-    absent and read as 0. A malformed line raises ValueError naming its
-    1-based line number and the field. An empty file gives zero records.
+    absent and read as 0. A malformed line raises ValueError naming the
+    file, the line and the field. An empty file gives zero records.
     """
     required = _LABELLED_KEYS if require_label else _PREDICT_KEYS
     users, items, lengths, labels, stamps, bids = [], [], [], [], [], []
-    for line_no, obj in iter_jsonl(path):
-        where = f"line {line_no}"
+    for where, obj in iter_jsonl(path):
         if not obj.keys() >= required:
             missing = next(k for k in _REQUIRED_KEYS if k not in obj)
             raise ValueError(f"{where}: missing required field {missing!r}")

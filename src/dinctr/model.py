@@ -25,7 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .data import PAD_INDEX, EncodedBatch, Vocabulary, accepts, atomic_open, check_fields, fields_dict, parse_fields
+from .data import (PAD_INDEX, EncodedBatch, Vocabulary, accepts, atomic_open, check_fields, decode_object, fields_dict,
+                   parse_fields)
 from .numerics import sigmoid
 
 # predict() scores at most this many rows per forward pass, so the memory
@@ -385,13 +386,7 @@ def load_checkpoint(path) -> tuple[DinModel, Vocabulary, Vocabulary, Optional[di
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a dinctr checkpoint (bad magic)")
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or an integer too long to convert
-            raise ValueError(f"{path}: corrupt checkpoint header") from exc
-        if not isinstance(header, dict):
-            raise ValueError(f"{path}: corrupt checkpoint header (not a JSON object)")
+        header = decode_object(fh.readline(), path, line=2)  # the magic is line 1
         version = header.get("version")
         if type(version) is not int or version != 1:  # true and 1.0 are not the integer 1
             raise ValueError(f"{path}: unsupported checkpoint version {version!r}")

@@ -11,6 +11,14 @@ with lines that strict JSON reads and probabilities in [0, 1], or exits 1
 with one error line naming the file, and the key too when the table
 rejects the value.
 
+Every file the program reads as JSON goes through one decoder. A dataset
+line, a predict input line, a candidate line, a rank context, a config
+file, a ground-truth file and a checkpoint header that is not UTF-8, not
+JSON or not a JSON object each give the same error, naming the file, the
+line and the column. Fuzzed predict, candidate and context inputs, driven
+through ``main``, exit 0 with well-formed output or exit 1 with one error
+line that names the file.
+
 The table is written out here, not read from the declarations in
 ``config.py`` and ``model.py``, so a declaration that drifts fails.
 """
@@ -27,9 +35,10 @@ from hypothesis import strategies as st
 
 from dinctr.cli import main
 from dinctr.config import RunConfig
-from dinctr.data import Vocabulary
+from dinctr.data import Vocabulary, load_ground_truth
 from dinctr.model import ModelConfig, init_model, save_checkpoint
 from dinctr.numerics import make_rng
+from helpers import RECORD_LINES
 
 INF = math.inf
 
@@ -198,6 +207,113 @@ def test_header_special_values_and_exact_ends(workdir, checkpoint, key):
 @given(data=st.data())
 def test_header_values_near_the_ends(workdir, checkpoint, key, data):
     check_header(workdir, checkpoint, key, data.draw(near_ends(key), label=key))
+
+
+GOOD_RECORD = b'{"user_id": "u1", "ad_id": "i2", "behavior_ids": ["i3", "i4"], "label": 1, "ts": 5}'
+GOOD_CANDIDATE = b'{"ad_id": "i1", "bid": 1.0}'
+
+
+@pytest.fixture(scope="module")
+def candidates(workdir):
+    path = workdir / "candidates.jsonl"
+    path.write_bytes(GOOD_CANDIDATE + b"\n")
+    return str(path)
+
+
+def strict_json_lines(out: str) -> list:
+    return [json.loads(line, parse_constant=reject_constant) for line in out.splitlines()]
+
+
+def check_failure(code: int, out: str, err: str, prefixes) -> None:
+    """Exit 1, no output and one error line that starts with one of ``prefixes``."""
+    assert (code, out) == (1, "") and len(err.splitlines()) == 1, err
+    assert err.startswith(tuple(f"error: {p}" for p in prefixes)), err
+
+
+@settings(max_examples=200, deadline=None)
+@given(line=RECORD_LINES)
+def test_predict_input_line(workdir, checkpoint, line):
+    path = workdir / "fuzz_in.jsonl"
+    path.write_bytes(GOOD_RECORD + b"\n" + line + b"\n")
+    code, out, err = run(["predict", "--checkpoint", str(workdir / "m.ckpt"), "--input", str(path)])
+    if code:
+        return check_failure(code, out, err, [f"{path}: line 2"])
+    rows = strict_json_lines(out)
+    assert err == "" and len(rows) == 1 + bool(line.strip(b" \t\r"))
+    assert rows[0]["user_id"] == "u1" and rows[0]["ad_id"] == "i2"
+    assert all(set(r) == {"user_id", "ad_id", "p"} and 0.0 <= r["p"] <= 1.0 for r in rows), rows
+
+
+def check_ranked(out: str, n: int) -> None:
+    rows = strict_json_lines(out)
+    assert len(rows) == n and all(set(r) == {"ad_id", "p", "bid", "ecpm"} and 0.0 <= r["p"] <= 1.0 for r in rows)
+    assert [r["ecpm"] for r in rows] == sorted((r["ecpm"] for r in rows), reverse=True), rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(line=RECORD_LINES)
+def test_rank_candidate_line(workdir, checkpoint, line):
+    path = workdir / "fuzz_candidates.jsonl"
+    path.write_bytes(GOOD_CANDIDATE + b"\n" + line + b"\n")
+    code, out, err = run(["rank", "--checkpoint", str(workdir / "m.ckpt"), "--candidates", str(path)])
+    if code:
+        return check_failure(code, out, err, [f"{path}: line 2"])
+    assert err == ""
+    check_ranked(out, 1 + bool(line.strip(b" \t\r")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=RECORD_LINES)
+def test_rank_context_file(workdir, checkpoint, candidates, content):
+    """A context that cannot be decoded is named with its line and column; one
+    whose user_id or behavior_ids is not accepted, with the field."""
+    path = workdir / "fuzz_context.json"
+    path.write_bytes(content)
+    code, out, err = run(["rank", "--checkpoint", str(workdir / "m.ckpt"), "--candidates", candidates,
+                          "--context", str(path)])
+    if code:
+        return check_failure(code, out, err, [f"{path}: line ", f"{path}: field "])
+    assert err == ""
+    check_ranked(out, 1)
+
+
+# Each boundary's file holds the bad input on its line 2.
+BAD_INPUTS = [
+    (b'{"ad_id": "i1",, }', "line 2 column 16: invalid JSON: Expecting property name enclosed in double quotes"),
+    (b'{"ad_id": "\xff"}', "line 2 column 12: not UTF-8 text: invalid start byte"),
+    (b"[1, 2]", "line 2 column 1: expected a JSON object"),
+]
+BOUNDARIES = ("dataset", "predict", "candidates", "context", "config", "ground_truth", "checkpoint")
+
+
+def read_boundary(workdir, checkpoint, candidates, boundary: str, path: str) -> str:
+    """The error the program gives when it reads ``path`` at ``boundary``."""
+    if boundary == "ground_truth":  # read only by the library
+        with pytest.raises(ValueError) as info:
+            load_ground_truth(path)
+        return str(info.value)
+    ck, inputs = str(workdir / "m.ckpt"), checkpoint[3]
+    argv = {
+        "dataset": ["eval", "--checkpoint", ck, "--dataset", path],
+        "predict": ["predict", "--checkpoint", ck, "--input", path],
+        "candidates": ["rank", "--checkpoint", ck, "--candidates", path],
+        "context": ["rank", "--checkpoint", ck, "--candidates", candidates, "--context", path],
+        "config": ["train", "--config", path, "--dataset", str(workdir / "missing.jsonl")],
+        "checkpoint": ["predict", "--checkpoint", path, "--input", inputs],
+    }[boundary]
+    code, out, err = run(argv)
+    assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, err
+    return err[len("error: ") : -1]
+
+
+@pytest.mark.parametrize("bad,message", BAD_INPUTS, ids=["invalid-json", "not-utf8", "not-an-object"])
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_every_boundary_names_file_line_and_column(workdir, checkpoint, candidates, boundary, bad, message):
+    magic, _, payload, _ = checkpoint
+    first = {"dataset": GOOD_RECORD, "predict": GOOD_RECORD, "candidates": GOOD_CANDIDATE, "checkpoint": magic[:-1]}
+    path = workdir / f"bad_{boundary}"
+    path.write_bytes(first.get(boundary, b"") + b"\n" + bad + b"\n" + (payload if boundary == "checkpoint" else b""))
+    assert read_boundary(workdir, checkpoint, candidates, boundary, str(path)) == f"{path}: {message}"
 
 
 def test_table_covers_every_numeric_key():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -13,6 +14,7 @@ from dinctr.data import (
     GENERATOR_KEYS,
     NO_HISTORY_TOKEN,
     EncodeStats,
+    GroundTruth,
     Records,
     Vocabulary,
     atomic_open,
@@ -26,7 +28,7 @@ from dinctr.data import (
     split,
 )
 from dinctr.numerics import sigmoid
-from helpers import same_records
+from helpers import RECORD_FIELDS, RECORD_LINES, same_records
 
 
 class Row(NamedTuple):
@@ -400,12 +402,15 @@ class TestJsonlTypes:
 
     @pytest.mark.parametrize(
         "line,message",
-        [(b'{"user_id": "\xff"}', "line 2: not UTF-8"), (b"{} {}", "line 2: invalid JSON: Extra data"),
-         (b"1" * 5000, "line 2: invalid JSON"), (b"[1, 2]", "line 2: expected a JSON object")],
-        ids=["not-utf8", "two-values", "huge-integer", "array"],
+        [(b'{"user_id": "\xff"}', "line 2 column 14: not UTF-8"),
+         (b"{} {}", "line 2 column 4: invalid JSON: Extra data"),
+         (b"1" * 5000, "line 2 column 1: invalid JSON"),
+         (b"[1, 2]", "line 2 column 1: expected a JSON object"),
+         (b" \t[1, 2]", "line 2 column 3: expected a JSON object")],
+        ids=["not-utf8", "two-values", "huge-integer", "array", "indented-array"],
     )
     def test_unreadable_line_names_its_number(self, tmp_path, line, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'typed.jsonl'}: {message}")):
             self.load_second_line(tmp_path, line)
 
     @pytest.mark.parametrize(
@@ -418,7 +423,8 @@ class TestJsonlTypes:
         lines loaded (or were skipped as blank) although json.loads rejects them."""
         with pytest.raises(json.JSONDecodeError):
             json.loads(line)
-        with pytest.raises(ValueError, match="line 2: invalid JSON"):
+        where = re.escape(f"{tmp_path / 'typed.jsonl'}: line 2 column ")
+        with pytest.raises(ValueError, match=where + r"\d+: invalid JSON"):
             self.load_second_line(tmp_path, line.encode())
 
     def test_crlf_and_json_whitespace_load(self, tmp_path):
@@ -426,30 +432,6 @@ class TestJsonlTypes:
         good = json.dumps(self.GOOD).encode()
         path.write_bytes(good + b"\r\n \t" + good + b" \t\r\n\r\n \n")
         assert rows_of(load_jsonl(path)) == [rec(user="u", ad="a", behaviors=("i3", "i1"), label=1, ts=5)] * 2
-
-
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=5,
-)
-_ID = st.text(max_size=4) | st.integers()
-# Each field: a well-typed value or any JSON value; any field may be absent.
-_FIELDS = {
-    "user_id": _ID,
-    "ad_id": _ID,
-    "behavior_ids": st.lists(_ID, max_size=4),
-    "label": st.sampled_from([0, 1]),
-    "ts": st.integers(),
-    "bid": st.none() | st.floats(min_value=0.0, max_value=5.0) | st.integers(min_value=0, max_value=5),
-}
-_OBJECTS = st.fixed_dictionaries({}, optional={k: v | _JSON for k, v in _FIELDS.items()} | {"extra": _JSON})
-_LINES = st.one_of(
-    _OBJECTS.map(lambda o: json.dumps(o).encode()),
-    _JSON.map(lambda v: json.dumps(v).encode()),
-    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=12).map(str.encode),
-    st.binary(max_size=12).filter(lambda b: b"\n" not in b),
-)
 
 
 def _field_ok(name, value) -> bool:
@@ -469,7 +451,7 @@ def _field_ok(name, value) -> bool:
 
 
 class TestJsonlFuzz:
-    @given(_LINES, st.booleans())
+    @given(RECORD_LINES, st.booleans())
     @settings(deadline=None, max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_each_line_gives_a_faithful_record_or_names_line_and_field(self, tmp_path, line, require_label):
         """Line 2 is fuzzed. The loader either returns a record holding exactly
@@ -481,7 +463,7 @@ class TestJsonlFuzz:
             records = load_jsonl(path, require_label=require_label)
         except ValueError as exc:
             msg = str(exc)
-            assert msg.startswith("line 2: "), msg
+            assert msg.startswith((f"{path}: line 2: ", f"{path}: line 2 column ")), msg
             named = msg.split("field ")[1].split("'")[1] if "field '" in msg else None
             if named is not None:
                 obj = json.loads(line.decode())
@@ -495,7 +477,7 @@ class TestJsonlFuzz:
         rec = rows_of(records)[1]
         required = ("user_id", "ad_id", "behavior_ids") + (("label", "ts") if require_label else ())
         assert all(k in obj and _field_ok(k, obj[k]) for k in required)
-        assert all(_field_ok(k, obj[k]) for k in _FIELDS if k in obj)
+        assert all(_field_ok(k, obj[k]) for k in RECORD_FIELDS if k in obj)
         assert rec == Row(
             user=str(obj["user_id"]),
             ad=str(obj["ad_id"]),
@@ -730,15 +712,20 @@ class TestGroundTruthFile:
             ({"item_clusters": [0], "true_probs": [0.5]}, "field 'item_clusters' must be an object, got [0]"),
             ({"item_clusters": {}, "true_probs": {"0": 0.5}}, "field 'true_probs' must be a list"),
             ({"item_clusters": {}, "true_probs": [], "config": [1]}, "field 'config' must be an object, got [1]"),
-            ([{"i0": 0}], "ground truth must be a JSON object"),
         ],
     )
     def test_malformed_file_names_path_and_field(self, tmp_path, obj, message):
-        """A missing item_clusters used to raise a bare KeyError, and a
-        top-level list a TypeError."""
+        """A missing item_clusters used to raise a bare KeyError. (A top-level
+        list, which raised a TypeError, is a case of
+        test_boundaries.py::test_every_boundary_names_file_line_and_column.)"""
         with pytest.raises(ValueError) as info:
             self.load(tmp_path, obj)
         assert str(info.value).startswith(f"{tmp_path / 'meta.json'}: {message}")
+
+    def test_from_dict_rejects_a_non_object(self):
+        """Library callers hand from_dict a decoded value, so it keeps its own check."""
+        with pytest.raises(ValueError, match="^ground truth: ground truth must be a JSON object$"):
+            GroundTruth.from_dict([{"i0": 0}])
 
     @pytest.mark.parametrize(
         "raw,where",
